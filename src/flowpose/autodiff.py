@@ -4,6 +4,9 @@ Every function here accepts either plain numpy arrays or ``Node`` objects and
 returns the matching kind, so numerical code can be written once and run both
 with and without gradient tracking. Rank is limited to <= 2 for matmul; the
 elementwise ops follow numpy broadcasting and un-broadcast their adjoints.
+
+Each node has one VJP returning every parent's gradient; ``fused`` records a
+whole kernel (a Möbius step, a residual MLP) as one such node.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ from scipy.special import ndtr
 __all__ = [
     "Node", "CheckedMode", "as_array", "leaf", "backward",
     "add", "sub", "mul", "div", "neg", "matmul", "tanh", "exp", "log",
-    "sin", "cos", "atan2", "acos", "softmax", "reduce_sum", "mean", "dot",
-    "cross", "l2norm", "concat", "take", "reshape", "transpose", "absolute",
+    "atan2", "acos", "softmax", "reduce_sum", "mean", "dot",
+    "cross", "l2norm", "concat", "take", "reshape", "absolute",
     "sqrt", "normal_cdf", "normal_pdf", "special_orthogonalize_op",
-    "solve_node", "finite_diff_check",
+    "solve_node", "fused", "gather_rows", "finite_diff_check",
     "NotSPDError", "ShapeError", "DomainError",
 ]
 
@@ -57,19 +60,21 @@ def _finite_check(value):
 
 
 class Node:
-    """One tape entry: a value plus vector-Jacobian closures to its parents."""
+    """One tape entry: a value, its parent Nodes, and one vector-Jacobian
+    closure mapping the output gradient to a tuple with one gradient (or
+    None) per parent."""
 
-    __slots__ = ("value", "parents", "vjps", "grad")
+    __slots__ = ("value", "parents", "vjp", "grad")
 
     # make numpy defer mixed ndarray-Node arithmetic to our reflected ops
     # instead of broadcasting into an object array
     __array_ufunc__ = None
 
-    def __init__(self, value, parents=(), vjps=()):
+    def __init__(self, value, parents=(), vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
         _finite_check(self.value)
         self.parents = parents
-        self.vjps = vjps
+        self.vjp = vjp
         self.grad = None
 
     @property
@@ -118,10 +123,6 @@ def as_array(x):
     return x.value if isinstance(x, Node) else np.asarray(x, dtype=np.float64)
 
 
-def _is_node(*xs):
-    return any(isinstance(x, Node) for x in xs)
-
-
 def _unbroadcast(grad, shape):
     """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
     if grad.shape == shape:
@@ -135,31 +136,67 @@ def _unbroadcast(grad, shape):
     return g.reshape(shape)
 
 
-def _make(value, parents, vjps):
-    return Node(value, tuple(parents), tuple(vjps))
-
-
 def _binary(x, y, fwd, vjp_x, vjp_y):
-    if not _is_node(x, y):
+    if not (isinstance(x, Node) or isinstance(y, Node)):
         return fwd(np.asarray(x, float), np.asarray(y, float))
-    xn = x if isinstance(x, Node) else leaf(x)
-    yn = y if isinstance(y, Node) else leaf(y)
-    out = fwd(xn.value, yn.value)
-    return _make(
-        out,
-        (xn, yn),
-        (
-            lambda g: _unbroadcast(vjp_x(g, xn.value, yn.value, out), xn.value.shape),
-            lambda g: _unbroadcast(vjp_y(g, xn.value, yn.value, out), yn.value.shape),
-        ),
-    )
+    a, b = as_array(x), as_array(y)
+    out = fwd(a, b)
+    if not isinstance(y, Node):
+        return Node(out, (x,), lambda g: (_unbroadcast(vjp_x(g, a, b, out), a.shape),))
+    if not isinstance(x, Node):
+        return Node(out, (y,), lambda g: (_unbroadcast(vjp_y(g, a, b, out), b.shape),))
+    return Node(out, (x, y), lambda g: (_unbroadcast(vjp_x(g, a, b, out), a.shape),
+                                        _unbroadcast(vjp_y(g, a, b, out), b.shape)))
 
 
 def _unary(x, fwd, vjp):
     if not isinstance(x, Node):
         return fwd(np.asarray(x, float))
-    out = fwd(x.value)
-    return _make(out, (x,), (lambda g: vjp(g, x.value, out),))
+    a = x.value
+    out = fwd(a)
+    return Node(out, (x,), lambda g: (vjp(g, a, out),))
+
+
+def fused(values, parents, vjp):
+    """Record a whole kernel as one tape node.
+
+    ``values`` are the kernel's outputs, already computed from the parents'
+    values: one array, or a tuple of arrays. ``vjp(*output_grads)`` returns
+    one gradient (or None) per entry of ``parents``; an output that receives
+    no gradient is passed as zeros. Parents that are not Nodes are constants.
+    With no Node parent the values come back unchanged, so the same kernel
+    code serves the tape and the plain-array path.
+
+    A multi-output kernel is one node holding the flattened outputs, plus one
+    slicing node per output.
+    """
+    keep = [i for i, p in enumerate(parents) if isinstance(p, Node)]
+    if not keep:
+        return values
+
+    def parent_grads(grads):
+        gs = vjp(*grads)
+        return tuple(gs[i] for i in keep)
+
+    nodes = tuple(parents[i] for i in keep)
+    if not isinstance(values, tuple):
+        return Node(values, nodes, lambda g: parent_grads((g,)))
+    cuts = np.cumsum([np.size(v) for v in values])[:-1]
+
+    def unpack(flat):
+        return [part.reshape(np.shape(v)) for part, v in zip(np.split(flat, cuts), values)]
+
+    core = Node(np.concatenate([np.ravel(v) for v in values]), nodes,
+                lambda g: parent_grads(unpack(g)))
+
+    def output(i):
+        def scatter(g):
+            flat = np.zeros(core.value.size)
+            unpack(flat)[i][...] = g
+            return (flat,)
+        return Node(values[i], (core,), scatter)
+
+    return tuple(output(i) for i in range(len(values)))
 
 
 def add(x, y):
@@ -229,14 +266,6 @@ def sqrt(x):
         return np.sqrt(a)
 
     return _unary(x, fwd, lambda g, a, o: g / (2.0 * o))
-
-
-def sin(x):
-    return _unary(x, np.sin, lambda g, a, o: g * np.cos(a))
-
-
-def cos(x):
-    return _unary(x, np.cos, lambda g, a, o: -g * np.sin(a))
 
 
 def absolute(x):
@@ -341,23 +370,14 @@ def l2norm(x, axis=-1, keepdims=False):
 
 
 def concat(xs, axis=-1):
-    if not any(isinstance(x, Node) for x in xs):
-        return np.concatenate([np.asarray(x, float) for x in xs], axis=axis)
-    nodes = [x if isinstance(x, Node) else leaf(x) for x in xs]
-    values = [n.value for n in nodes]
+    values = [as_array(x) for x in xs]
     out = np.concatenate(values, axis=axis)
-    sizes = [v.shape[axis] for v in values]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [v.shape[axis] for v in values])
 
-    def make_vjp(i):
-        def vjp(g):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(offsets[i], offsets[i + 1])
-            return g[tuple(sl)]
+    def vjp(g):
+        return np.split(g, offsets[1:-1], axis=axis)
 
-        return vjp
-
-    return _make(out, nodes, tuple(make_vjp(i) for i in range(len(nodes))))
+    return fused(out, list(xs), vjp)
 
 
 def take(x, idx):
@@ -374,15 +394,24 @@ def take(x, idx):
     return _unary(x, fwd, vjp)
 
 
+def gather_rows(x, idx):
+    """Rows ``x[idx]`` for an integer index that may repeat; the adjoint
+    sums the gradients of repeated rows back with ``np.add.at``."""
+    a = as_array(x)
+
+    def vjp(g):
+        gx = np.zeros_like(a)
+        np.add.at(gx, idx, g)
+        return (gx,)
+
+    return fused(a[idx], (x,), vjp)
+
+
 def reshape(x, shape):
     def vjp(g, a, o):
         return g.reshape(a.shape)
 
     return _unary(x, lambda a: a.reshape(shape), vjp)
-
-
-def transpose(x):
-    return _unary(x, lambda a: a.T, lambda g, a, o: g.T)
 
 
 def _special_orthogonalize_value(m):
@@ -391,50 +420,32 @@ def _special_orthogonalize_value(m):
     return u @ np.diag([1.0, 1.0, d]) @ vt
 
 
-def _special_orthogonalize_vjp(m, q, gbar):
-    """Adjoint of the nearest-rotation projection via the polar-factor ODE.
-
-    M = Q H with H = Q^T M symmetric; a perturbation dM gives dQ = Q @ Omega
-    where Omega is the skew solution of Omega H + H Omega = skew(Q^T dM).
-    The 9x9 Jacobian is assembled column by column (cheap at 3x3).
-    """
-    h = q.T @ m
-    d_eig, v_eig = np.linalg.eigh(0.5 * (h + h.T))
-    denom = d_eig[:, None] + d_eig[None, :]
-    jac = np.empty((9, 9))
-    for j in range(9):
-        dm = np.zeros(9)
-        dm[j] = 1.0
-        a = q.T @ dm.reshape(3, 3)
-        at = v_eig.T @ (a - a.T) @ v_eig
-        omega_t = np.where(np.abs(denom) > 1e-12, at / np.where(denom == 0, 1.0, denom), 0.0)
-        dq = q @ (v_eig @ omega_t @ v_eig.T)
-        jac[:, j] = dq.ravel()
-    return (jac.T @ gbar.ravel()).reshape(3, 3)
-
-
 def special_orthogonalize_op(x):
-    """Project 3x3 matrices onto SO(3). Accepts (3,3) or a batch (B,9)."""
+    """Project 3x3 matrices onto SO(3). Accepts (3,3) or a batch (B,9).
 
-    def fwd(a):
-        if a.shape == (3, 3):
-            return _special_orthogonalize_value(a)
-        out = np.empty_like(a)
-        for i in range(a.shape[0]):
-            out[i] = _special_orthogonalize_value(a[i].reshape(3, 3)).ravel()
-        return out
+    One batched SVD M = U S V^T gives Q = U diag(1,1,d) V^T and the
+    eigen-decomposition of the symmetric factor H = Q^T M = V diag(lam) V^T
+    with lam = S * (1,1,d). The adjoint is the closed form of the polar
+    factor's derivative: Mbar = Q V (Y - Y^T) V^T with
+    Y_ij = (V^T Q^T Gbar V)_ij / (lam_i + lam_j).
+    """
+    a = as_array(x)
+    m = a.reshape(-1, 3, 3)
+    u, s, vt = np.linalg.svd(m)
+    d = np.sign(np.linalg.det(u @ vt))
+    u[:, :, 2] *= d[:, None]
+    q = u @ vt
+    lam = s.copy()
+    lam[:, 2] *= d
 
-    def vjp(g, a, o):
-        if a.shape == (3, 3):
-            return _special_orthogonalize_vjp(a, o, g)
-        out = np.empty_like(a)
-        for i in range(a.shape[0]):
-            out[i] = _special_orthogonalize_vjp(
-                a[i].reshape(3, 3), o[i].reshape(3, 3), g[i].reshape(3, 3)
-            ).ravel()
-        return out
+    def vjp(g):
+        v = vt.transpose(0, 2, 1)
+        y = vt @ q.transpose(0, 2, 1) @ g.reshape(-1, 3, 3) @ v
+        den = lam[:, :, None] + lam[:, None, :]
+        y = np.where(np.abs(den) > 1e-12, y / np.where(den == 0, 1.0, den), 0.0)
+        return ((q @ v @ (y - y.transpose(0, 2, 1)) @ vt).reshape(a.shape),)
 
-    return _unary(x, fwd, vjp)
+    return fused(q.reshape(a.shape), (x,), vjp)
 
 
 def solve_node(a, b):
@@ -448,19 +459,12 @@ def solve_node(a, b):
     except np.linalg.LinAlgError as e:
         raise NotSPDError("matrix is not positive definite") from e
     x = np.linalg.solve(av, bv)
-    if not _is_node(a, b):
-        return x
-    an = a if isinstance(a, Node) else leaf(a)
-    bn = b if isinstance(b, Node) else leaf(b)
 
-    def vjp_a(g):
+    def vjp(g):
         gb = np.linalg.solve(av.T, g)
-        return -np.outer(gb, x)
+        return -np.outer(gb, x), gb
 
-    def vjp_b(g):
-        return np.linalg.solve(av.T, g)
-
-    return _make(x, (an, bn), (vjp_a, vjp_b))
+    return fused(x, (a, b), vjp)
 
 
 def backward(output):
@@ -487,10 +491,11 @@ def backward(output):
         node.grad = None
     output.grad = np.ones_like(output.value)
     for node in reversed(order):
-        if node.grad is None:
+        if node.grad is None or not node.parents:
             continue
-        for parent, vjp in zip(node.parents, node.vjps):
-            g = vjp(node.grad)
+        for parent, g in zip(node.parents, node.vjp(node.grad)):
+            if g is None:
+                continue
             if parent.grad is None:
                 parent.grad = np.array(g, dtype=np.float64, copy=True)
             else:

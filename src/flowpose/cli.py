@@ -23,8 +23,8 @@ from . import autodiff as ag
 from . import body, checkpoint, metrics, selftest as selftest_mod, synth, training
 from .flow import FlowConfig, NonConvergenceError
 from .rotation import Rotation
-from .solver import (DivergenceError, Observation, SolveConfig, SolverFailure,
-                     solve_multi_view, solve_single_view)
+from .solver import (Observation, SolveConfig, SolverFailure, solve_multi_view,
+                     solve_single_view)
 
 FORMAT_VERSIONS = {"model": 1, "checkpoint": checkpoint.FORMAT_VERSION}
 
@@ -312,8 +312,6 @@ def build_parser():
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--views", type=int, default=None,
                    help="view count override for eval")
-    p.add_argument("--threads", type=int, default=1,
-                   help="scene-level parallelism (1 = deterministic)")
     p.add_argument("--no-timestamp", action="store_true",
                    help="omit the meta timestamp from checkpoints")
     return p
@@ -327,15 +325,15 @@ def main(argv=None):
         return 0 if e.code in (0, None) else 1
     try:
         return COMMANDS[args.command](args)
-    except (ValidationError, ValueError, FileNotFoundError,
-            body.ModelLoadError, checkpoint.CheckpointError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (SolverFailure, DivergenceError, NonConvergenceError,
-            training.TrainingAborted, ag.NotSPDError,
-            np.linalg.LinAlgError, FloatingPointError) as e:
+    # DomainError and NotSPDError subclass ValueError: test them first
+    except (SolverFailure, NonConvergenceError, training.TrainingAborted,
+            ag.DomainError, ag.NotSPDError, np.linalg.LinAlgError,
+            FloatingPointError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 2
+    except (ValueError, FileNotFoundError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

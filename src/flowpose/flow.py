@@ -9,7 +9,7 @@ gradient flows through the bisection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,30 +43,24 @@ def constrain_omega(raw):
 
 
 def _constrain_omega_batch(ox, oy, oz):
-    n = ag.sqrt(ox * ox + oy * oy + oz * oz + 1e-30)
-    s = ag.tanh(n) * ((1.0 - OMEGA_MARGIN) / n)
-    return ox * s, oy * s, oz * s
+    """constrain_omega over omega components (B,k) each; one tape node."""
+    o = [ag.as_array(c) for c in (ox, oy, oz)]
+    n = np.sqrt(o[0] * o[0] + o[1] * o[1] + o[2] * o[2] + 1e-30)
+    t = np.tanh(n)
+    s = t * ((1.0 - OMEGA_MARGIN) / n)
+
+    def vjp(gx, gy, gz):
+        # ds/dn = (1-m)(1-tanh^2)/n - s/n, and dn/do_i = o_i/n
+        g_s = gx * o[0] + gy * o[1] + gz * o[2]
+        g_n = g_s * ((1.0 - OMEGA_MARGIN) * (1.0 - t * t) - s) / n
+        return tuple(g * s + g_n * oc / n for g, oc in zip((gx, gy, gz), o))
+
+    return ag.fused((o[0] * s, o[1] * s, o[2] * s), (ox, oy, oz), vjp)
 
 
 def mobius_map(c: complex, omega: complex) -> complex:
     """The unit-circle Möbius transform (c + w) / (w* c + 1)."""
     return (c + omega) / (np.conj(omega) * c + 1.0)
-
-
-def _project(vx_cols, u):
-    """<omega_j, u> for omega components (B,k) and unit vectors u (B,3)."""
-    ox, oy, oz = vx_cols
-    return (ox * u[:, 0:1] + oy * u[:, 1:2] + oz * u[:, 2:3]
-            if not isinstance(u, ag.Node)
-            else ox * ag.take(u, (slice(None), slice(0, 1)))
-            + oy * ag.take(u, (slice(None), slice(1, 2)))
-            + oz * ag.take(u, (slice(None), slice(2, 3))))
-
-
-def _col(u, j):
-    if isinstance(u, ag.Node):
-        return ag.take(u, (slice(None), slice(j, j + 1)))
-    return u[:, j:j + 1]
 
 
 def _mobius_fwd_batch(held, moving, ox, oy, oz, w):
@@ -77,19 +71,38 @@ def _mobius_fwd_batch(held, moving, ox, oy, oz, w):
 
     theta_j = 2*arg(1 + c_j) with c_j the omega projection onto the
     (moving, u3) plane, and the angle derivative of the full map is
-    (1-|c_j|^2)/|1+c_j|^2, both evaluated at the input point.
+    (1-|c_j|^2)/|1+c_j|^2, both evaluated at the input point. On the tape
+    the step is one node with the analytic VJP.
     """
-    u3 = ag.cross(moving, held)
-    cre = _project((ox, oy, oz), moving)
-    cim = _project((ox, oy, oz), u3)
+    hv, mv, wv = ag.as_array(held), ag.as_array(moving), ag.as_array(w)
+    o = [ag.as_array(c) for c in (ox, oy, oz)]
+    u3 = np.cross(mv, hv)
+    cre = o[0] * mv[:, 0:1] + o[1] * mv[:, 1:2] + o[2] * mv[:, 2:3]
+    cim = o[0] * u3[:, 0:1] + o[1] * u3[:, 1:2] + o[2] * u3[:, 2:3]
     one_re = 1.0 + cre
-    theta_j = 2.0 * ag.atan2(cim, one_re)
+    theta_j = 2.0 * np.arctan2(cim, one_re)
     denom = one_re * one_re + cim * cim
     d_j = (1.0 - (cre * cre + cim * cim)) / denom
-    theta = ag.reduce_sum(w * theta_j, axis=1, keepdims=True)
-    logdet = ag.log(ag.reduce_sum(w * d_j, axis=1))
-    moved = ag.cos(theta) * moving + ag.sin(theta) * u3
-    return moved, logdet
+    theta = (wv * theta_j).sum(axis=1, keepdims=True)
+    dsum = (wv * d_j).sum(axis=1)
+    logdet = ag.log(dsum)
+    cos, sin = np.cos(theta), np.sin(theta)
+    moved = cos * mv + sin * u3
+
+    def vjp(g_moved, g_logdet):
+        g_theta = (g_moved * (cos * u3 - sin * mv)).sum(axis=1, keepdims=True)
+        g_d = (g_logdet / dsum)[:, None]
+        gt = 2.0 * g_theta * wv / denom
+        gd = 2.0 * g_d * wv / denom
+        g_cre = -gt * cim - gd * (cre + one_re * d_j)
+        g_cim = gt * one_re - gd * cim * (1.0 + d_j)
+        g_mv = cos * g_moved + np.stack([(g_cre * oc).sum(axis=1) for oc in o], axis=1)
+        g_u3 = sin * g_moved + np.stack([(g_cim * oc).sum(axis=1) for oc in o], axis=1)
+        g_o = [g_cre * mv[:, i:i + 1] + g_cim * u3[:, i:i + 1] for i in range(3)]
+        return (np.cross(g_u3, mv), g_mv + np.cross(hv, g_u3), *g_o,
+                g_theta * theta_j + g_d * d_j)
+
+    return ag.fused((moved, logdet), (held, moving, ox, oy, oz, w), vjp)
 
 
 def _mobius_inv_batch(moved, held, ox, oy, oz, w,
@@ -128,6 +141,15 @@ def _mobius_inv_batch(moved, held, ox, oy, oz, w,
         raise NonConvergenceError("bisection failed to reach tolerance")
     moving = moved * np.cos(root)[:, None] + u3 * np.sin(root)[:, None]
     return moving, iters
+
+
+def joint_context_rows(flow, pdict, ctx):
+    """Per-(scene, joint) conditioner rows from per-scene contexts (B, C):
+    row b*K + j is [ctx_b, embed_j]."""
+    k = flow.cfg.n_joints
+    b = ag.as_array(ctx).shape[0]
+    return ag.concat([ag.gather_rows(ctx, np.repeat(np.arange(b), k)),
+                      ag.gather_rows(pdict["embed"], np.tile(np.arange(k), b))], axis=1)
 
 
 def _check_frame(held, moving):
@@ -225,14 +247,9 @@ class FlowModel:
     # ---- conditioners ------------------------------------------------------
     def _coupling_cond(self, p, name, held, ctx):
         k = self.cfg.k_transforms
-        x = ag.concat([held, ctx], axis=1)
-        out = mlp_apply(p, name, x, self.cfg.blocks)
-        ox = _col_range(out, 0, k)
-        oy = _col_range(out, k, 2 * k)
-        oz = _col_range(out, 2 * k, 3 * k)
-        ox, oy, oz = _constrain_omega_batch(ox, oy, oz)
-        w = ag.softmax(_col_range(out, 3 * k, 4 * k), axis=1)
-        return ox, oy, oz, w
+        out = mlp_apply(p, name, ag.concat([held, ctx], axis=1), self.cfg.blocks)
+        ox, oy, oz = _constrain_omega_batch(out[:, :k], out[:, k:2 * k], out[:, 2 * k:3 * k])
+        return ox, oy, oz, ag.softmax(out[:, 3 * k:], axis=1)
 
     def _rotation_q(self, p, i, ctx):
         out = mlp_apply(p, f"rot{i}", ctx, self.cfg.blocks)
@@ -248,26 +265,30 @@ class FlowModel:
 
     def _coupling_inverse(self, p, i, u1, u2, ctx):
         ox, oy, oz, w = self._coupling_cond(p, f"cpl{i}b", u2, ctx)
-        u1p, it1 = _mobius_inv_batch(u1, u2, ag.as_array(ox), ag.as_array(oy),
-                                     ag.as_array(oz), ag.as_array(w))
+        u1p, it1 = _mobius_inv_batch(u1, u2, ox, oy, oz, w)
         ox, oy, oz, w = self._coupling_cond(p, f"cpl{i}a", u1p, ctx)
-        u2p, it2 = _mobius_inv_batch(u2, u1p, ag.as_array(ox), ag.as_array(oy),
-                                     ag.as_array(oz), ag.as_array(w))
+        u2p, it2 = _mobius_inv_batch(u2, u1p, ox, oy, oz, w)
         return u1p, u2p, np.maximum(it1, it2)
 
     @staticmethod
     def _apply_q(q9, u, transpose=False):
-        cols = []
-        for i in range(3):
-            acc = None
-            for j in range(3):
-                idx = j * 3 + i if transpose else i * 3 + j
-                term = _col(q9, idx) * _col(u, j) if isinstance(q9, ag.Node) or isinstance(u, ag.Node) \
-                    else q9[:, idx:idx + 1] * u[:, j:j + 1]
-                acc = term if acc is None else acc + term
-            cols.append(acc)
-        return ag.concat(cols, axis=1) if any(isinstance(c, ag.Node) for c in cols) \
-            else np.concatenate(cols, axis=1)
+        """Rows of u (B,3) times Q (or Q^T) from rotation rows q9 (B,9) or
+        (1,9, shared by every row); one tape node."""
+        q = ag.as_array(q9).reshape(-1, 3, 3)
+        if transpose:
+            q = q.transpose(0, 2, 1)
+        uv = ag.as_array(u)
+        out = q[:, :, 0] * uv[:, 0:1] + q[:, :, 1] * uv[:, 1:2] + q[:, :, 2] * uv[:, 2:3]
+
+        def vjp(g):
+            gq = g[:, :, None] * uv[:, None, :]
+            if q.shape[0] == 1:
+                gq = gq.sum(axis=0, keepdims=True)
+            if transpose:
+                gq = gq.transpose(0, 2, 1)
+            return gq.reshape(-1, 9), (q * g[:, :, None]).sum(axis=1)
+
+        return ag.fused(out, (q9, u), vjp)
 
     def _to_base(self, p, u1, u2, ctx, ctx_constant=False):
         """Analytic normalizing pass over all layers; returns (u1, u2, logdet)."""
@@ -275,7 +296,7 @@ class FlowModel:
         for i in range(self.cfg.n_sets):
             u1, u2, ld = self._coupling_forward(p, i, u1, u2, ctx)
             logdet = ld if logdet is None else logdet + ld
-            q9 = self._rotation_q(p, i, _first_row(ctx) if ctx_constant else ctx)
+            q9 = self._rotation_q(p, i, ctx[0:1] if ctx_constant else ctx)
             u1 = self._apply_q(q9, u1)
             u2 = self._apply_q(q9, u2)
         return u1, u2, logdet
@@ -284,7 +305,7 @@ class FlowModel:
         """Numeric generative pass (bisection); returns (u1, u2, max iterations)."""
         worst = np.zeros(u1.shape[0], dtype=int)
         for i in reversed(range(self.cfg.n_sets)):
-            q9 = ag.as_array(self._rotation_q(pv, i, ctx[0:1] if ctx_constant else ctx))
+            q9 = self._rotation_q(pv, i, ctx[0:1] if ctx_constant else ctx)
             u1 = self._apply_q(q9, u1, transpose=True)
             u2 = self._apply_q(q9, u2, transpose=True)
             u1, u2, its = self._coupling_inverse(pv, i, u1, u2, ctx)
@@ -294,7 +315,7 @@ class FlowModel:
     # ---- public spec operations --------------------------------------------
     def _ctx_row(self, pv, context, joint=0):
         ctx = np.asarray(context, float)
-        return np.concatenate([ctx, ag.as_array(pv["embed"])[joint]])[None, :]
+        return np.concatenate([ctx, pv["embed"][joint]])[None, :]
 
     def coupling_block(self, r: Rotation, context, set_index=0, joint=0):
         """(r_out, logdet) for one coupling set, single sample, numpy path."""
@@ -316,43 +337,26 @@ class FlowModel:
     def rotation_layer(self, r: Rotation, context, set_index=0, joint=0):
         """(Q r, logdet = 0) with Q produced by the rotation conditioner."""
         pv = self.param_values()
-        q9 = ag.as_array(self._rotation_q(pv, set_index,
-                                          self._ctx_row(pv, context, joint)))
+        q9 = self._rotation_q(pv, set_index, self._ctx_row(pv, context, joint))
         return matrix_to_quat(q9[0].reshape(3, 3) @ r.matrix()), 0.0
-
-    def _joint_rows(self, p, context_rows):
-        """Tile per-scene contexts into per-(scene, joint) conditioner rows."""
-        K = self.cfg.n_joints
-        ctx = np.asarray(context_rows, float)
-        if ctx.ndim == 1:
-            ctx = ctx[None, :]
-        B = ctx.shape[0]
-        ctx_rep = np.repeat(ctx, K, axis=0)
-        emb = p["embed"]
-        if isinstance(emb, ag.Node):
-            reps = [emb] * B
-            emb_rep = ag.concat(reps, axis=0) if B > 1 else emb
-            return ag.concat([ag.leaf(ctx_rep), emb_rep], axis=1)
-        return np.concatenate([ctx_rep, np.tile(emb, (B, 1))], axis=1)
 
     def log_prob_rows(self, p, u1, u2, ctx_rows, ctx_constant=False):
         """Per-row joint log-density: base log-pdf at the image plus logdet."""
         u1b, u2b, logdet = self._to_base(p, u1, u2, ctx_rows, ctx_constant)
         u3b = ag.cross(u1b, u2b)
-        tr = (_col(u1b, 0) + _col(u2b, 1) + _col(u3b, 2))
+        tr = u1b[:, 0:1] + u2b[:, 1:2] + u3b[:, 2:3]
         qdot2 = ag.clip((tr + 1.0) * 0.25, 0.0, 1.0)
         qdot = ag.sqrt(qdot2 + 1e-18)
         lp = pig_logpdf_from_qdot(qdot, self.cfg.kappa)
-        lp = ag.reshape(lp, (-1,)) if isinstance(lp, ag.Node) else lp.reshape(-1)
-        return lp + logdet
+        return ag.reshape(lp, (-1,)) + logdet
 
     def flow_log_prob(self, pose_rotations, context):
         """Total log-density (nats) of K joint rotations given one context."""
         pv = self.param_values()
         u1, u2 = _pose_cols(pose_rotations)
-        ctx = self._joint_rows(pv, context)
+        ctx = joint_context_rows(self, pv, np.asarray(context, float)[None, :])
         lp = self.log_prob_rows(pv, u1, u2, ctx, ctx_constant=True)
-        return float(np.sum(ag.as_array(lp)))
+        return float(np.sum(lp))
 
     def flow_sample(self, context, n, rng, include_mode=False):
         """Draw n PoseSamples for one context (optionally prepend the mode)."""
@@ -365,9 +369,9 @@ class FlowModel:
         total = quats.shape[0] // K
         mats = _quat_to_matrix_batch(quats)
         u1, u2 = mats[:, :, 0], mats[:, :, 1]
-        ctx = self._joint_rows(pv, np.tile(np.asarray(context, float), (total, 1)))
+        ctx = joint_context_rows(self, pv, np.tile(np.asarray(context, float), (total, 1)))
         u1, u2, _ = self._from_base(pv, u1, u2, ctx, ctx_constant=True)
-        lp_rows = ag.as_array(self.log_prob_rows(pv, u1, u2, ctx, ctx_constant=True))
+        lp_rows = self.log_prob_rows(pv, u1, u2, ctx, ctx_constant=True)
         lp = lp_rows.reshape(total, K).sum(axis=1)
         g = self.global_rotation_head(context)
         shape_dist = self.shape_head(context)
@@ -385,27 +389,15 @@ class FlowModel:
     def global_rotation_head(self, context, p=None):
         p = p or self.param_values()
         ctx = np.asarray(context, float)[None, :]
-        out = ag.as_array(mlp_apply(p, "head_rot", ctx, self.cfg.blocks))
+        out = mlp_apply(p, "head_rot", ctx, self.cfg.blocks)
         return matrix_to_quat(ag._special_orthogonalize_value(out[0].reshape(3, 3)))
 
     def shape_head(self, context, p=None):
         p = p or self.param_values()
         ctx = np.asarray(context, float)[None, :]
-        out = ag.as_array(mlp_apply(p, "head_shape", ctx, self.cfg.blocks))[0]
+        out = mlp_apply(p, "head_shape", ctx, self.cfg.blocks)[0]
         d = self.cfg.shape_dim
         return DiagGaussian(out[:d], out[d:])
-
-
-def _col_range(x, a, b):
-    if isinstance(x, ag.Node):
-        return ag.take(x, (slice(None), slice(a, b)))
-    return x[:, a:b]
-
-
-def _first_row(ctx):
-    if isinstance(ctx, ag.Node):
-        return ag.take(ctx, (slice(0, 1), slice(None)))
-    return ctx[0:1]
 
 
 def _rotation_from_cols(u1, u2):

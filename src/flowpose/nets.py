@@ -75,15 +75,41 @@ def mlp_init(store: ParamStore, prefix, d_in, d_out, channels, blocks, rng,
 
 
 def mlp_apply(params, prefix, x, blocks):
-    """Run the residual MLP; ``params`` maps names to Nodes or ndarrays."""
-    h = ag.tanh(ag.add(ag.matmul(x, params[f"{prefix}/w_in"]), params[f"{prefix}/b_in"]))
+    """Run the residual MLP; ``params`` maps names to Nodes or ndarrays.
+    On the tape the network is one node with a hand-written VJP."""
+    names = (["w_in", "b_in"] + [f"blk{b}/{n}" for b in range(blocks)
+                                 for n in ("w1", "b1", "w2", "b2")] + ["w_out", "b_out"])
+    nodes = [params[f"{prefix}/{n}"] for n in names]
+    w = [ag.as_array(p) for p in nodes]
+    xv = ag.as_array(x)
+    hs = [np.tanh(xv @ w[0] + w[1])]
+    ts = []
     for b in range(blocks):
-        t = ag.tanh(ag.add(ag.matmul(h, params[f"{prefix}/blk{b}/w1"]),
-                           params[f"{prefix}/blk{b}/b1"]))
-        t = ag.tanh(ag.add(ag.matmul(t, params[f"{prefix}/blk{b}/w2"]),
-                           params[f"{prefix}/blk{b}/b2"]))
-        h = ag.add(h, t)
-    return ag.add(ag.matmul(h, params[f"{prefix}/w_out"]), params[f"{prefix}/b_out"])
+        w1, b1, w2, b2 = w[2 + 4 * b:6 + 4 * b]
+        t1 = np.tanh(hs[-1] @ w1 + b1)
+        t2 = np.tanh(t1 @ w2 + b2)
+        ts.append((t1, t2))
+        hs.append(hs[-1] + t2)
+    out = hs[-1] @ w[-2] + w[-1]
+
+    def vjp(g):
+        grads = [None] * len(w)
+        grads[-2], grads[-1] = hs[-1].T @ g, g.sum(axis=0)
+        gh = g @ w[-2].T
+        for b in reversed(range(blocks)):
+            w1, _, w2, _ = w[2 + 4 * b:6 + 4 * b]
+            t1, t2 = ts[b]
+            z2 = gh * (1.0 - t2 * t2)
+            z1 = (z2 @ w2.T) * (1.0 - t1 * t1)
+            grads[2 + 4 * b:6 + 4 * b] = [hs[b].T @ z1, z1.sum(axis=0),
+                                          t1.T @ z2, z2.sum(axis=0)]
+            gh = gh + z1 @ w1.T
+        z0 = gh * (1.0 - hs[0] * hs[0])
+        grads[0], grads[1] = xv.T @ z0, z0.sum(axis=0)
+        gx = z0 @ w[0].T if isinstance(x, ag.Node) else None
+        return [gx] + grads
+
+    return ag.fused(out, [x] + nodes, vjp)
 
 
 class GradientDescent:

@@ -14,17 +14,19 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ag
 from .body import BodyModelDef
 from .distributions import ProjectedIsoGaussian, pig_sample_batch
-from .flow import FlowConfig, FlowModel, _pose_cols, _quat_to_matrix_batch
+from .flow import (FlowConfig, FlowModel, _pose_cols, _quat_to_matrix_batch,
+                   joint_context_rows)
 from .nets import Adam, GradientDescent, ParamStore, mlp_apply, mlp_init
 from .rotation import Rotation, geodesic_distance
-from .solver import _world_rotations, _linearized_anchors, _chain_positions, _chain_directions
+from .solver import (_world_rotations, _linearized_anchors, _chain_positions,
+                     _chain_directions, laplacian_nll)
 from .body import shape_blend
 from .synth import context_feature_dim
 
@@ -70,29 +72,6 @@ class TrainConfig:
         return TrainConfig(**d)
 
 
-def _tile_rows(x, reps):
-    """Repeat each row of x `reps` times (works on the tape)."""
-    b = ag.as_array(x).shape[0]
-    sel = np.zeros((b * reps, b))
-    sel[np.arange(b * reps), np.repeat(np.arange(b), reps)] = 1.0
-    return ag.matmul(sel, x) if isinstance(x, ag.Node) else sel @ x
-
-
-def _tile_block(x, times):
-    """Stack `times` copies of x (tape-friendly np.tile along rows)."""
-    k = ag.as_array(x).shape[0]
-    sel = np.zeros((k * times, k))
-    sel[np.arange(k * times), np.tile(np.arange(k), times)] = 1.0
-    return ag.matmul(sel, x) if isinstance(x, ag.Node) else sel @ x
-
-
-def joint_context_rows(flow, pdict, ctx):
-    """Per-(scene, joint) conditioner rows from per-scene contexts."""
-    k = flow.cfg.n_joints
-    b = ag.as_array(ctx).shape[0]
-    return ag.concat([_tile_rows(ctx, k), _tile_block(pdict["embed"], b)], axis=1)
-
-
 def _gauss_nll(out, beta_gt, s):
     """Mean diagonal-Gaussian NLL; out is (B, 2S) = (mean, log_std)."""
     mu = ag.take(out, (slice(None), slice(0, s)))
@@ -113,14 +92,10 @@ def _geodesic_sq(out9_so3, gt9):
 def _laplace_obs_loss(pdict, blocks, feats, gt_norm, n_s):
     """Laplace NLL of the anchor/uncertainty head in normalized units."""
     out = mlp_apply(pdict, "obs", feats, blocks)
-    pred = ag.take(out, (slice(None), slice(0, 2 * n_s)))
-    logw = ag.clip(ag.take(out, (slice(None), slice(2 * n_s, 3 * n_s))), -7.0, 3.0)
-    w = ag.exp(logw)
-    err = ag.absolute(pred - gt_norm)
     b = ag.as_array(feats).shape[0]
-    r = ag.matmul(ag.reshape(err, (b * n_s, 2)), np.ones((2, 1)))
-    r = ag.reshape(r, (b, n_s))
-    return ag.mean(np.log(2.0) + logw + r / w)
+    pred = ag.reshape(out[:, :2 * n_s], (b * n_s, 2))
+    scale = ag.exp(ag.reshape(ag.clip(out[:, 2 * n_s:], -7.0, 3.0), (b * n_s,)))
+    return laplacian_nll(pred, scale, gt_norm.reshape(b * n_s, 2))
 
 
 def _scene_tensors(model, dataset):
@@ -338,7 +313,7 @@ def fit_toy_distribution(targets, flow_cfg=None, steps=4000, batch=128,
         # single conditioner row rather than one SVD per sample
         lp = flow.log_prob_rows(p, mats[:, :, 0], mats[:, :, 1], rows,
                                 ctx_constant=True)
-        return -ag.mean(lp) if isinstance(lp, ag.Node) else -float(np.mean(lp))
+        return -ag.mean(lp)
 
     probe = sample_targets(targets, 1024, noise_kappa, np.random.default_rng(seed + 1))
     nll_before = float(ag.as_array(nll_of(probe, flow.param_values())))

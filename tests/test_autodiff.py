@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowpose import autodiff as ag
+from flowpose import nets
 
 small_arrays = st.lists(st.floats(-2, 2), min_size=4, max_size=4).map(
     lambda v: np.array(v).reshape(2, 2))
@@ -142,3 +143,79 @@ def test_add_mul_grads_property(a, b):
 def test_log_domain_error():
     with pytest.raises(ag.DomainError):
         ag.log(ag.leaf(np.array([-1.0])))
+
+
+def _so3_batch(rng, b=6):
+    """(b,9) matrices with well-separated singular values; every other one
+    has det < 0, so the projection flips its last singular direction."""
+    out = []
+    for i in range(b):
+        u, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        v, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        m = u @ np.diag(rng.uniform(0.5, 1.5) * np.array([3.0, 2.0, 1.0])) @ v.T
+        if (np.linalg.det(m) < 0) != (i % 2 == 1):
+            m = -m
+        out.append(m.ravel())
+    return np.array(out)
+
+
+def test_special_orthogonalize_batched_matches_per_row(rng):
+    x = _so3_batch(rng)
+    assert (np.linalg.det(x.reshape(-1, 3, 3)) < 0).sum() == 3
+    q = ag.special_orthogonalize_op(x)
+    for row, qrow in zip(x, q):
+        np.testing.assert_allclose(
+            qrow, ag._special_orthogonalize_value(row.reshape(3, 3)).ravel(),
+            rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.linalg.det(q.reshape(-1, 3, 3)), 1.0, atol=1e-12)
+
+
+def test_special_orthogonalize_batched_grad(rng):
+    m = ag.leaf(_so3_batch(rng))
+    w = rng.normal(size=m.shape)
+    assert ag.finite_diff_check(
+        lambda: ag.reduce_sum(ag.special_orthogonalize_op(m) * w), [m]) < 1e-6
+
+
+def test_gather_rows_repeats_and_grads(rng):
+    x = ag.leaf(rng.normal(size=(3, 4)))
+    idx = np.array([0, 0, 2, 1, 2, 2])
+    np.testing.assert_array_equal(ag.as_array(ag.gather_rows(x, idx)), x.value[idx])
+    w = rng.normal(size=(6, 4))
+    assert ag.finite_diff_check(
+        lambda: ag.reduce_sum(ag.gather_rows(x, idx) * w), [x]) < 1e-6
+
+
+def test_fused_vjp_runs_once_and_skips_constants(rng):
+    x = ag.leaf(rng.normal(size=3))
+    calls = []
+
+    def vjp(ga, gb):
+        calls.append(1)
+        return 2.0 * ga + 3.0 * gb, None
+
+    a, b = ag.fused((2.0 * x.value, 3.0 * x.value), (x, np.ones(3)), vjp)
+    assert a.parents == b.parents and a.parents[0].parents == (x,)
+    ag.backward(ag.reduce_sum(a) + ag.reduce_sum(b * b))
+    assert len(calls) == 1
+    np.testing.assert_allclose(x.grad, 2.0 + 18.0 * x.value, atol=1e-12)
+    plain = ag.fused((x.value, x.value), (x.value,), vjp)
+    assert not any(isinstance(v, ag.Node) for v in plain)
+
+
+def test_mlp_node_grads(rng):
+    store = nets.ParamStore()
+    nets.mlp_init(store, "m", 5, 7, 8, 2, rng, zero_final=False)
+    for node in store.leaves():
+        node.value = node.value + 0.3 * rng.normal(size=node.value.shape)
+    params = dict(zip(store.names(), store.leaves()))
+    assert len(params) == 12
+    x = ag.leaf(rng.normal(size=(4, 5)))
+    w = rng.normal(size=(4, 7))
+    out = nets.mlp_apply(params, "m", x, 2)
+    assert out.parents[0] is x and len(out.parents) == 13   # one node
+    np.testing.assert_allclose(
+        nets.mlp_apply(store.values(), "m", x.value, 2), out.value, rtol=0, atol=0)
+    assert ag.finite_diff_check(
+        lambda: ag.reduce_sum(nets.mlp_apply(params, "m", x, 2) * w),
+        [x] + store.leaves()) < 1e-6

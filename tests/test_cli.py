@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from flowpose import cli
+from flowpose import autodiff as ag
+from flowpose import cli, training
 
 
 def _run(args):
@@ -59,6 +60,29 @@ def test_missing_config_exit_1(tmp_path):
 def test_unknown_config_key_exit_1(tmp_path):
     cfg = _write(tmp_path / "c.json", {"bogus_key": 1})
     assert _run(["gen-model", "--config", cfg, "--out", str(tmp_path)]) == 1
+
+
+def _raising(exc):
+    def command(args):
+        raise exc
+    return command
+
+
+@pytest.mark.parametrize("command, code", [
+    (lambda args: 0, 0),
+    (_raising(cli.ValidationError("bad config")), 1),
+    (_raising(ValueError("bad value")), 1),
+    (_raising(ag.DomainError("log of non-positive value")), 2),
+    (_raising(ag.NotSPDError("matrix is not positive definite")), 2),
+    (_raising(training.TrainingAborted("non-finite loss")), 2),
+])
+def test_exit_code_contract(monkeypatch, command, code):
+    monkeypatch.setitem(cli.COMMANDS, "selftest", command)
+    assert _run(["selftest"]) == code
+
+
+def test_threads_flag_is_gone():
+    assert _run(["selftest", "--threads", "2"]) == 1
 
 
 def test_gen_model_and_data_outputs(workspace):

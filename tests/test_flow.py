@@ -193,3 +193,85 @@ def test_coupling_roundtrip_property(seed):
     out, _ = model.coupling_block(r, ctx)
     rec = model.coupling_block_inverse(out, ctx)
     assert geodesic_distance(rec, r) < 5e-4
+
+
+def _orthonormal_pairs(rng, n):
+    pairs = [_orthonormal_pair(rng) for _ in range(n)]
+    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+
+def test_mobius_node_grads(rng):
+    held, moving = (ag.leaf(v) for v in _orthonormal_pairs(rng, 4))
+    omegas = [ag.leaf(0.3 * rng.normal(size=(4, 6))) for _ in range(3)]
+    w = ag.leaf(rng.dirichlet(np.ones(6), size=4))
+    wm, wl = rng.normal(size=(4, 3)), rng.normal(size=4)
+
+    def f():
+        moved, logdet = fl._mobius_fwd_batch(held, moving, *omegas, w)
+        return ag.reduce_sum(moved * wm) + ag.reduce_sum(logdet * wl)
+
+    moved, logdet = fl._mobius_fwd_batch(held, moving, *omegas, w)
+    assert moved.parents == logdet.parents          # one kernel node
+    assert ag.finite_diff_check(f, [held, moving, *omegas, w]) < 1e-6
+
+
+def test_constrain_omega_node_grads(rng):
+    raw = [ag.leaf(rng.normal(scale=0.8, size=(3, 5))) for _ in range(3)]
+    ws = rng.normal(size=(3, 3, 5))
+    ref = np.array([fl.constrain_omega(v) for v in
+                    np.stack([r.value for r in raw], axis=-1).reshape(-1, 3)])
+    got = np.stack([ag.as_array(c) for c in fl._constrain_omega_batch(*raw)], axis=-1)
+    np.testing.assert_allclose(got.reshape(-1, 3), ref, atol=1e-15)
+    assert ag.finite_diff_check(
+        lambda: sum(ag.reduce_sum(c * wi) for c, wi in
+                    zip(fl._constrain_omega_batch(*raw), ws)), raw) < 1e-6
+
+
+@pytest.mark.parametrize("rows, transpose", [(5, False), (5, True), (1, True)])
+def test_rotation_apply_node_grads(rng, rows, transpose):
+    q9 = ag.leaf(rng.normal(size=(rows, 9)))
+    u = ag.leaf(rng.normal(size=(5, 3)))
+    w = rng.normal(size=(5, 3))
+    q = np.broadcast_to(q9.value.reshape(-1, 3, 3), (5, 3, 3))
+    expect = np.einsum("bji,bj->bi" if transpose else "bij,bj->bi", q, u.value)
+    np.testing.assert_allclose(fl.FlowModel._apply_q(q9.value, u.value, transpose),
+                               expect, atol=1e-14)
+    assert ag.finite_diff_check(
+        lambda: ag.reduce_sum(fl.FlowModel._apply_q(q9, u, transpose) * w),
+        [q9, u]) < 1e-6
+
+
+def test_toy_fit_step_tape_size():
+    # one criterion-4 toy-fit step (default toy FlowConfig, batch 128):
+    # one node per flow kernel keeps the tape small
+    from flowpose import training
+    rng = np.random.default_rng(0)
+    cfg = fl.FlowConfig(n_joints=1, context_dim=1, shape_dim=1, k_transforms=16,
+                        n_sets=4, channels=64, blocks=2, embed_dim=4, kappa=1.0)
+    model = fl.FlowModel(cfg, rng)
+    p = dict(zip(model.params.names(), model.params.leaves()))
+    m = fl._quat_to_matrix_batch(dist.uniform_quaternions(128, rng))
+    rows = training.joint_context_rows(model, p, np.zeros((128, 1)))
+    loss = -ag.mean(model.log_prob_rows(p, m[:, :, 0], m[:, :, 1], rows,
+                                        ctx_constant=True))
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.parents)
+    assert len(seen) <= 400
+
+
+def test_joint_context_rows_layout_and_grads(rng):
+    model = _perturbed_model(rng, n_joints=3)
+    p = dict(zip(model.params.names(), model.params.leaves()))
+    ctx = ag.leaf(rng.normal(size=(2, 3)))
+    rows = fl.joint_context_rows(model, p, ctx)
+    emb = p["embed"].value
+    np.testing.assert_array_equal(
+        ag.as_array(rows)[4], np.concatenate([ctx.value[1], emb[1]]))
+    w = rng.normal(size=rows.shape)
+    assert ag.finite_diff_check(
+        lambda: ag.reduce_sum(fl.joint_context_rows(model, p, ctx) * w),
+        [ctx, p["embed"]]) < 1e-6
