@@ -10,11 +10,9 @@ licensed assets involved.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .rotation import Rotation
 
 
 class ModelLoadError(ValueError):
@@ -153,21 +151,52 @@ def rest_joints(model: BodyModelDef, beta) -> np.ndarray:
     return model.joint_regressor @ shape_blend(model, beta)
 
 
-def _world_transforms(model, rotations, joints_rest):
-    """Per-joint world rotation (K,3,3) and joint world position (K,3)."""
-    k = model.n_joints
-    wr = np.zeros((k, 3, 3))
-    wp = np.zeros((k, 3))
-    for j in range(k):
-        r = rotations[j].matrix() if isinstance(rotations[j], Rotation) else np.asarray(rotations[j])
+def _world_rotations(model: BodyModelDef, pose) -> np.ndarray:
+    """World rotation (K,3,3) of each joint: the relative rotations
+    composed down the parent chain."""
+    wr = []
+    for j in range(model.n_joints):
+        r = pose[j].matrix()
+        p = int(model.parents[j])
+        wr.append(r if p < 0 else wr[p] @ r)
+    return np.stack(wr)
+
+
+def _chain_positions(model: BodyModelDef, world_rot, rest_joints) -> np.ndarray:
+    """Joint world positions (...,K,3) for world rotations (K,3,3) and
+    rest joints (...,K,3), before translation.
+
+    Linear in rest_joints, so a shape direction's rest-joint offsets map
+    to that direction's Jacobian.
+    """
+    wp = np.empty_like(rest_joints)
+    for j in range(model.n_joints):
         p = int(model.parents[j])
         if p < 0:
-            wr[j] = r
-            wp[j] = joints_rest[j]
+            wp[..., j, :] = rest_joints[..., j, :]
         else:
-            wr[j] = wr[p] @ r
-            wp[j] = wp[p] + wr[p] @ (joints_rest[j] - joints_rest[p])
-    return wr, wp
+            bone = rest_joints[..., j, :] - rest_joints[..., p, :]
+            wp[..., j, :] = wp[..., p, :] + bone @ world_rot[p].T
+    return wp
+
+
+def pose_points(model: BodyModelDef, world_rot, rest_verts, idx=None) -> np.ndarray:
+    """Linear-blend-skinned positions (...,A,3) of vertices idx (all when
+    None) of rest_verts (...,N,3), before translation.
+
+    Each vertex is sum_k W[k,v] (R_k (v - j_k) + j_k^world) with the rest
+    joints regressed from rest_verts; the map is linear in rest_verts, so
+    one call on [rest vertices; shape directions] also gives the shape
+    Jacobian.
+    """
+    rest_verts = np.asarray(rest_verts, float)
+    jr = model.joint_regressor @ rest_verts
+    wp = _chain_positions(model, world_rot, jr)
+    w = model.blend_weights if idx is None else model.blend_weights[:, idx]
+    verts = rest_verts if idx is None else rest_verts[..., idx, :]
+    local = verts[..., None, :, :] - jr[..., :, None, :]          # (...,K,A,3)
+    moved = np.einsum("kij,...kaj->...kai", world_rot, local) + wp[..., :, None, :]
+    return np.einsum("ka,...kai->...ai", w, moved)
 
 
 def forward_kinematics(model: BodyModelDef, state: BodyState):
@@ -180,13 +209,10 @@ def forward_kinematics(model: BodyModelDef, state: BodyState):
     if len(state.pose) != model.n_joints:
         raise ValueError("pose must supply one rotation per joint")
     verts = shape_blend(model, state.shape)
-    jr = model.joint_regressor @ verts
-    wr, wp = _world_transforms(model, state.pose, jr)
-    # skinned vertex: sum_k W[k,p] * (R_k (v - j_k) + j_k^world)
-    local = verts[None, :, :] - jr[:, None, :]           # (K,N,3)
-    moved = np.einsum("kij,knj->kni", wr, local) + wp[:, None, :]
-    posed = np.einsum("kn,kni->ni", model.blend_weights, moved)
-    return posed + state.translation, wp + state.translation
+    wr = _world_rotations(model, state.pose)
+    joints = _chain_positions(model, wr, model.joint_regressor @ verts)
+    return (pose_points(model, wr, verts) + state.translation,
+            joints + state.translation)
 
 
 def segment_of_vertex(model: BodyModelDef) -> np.ndarray:

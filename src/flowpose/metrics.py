@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .body import BodyModelDef, BodyState, forward_kinematics
+from .body import (BodyModelDef, _chain_positions, _world_rotations, pose_points,
+                   rest_joints, shape_blend)
 from .rotation import Rotation, axis_angle_exp, svd3
-from .solver import (Observation, SolveConfig, solve_single_view,
-                     solve_multi_view, _world_rotations, _chain_positions,
-                     reproject)
-from .body import shape_blend
+from .solver import SolveConfig, solve_single_view, solve_multi_view
 from .synth import project
 
 
@@ -62,10 +60,8 @@ def kp2d_error(pred_px, gt_px):
 
 
 def joints_3d(model: BodyModelDef, pose, shape, translation):
-    world = _world_rotations(model, pose)
-    verts = shape_blend(model, shape)
-    jr = model.joint_regressor @ verts
-    return _chain_positions(model, world, jr) + np.asarray(translation, float)
+    return (_chain_positions(model, _world_rotations(model, pose), rest_joints(model, shape))
+            + np.asarray(translation, float))
 
 
 def _min_and_mode(values):
@@ -119,9 +115,10 @@ def evaluate(flow, encode, model: BodyModelDef, dataset, n_samples=100,
             abss.append(mpjpe(pj, gt_j, root_align=False))
             if si == 0:
                 obs0 = rec.views[0]
+                pts = pose_points(model, _world_rotations(model, pose),
+                                  shape_blend(model, shape), model.anchor_indices)
                 px = project(obs0.intrinsics, obs0.extrinsics_r,
-                             obs0.extrinsics_t,
-                             _anchor_points(model, pose, shape, t))
+                             obs0.extrinsics_t, pts + np.asarray(t, float))
                 kp_mode = kp2d_error(px, rec.gt_anchors[0])
         mode, mn = _min_and_mode(errs)
         per["mpjpe_mode"].append(mode)
@@ -136,18 +133,6 @@ def evaluate(flow, encode, model: BodyModelDef, dataset, n_samples=100,
     summary["views"] = views
     summary["use_solver"] = bool(use_solver)
     return {"summary": summary, "per_scene": per}
-
-
-def _anchor_points(model, pose, shape, t):
-    world = _world_rotations(model, pose)
-    verts = shape_blend(model, shape)
-    jr = model.joint_regressor @ verts
-    wp = _chain_positions(model, world, jr)
-    idx = model.anchor_indices
-    w = model.blend_weights[:, idx]
-    local = verts[idx][None, :, :] - jr[:, None, :]
-    moved = np.einsum("kij,kaj->kai", world, local) + wp[:, None, :]
-    return np.einsum("ka,kai->ai", w, moved) + np.asarray(t, float)
 
 
 def multi_view_trend(model, dataset, init_sigma_deg=8.0, seed=0,

@@ -121,11 +121,11 @@ class GradientDescent:
         self.clip_norm = clip_norm
 
     def step(self):
-        grads = [np.zeros_like(l.value) if l.grad is None else l.grad for l in self.leaves]
-        total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+        live = [l for l in self.leaves if l.grad is not None]
+        total = np.sqrt(sum(float(np.sum(l.grad * l.grad)) for l in live))
         scale = 1.0 if total <= self.clip_norm else self.clip_norm / total
-        for l, g in zip(self.leaves, grads):
-            l.value = l.value - self.lr * scale * g
+        for l in live:
+            l.value = l.value - self.lr * scale * l.grad
 
 
 class Adam:
@@ -140,13 +140,15 @@ class Adam:
 
     def step(self):
         self.t += 1
-        grads = [np.zeros_like(l.value) if l.grad is None else l.grad for l in self.leaves]
+        live = [i for i, l in enumerate(self.leaves) if l.grad is not None]
+        grads = [self.leaves[i].grad for i in live]
         total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
         if self.clip_norm and total > self.clip_norm:
             grads = [g * (self.clip_norm / total) for g in grads]
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for i, (l, g) in enumerate(zip(self.leaves, grads)):
+        for i, g in zip(live, grads):
+            l = self.leaves[i]
             self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
             self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
             mhat = self.m[i] / b1t

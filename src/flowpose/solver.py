@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ag
-from .body import BodyModelDef, BodyState, forward_kinematics, shape_blend
+from .body import _world_rotations, pose_points, shape_blend
 from .rotation import Rotation, axis_angle_exp, rotation_mean
 
 
@@ -111,15 +111,6 @@ def _skew(v):
                      [-v[1], v[0], 0.0]])
 
 
-def _world_rotations(model, pose):
-    wr = []
-    for j in range(model.n_joints):
-        r = pose[j].matrix()
-        p = int(model.parents[j])
-        wr.append(r if p < 0 else wr[p] @ r)
-    return np.stack(wr)
-
-
 def _relative_from_world(model, world):
     pose = []
     for j in range(model.n_joints):
@@ -127,29 +118,6 @@ def _relative_from_world(model, world):
         rel = world[j] if p < 0 else world[p].T @ world[j]
         pose.append(Rotation.from_matrix(rel))
     return pose
-
-
-def _chain_positions(model, wr, jr):
-    """Joint world positions for fixed world rotations wr and rest joints jr."""
-    k = model.n_joints
-    wp = np.zeros((k, 3))
-    for j in range(k):
-        p = int(model.parents[j])
-        if p >= 0:
-            wp[j] = wp[p] + wr[p] @ (jr[j] - jr[p])
-        else:
-            wp[j] = jr[j]
-    return wp
-
-
-def _chain_directions(model, wr, djr):
-    """d(world joint positions)/d(beta_s) for rest-joint direction djr."""
-    k = model.n_joints
-    d = np.zeros((k, 3))
-    for j in range(k):
-        p = int(model.parents[j])
-        d[j] = djr[j] if p < 0 else d[p] + wr[p] @ (djr[j] - djr[p])
-    return d
 
 
 def _linearized_anchors(model, world_rot, beta_lin):
@@ -161,13 +129,16 @@ def _linearized_anchors(model, world_rot, beta_lin):
     """
     idx = model.anchor_indices
     verts = shape_blend(model, beta_lin)
+    # posing is linear in the rest vertices: the shape directions pose to
+    # the columns of d_beta
+    rest = np.concatenate([verts[None], model.shape_basis.reshape(model.n_shape, -1, 3)])
+    posed = pose_points(model, world_rot, rest, idx)
+    p0, d_beta = posed[0], np.transpose(posed[1:], (1, 0, 2))
+
     jr = model.joint_regressor @ verts
-    wp = _chain_positions(model, world_rot, jr)
     w = model.blend_weights[:, idx]                       # (K,A)
     local = verts[idx][None, :, :] - jr[:, None, :]       # (K,A,3)
     rot_local = np.einsum("kij,kaj->kai", world_rot, local)
-    p0 = np.einsum("ka,kai->ai", w, rot_local) + w.T @ wp
-
     n_a = len(idx)
     k = model.n_joints
     d_delta = np.zeros((n_a, k, 3, 3))
@@ -185,16 +156,6 @@ def _linearized_anchors(model, world_rot, beta_lin):
             dwp[j] = dwp[p]
             dwp[j, p] += -_skew(world_rot[p] @ (jr[j] - jr[p]))
     d_delta += np.einsum("ja,jkim->akim", w, dwp)
-
-    s = model.n_shape
-    d_beta = np.zeros((n_a, s, 3))
-    for ss in range(s):
-        dv = model.shape_basis[ss].reshape(-1, 3)
-        djr = model.joint_regressor @ dv
-        dwp = _chain_directions(model, world_rot, djr)
-        dlocal = dv[idx][None, :, :] - djr[:, None, :]
-        drot = np.einsum("kij,kaj->kai", world_rot, dlocal)
-        d_beta[:, ss, :] = np.einsum("ka,kai->ai", w, drot) + w.T @ dwp
     return p0, d_delta, d_beta
 
 
@@ -294,14 +255,8 @@ def _chol_solve(a, b):
 
 def reproject(model, world_rot, beta, translation, obs: Observation):
     """Pixel positions of the anchors under the given state (exact FK)."""
-    verts = shape_blend(model, beta)
-    jr = model.joint_regressor @ verts
-    wp = _chain_positions(model, world_rot, jr)
-    idx = model.anchor_indices
-    w = model.blend_weights[:, idx]
-    local = verts[idx][None, :, :] - jr[:, None, :]
-    moved = np.einsum("kij,kaj->kai", world_rot, local) + wp[:, None, :]
-    pts = np.einsum("ka,kai->ai", w, moved) + translation
+    pts = pose_points(model, world_rot, shape_blend(model, beta),
+                      model.anchor_indices) + translation
     cam = pts @ obs.extrinsics_r.T + obs.extrinsics_t
     hom = np.concatenate([cam, np.ones((len(cam), 1))], axis=1)
     proj = hom @ obs.intrinsics.T

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .body import BodyModelDef, BodyState
+from .body import BodyModelDef, BodyState, _world_rotations
 from .rotation import Rotation, axis_angle_exp
-from .solver import Observation, reproject, _world_rotations
+from .solver import Observation, reproject
 
 
 class BehindCameraError(ValueError):

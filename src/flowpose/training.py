@@ -19,15 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ag
-from .body import BodyModelDef
+from .body import BodyModelDef, _chain_positions, _world_rotations, pose_points, rest_joints
 from .distributions import ProjectedIsoGaussian, pig_sample_batch
 from .flow import (FlowConfig, FlowModel, _pose_cols, _quat_to_matrix_batch,
                    joint_context_rows)
 from .nets import Adam, GradientDescent, ParamStore, mlp_apply, mlp_init
 from .rotation import Rotation, geodesic_distance
-from .solver import (_world_rotations, _linearized_anchors, _chain_positions,
-                     _chain_directions, laplacian_nll)
-from .body import shape_blend
+from .solver import laplacian_nll
 from .synth import context_feature_dim
 
 
@@ -115,28 +113,28 @@ def _scene_tensors(model, dataset):
 def _mode_shape_losses(flow, model, pdict, dataset, idx, ctx_val, mu_node, rng):
     """Phase-2 terms: L1 of mode-pose 3D joints and projected anchors,
     differentiable in the shape-head mean only (mode pose is constant)."""
+    s = model.n_shape
+    # posing is linear in the rest vertices: row 0 of each posed stack is
+    # the template, rows 1..S are the shape Jacobian
+    rest = np.concatenate([model.template[None], model.shape_basis.reshape(s, -1, 3)])
+    rest_j = model.joint_regressor @ rest
     terms_3d, terms_2d = [], []
     for row, i in enumerate(idx):
         rec = dataset[i]
         mode = flow.mode_sample(ctx_val[row])
         world = _world_rotations(model, mode.joint_rotations)
-        jr0 = model.joint_regressor @ model.template
-        base_j = _chain_positions(model, world, jr0)
-        djs = np.stack([_chain_directions(model, world,
-                                          model.joint_regressor @ model.shape_basis[s].reshape(-1, 3))
-                        for s in range(model.n_shape)])       # (S,K,3)
+        joints = _chain_positions(model, world, rest_j).reshape(1 + s, -1)
         mu_i = ag.take(mu_node, (slice(row, row + 1), slice(None)))
-        j3d = base_j.reshape(1, -1) + ag.matmul(mu_i, djs.reshape(model.n_shape, -1))
+        j3d = joints[:1] + ag.matmul(mu_i, joints[1:])
         gt_j = _chain_positions(model, _world_rotations(model, rec.gt_state.pose),
-                                model.joint_regressor @ shape_blend(model, rec.gt_state.shape))
+                                rest_joints(model, rec.gt_state.shape))
         terms_3d.append(ag.mean(ag.absolute(j3d - gt_j.reshape(1, -1))))
 
-        p0, _, d_beta = _linearized_anchors(model, world, np.zeros(model.n_shape))
-        pts = p0.reshape(1, -1) + ag.matmul(
-            mu_i, np.transpose(d_beta, (1, 0, 2)).reshape(model.n_shape, -1))
+        anchors = pose_points(model, world, rest, model.anchor_indices)
+        n_a = anchors.shape[1]
+        flat = anchors.reshape(1 + s, -1)
+        pts = ag.reshape(flat[:1] + ag.matmul(mu_i, flat[1:]), (n_a, 3))
         obs = rec.views[0]
-        n_a = p0.shape[0]
-        pts = ag.reshape(pts, (n_a, 3))
         cam = ag.matmul(pts, obs.extrinsics_r.T) + (obs.extrinsics_t
                                                     + rec.gt_state.translation @ obs.extrinsics_r.T)
         x = ag.take(cam, (slice(None), slice(0, 1)))

@@ -43,6 +43,29 @@ def test_fk_matches_naive(toy_model, rng):
         v_ref, j_ref = _naive_fk(toy_model, state)
         np.testing.assert_allclose(v, v_ref, atol=1e-10)
         np.testing.assert_allclose(j, j_ref, atol=1e-10)
+        # the anchor subset the solver and metrics pose
+        idx = toy_model.anchor_indices
+        anchors = body.pose_points(toy_model, body._world_rotations(toy_model, state.pose),
+                                   body.shape_blend(toy_model, state.shape), idx)
+        np.testing.assert_allclose(anchors + state.translation, v_ref[idx], atol=1e-10)
+
+
+def test_posing_batches_over_leading_axes(toy_model, rng):
+    world = body._world_rotations(
+        toy_model, [axis_angle_exp(rng.normal(scale=0.4, size=3))
+                    for _ in range(toy_model.n_joints)])
+    verts = toy_model.template + rng.normal(scale=0.05, size=(3,) + toy_model.template.shape)
+    joints = rng.normal(size=(3, toy_model.n_joints, 3))
+    idx = toy_model.anchor_indices
+    for sub in (None, idx):
+        stacked = body.pose_points(toy_model, world, verts, sub)
+        for m in range(len(verts)):
+            np.testing.assert_allclose(
+                stacked[m], body.pose_points(toy_model, world, verts[m], sub), atol=1e-14)
+    stacked = body._chain_positions(toy_model, world, joints)
+    for m in range(len(joints)):
+        np.testing.assert_allclose(
+            stacked[m], body._chain_positions(toy_model, world, joints[m]), atol=1e-14)
 
 
 def test_fk_identity_is_template(toy_model):

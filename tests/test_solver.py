@@ -69,6 +69,35 @@ def test_pose_correction_applied(toy_model, rng):
                                  matrix_to_quat(gt_world[j])) < 0.05
 
 
+def test_linearized_anchors_match_finite_differences(toy_model, rng):
+    """Anchors are linear in beta, so d_beta is exact; d_delta holds to
+    first order when one joint's world rotation is corrected by exp(eps e_i)."""
+    pose, beta, _ = _random_scene(toy_model, rng)
+    world = solver._world_rotations(toy_model, pose)
+
+    def anchors(world_rot, b):
+        state = body.BodyState(solver._relative_from_world(toy_model, world_rot), b,
+                               np.zeros(3))
+        return body.forward_kinematics(toy_model, state)[0][toy_model.anchor_indices]
+
+    p0, d_delta, d_beta = solver._linearized_anchors(toy_model, world, beta)
+    np.testing.assert_allclose(p0, anchors(world, beta), rtol=0, atol=1e-12)
+    for s in range(toy_model.n_shape):
+        step = 0.7 * np.eye(toy_model.n_shape)[s]
+        np.testing.assert_allclose(anchors(world, beta + step) - p0, 0.7 * d_beta[:, s],
+                                   rtol=0, atol=1e-12)
+    eps = 1e-5
+    for k in range(toy_model.n_joints):
+        for i in range(3):
+            moved = []
+            for sign in (1.0, -1.0):
+                w = world.copy()
+                w[k] = axis_angle_exp(sign * eps * np.eye(3)[i]).matrix() @ world[k]
+                moved.append(anchors(w, beta))
+            np.testing.assert_allclose((moved[0] - moved[1]) / (2 * eps),
+                                       d_delta[:, k, :, i], rtol=0, atol=1e-8)
+
+
 def test_anchor_weights_floor_and_scaling():
     w = solver.anchor_weights(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
     assert abs(w[0] / w[1] - (2.0 + 1e-6) / (1.0 + 1e-6)) < 1e-9

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from flowpose import body, checkpoint, synth, training
+from flowpose import autodiff as ag
+from flowpose import body, checkpoint, nets, synth, training
 from flowpose.flow import FlowConfig
 from flowpose.rotation import geodesic_distance
 from flowpose.distributions import uniform_sample
@@ -128,3 +129,43 @@ def test_nonfinite_loss_aborts():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             training.train(model, dataset, cfg)
+
+
+@pytest.mark.parametrize("opt_cls", [nets.Adam, nets.GradientDescent])
+def test_optimizer_skips_leaves_without_gradient(opt_cls):
+    """A leaf whose grad is None is left alone: its value (and Adam's
+    moments for it) stay put, and the other leaves step exactly as they
+    would without it, clip norm included."""
+    rng = np.random.default_rng(0)
+    vals = [rng.normal(size=(3, 2)), rng.normal(size=4), rng.normal(size=5)]
+    grads = [10.0 * rng.normal(size=(3, 2)), None, 10.0 * rng.normal(size=5)]
+    with_dead = [ag.leaf(v) for v in vals]
+    without = [ag.leaf(vals[0]), ag.leaf(vals[2])]
+    opt, ref = opt_cls(with_dead, lr=0.1), opt_cls(without, lr=0.1)
+    for _ in range(3):
+        for l, g in zip(with_dead, grads):
+            l.grad = g
+        for l, g in zip(without, (grads[0], grads[2])):
+            l.grad = g
+        opt.step()
+        ref.step()
+    np.testing.assert_array_equal(with_dead[1].value, vals[1])
+    for got, want in zip((with_dead[0], with_dead[2]), without):
+        np.testing.assert_array_equal(got.value, want.value)
+    assert not np.array_equal(with_dead[0].value, vals[0])
+    if opt_cls is nets.Adam:
+        assert not opt.m[1].any() and not opt.v[1].any()
+
+
+def test_adam_leaf_stays_put_once_its_gradient_stops():
+    """Momentum does not carry a leaf that no longer gets a gradient."""
+    x = ag.leaf(np.ones(3))
+    opt = nets.Adam([x], lr=0.1)
+    x.grad = np.array([1.0, -2.0, 0.5])
+    opt.step()
+    after_one, m, v = x.value.copy(), opt.m[0].copy(), opt.v[0].copy()
+    x.grad = None
+    opt.step()
+    np.testing.assert_array_equal(x.value, after_one)
+    np.testing.assert_array_equal(opt.m[0], m)
+    np.testing.assert_array_equal(opt.v[0], v)
