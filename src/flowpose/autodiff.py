@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import ndtr
 
 __all__ = [
-    "Node", "CheckedMode", "as_array", "leaf", "backward",
+    "Node", "as_array", "leaf", "backward",
     "add", "sub", "mul", "div", "neg", "matmul", "tanh", "exp", "log",
     "atan2", "acos", "softmax", "reduce_sum", "mean", "dot",
     "cross", "l2norm", "concat", "take", "reshape", "absolute",
@@ -23,8 +23,6 @@ __all__ = [
     "solve_node", "fused", "gather_rows", "finite_diff_check",
     "NotSPDError", "ShapeError", "DomainError",
 ]
-
-_CHECK_FINITE = False
 
 
 class ShapeError(ValueError):
@@ -37,26 +35,6 @@ class DomainError(ValueError):
 
 class NotSPDError(ValueError):
     pass
-
-
-class CheckedMode:
-    """Context manager: every op output is checked for NaN/Inf."""
-
-    def __enter__(self):
-        global _CHECK_FINITE
-        self._prev = _CHECK_FINITE
-        _CHECK_FINITE = True
-        return self
-
-    def __exit__(self, *exc):
-        global _CHECK_FINITE
-        _CHECK_FINITE = self._prev
-        return False
-
-
-def _finite_check(value):
-    if _CHECK_FINITE and not np.all(np.isfinite(value)):
-        raise DomainError("non-finite value produced on tape")
 
 
 class Node:
@@ -72,7 +50,6 @@ class Node:
 
     def __init__(self, value, parents=(), vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
-        _finite_check(self.value)
         self.parents = parents
         self.vjp = vjp
         self.grad = None

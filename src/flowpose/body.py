@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rotation import as_matrices
+
 
 class ModelLoadError(ValueError):
     pass
@@ -151,38 +153,38 @@ def rest_joints(model: BodyModelDef, beta) -> np.ndarray:
     return model.joint_regressor @ shape_blend(model, beta)
 
 
-def _world_rotations(model: BodyModelDef, pose) -> np.ndarray:
-    """World rotation (K,3,3) of each joint: the relative rotations
-    composed down the parent chain."""
-    wr = []
+def _world_rotations(model: BodyModelDef, rel) -> np.ndarray:
+    """World rotations (...,K,3,3) of each joint: the relative rotation
+    matrices rel (...,K,3,3) composed down the parent chain."""
+    rel = np.asarray(rel, float)
+    wr = np.empty_like(rel)
     for j in range(model.n_joints):
-        r = pose[j].matrix()
         p = int(model.parents[j])
-        wr.append(r if p < 0 else wr[p] @ r)
-    return np.stack(wr)
+        wr[..., j, :, :] = rel[..., j, :, :] if p < 0 else wr[..., p, :, :] @ rel[..., j, :, :]
+    return wr
 
 
 def _chain_positions(model: BodyModelDef, world_rot, rest_joints) -> np.ndarray:
-    """Joint world positions (...,K,3) for world rotations (K,3,3) and
-    rest joints (...,K,3), before translation.
+    """Joint world positions (...,K,3) for world rotations (...,K,3,3) and
+    rest joints (...,K,3), before translation; the leading axes of the two
+    broadcast.
 
     Linear in rest_joints, so a shape direction's rest-joint offsets map
     to that direction's Jacobian.
     """
-    wp = np.empty_like(rest_joints)
-    for j in range(model.n_joints):
-        p = int(model.parents[j])
-        if p < 0:
-            wp[..., j, :] = rest_joints[..., j, :]
-        else:
-            bone = rest_joints[..., j, :] - rest_joints[..., p, :]
-            wp[..., j, :] = wp[..., p, :] + bone @ world_rot[p].T
+    parents = np.maximum(model.parents, 0)      # the root, joint 0, has no bone
+    bones = rest_joints - rest_joints[..., parents, :]
+    wp = (world_rot[..., parents, :, :] @ bones[..., None])[..., 0]
+    wp[..., 0, :] = rest_joints[..., 0, :]
+    for j in range(1, model.n_joints):
+        wp[..., j, :] += wp[..., parents[j], :]
     return wp
 
 
 def pose_points(model: BodyModelDef, world_rot, rest_verts, idx=None) -> np.ndarray:
     """Linear-blend-skinned positions (...,A,3) of vertices idx (all when
-    None) of rest_verts (...,N,3), before translation.
+    None) of rest_verts (...,N,3) under world rotations (...,K,3,3), before
+    translation; the leading axes of the two broadcast.
 
     Each vertex is sum_k W[k,v] (R_k (v - j_k) + j_k^world) with the rest
     joints regressed from rest_verts; the map is linear in rest_verts, so
@@ -195,7 +197,7 @@ def pose_points(model: BodyModelDef, world_rot, rest_verts, idx=None) -> np.ndar
     w = model.blend_weights if idx is None else model.blend_weights[:, idx]
     verts = rest_verts if idx is None else rest_verts[..., idx, :]
     local = verts[..., None, :, :] - jr[..., :, None, :]          # (...,K,A,3)
-    moved = np.einsum("kij,...kaj->...kai", world_rot, local) + wp[..., :, None, :]
+    moved = local @ np.swapaxes(world_rot, -1, -2) + wp[..., :, None, :]
     return np.einsum("ka,...kai->...ai", w, moved)
 
 
@@ -209,7 +211,7 @@ def forward_kinematics(model: BodyModelDef, state: BodyState):
     if len(state.pose) != model.n_joints:
         raise ValueError("pose must supply one rotation per joint")
     verts = shape_blend(model, state.shape)
-    wr = _world_rotations(model, state.pose)
+    wr = _world_rotations(model, as_matrices(state.pose))
     joints = _chain_positions(model, wr, model.joint_regressor @ verts)
     return (pose_points(model, wr, verts) + state.translation,
             joints + state.translation)

@@ -17,7 +17,7 @@ from . import autodiff as ag
 from .distributions import (DiagGaussian, ProjectedIsoGaussian,
                             pig_logpdf_from_qdot, pig_sample_batch)
 from .nets import ParamStore, mlp_apply, mlp_init
-from .rotation import InvalidFrameError, Rotation, matrix_to_quat
+from .rotation import InvalidFrameError, Rotation, as_matrices, matrix_to_quat
 
 __all__ = [
     "FlowConfig", "FlowModel", "PoseSample", "NonConvergenceError",
@@ -272,23 +272,22 @@ class FlowModel:
 
     @staticmethod
     def _apply_q(q9, u, transpose=False):
-        """Rows of u (B,3) times Q (or Q^T) from rotation rows q9 (B,9) or
-        (1,9, shared by every row); one tape node."""
+        """Rows of u (B,3) times Q (or Q^T), row r taking its rotation from
+        row r % P of q9 (P,9); one tape node."""
         q = ag.as_array(q9).reshape(-1, 3, 3)
         if transpose:
             q = q.transpose(0, 2, 1)
-        uv = ag.as_array(u)
-        out = q[:, :, 0] * uv[:, 0:1] + q[:, :, 1] * uv[:, 1:2] + q[:, :, 2] * uv[:, 2:3]
+        uv = ag.as_array(u).reshape(-1, q.shape[0], 3)
+        out = q[:, :, 0] * uv[..., 0:1] + q[:, :, 1] * uv[..., 1:2] + q[:, :, 2] * uv[..., 2:3]
 
         def vjp(g):
-            gq = g[:, :, None] * uv[:, None, :]
-            if q.shape[0] == 1:
-                gq = gq.sum(axis=0, keepdims=True)
+            g = g.reshape(uv.shape)
+            gq = (g[..., :, None] * uv[..., None, :]).sum(axis=0)
             if transpose:
                 gq = gq.transpose(0, 2, 1)
-            return gq.reshape(-1, 9), (q * g[:, :, None]).sum(axis=1)
+            return gq.reshape(-1, 9), (q * g[..., :, None]).sum(axis=-2).reshape(-1, 3)
 
-        return ag.fused(out, (q9, u), vjp)
+        return ag.fused(out.reshape(-1, 3), (q9, u), vjp)
 
     def _to_base(self, p, u1, u2, ctx, ctx_constant=False):
         """Analytic normalizing pass over all layers; returns (u1, u2, logdet)."""
@@ -296,7 +295,8 @@ class FlowModel:
         for i in range(self.cfg.n_sets):
             u1, u2, ld = self._coupling_forward(p, i, u1, u2, ctx)
             logdet = ld if logdet is None else logdet + ld
-            q9 = self._rotation_q(p, i, ctx[0:1] if ctx_constant else ctx)
+            # a context shared by every sample repeats the same K joint rows
+            q9 = self._rotation_q(p, i, ctx[:self.cfg.n_joints] if ctx_constant else ctx)
             u1 = self._apply_q(q9, u1)
             u2 = self._apply_q(q9, u2)
         return u1, u2, logdet
@@ -305,7 +305,7 @@ class FlowModel:
         """Numeric generative pass (bisection); returns (u1, u2, max iterations)."""
         worst = np.zeros(u1.shape[0], dtype=int)
         for i in reversed(range(self.cfg.n_sets)):
-            q9 = self._rotation_q(pv, i, ctx[0:1] if ctx_constant else ctx)
+            q9 = self._rotation_q(pv, i, ctx[:self.cfg.n_joints] if ctx_constant else ctx)
             u1 = self._apply_q(q9, u1, transpose=True)
             u2 = self._apply_q(q9, u2, transpose=True)
             u1, u2, its = self._coupling_inverse(pv, i, u1, u2, ctx)
@@ -324,7 +324,7 @@ class FlowModel:
         u1, u2, ld = self._coupling_forward(
             pv, set_index, m[:, 0][None, :], m[:, 1][None, :],
             self._ctx_row(pv, context, joint))
-        return _rotation_from_cols(u1[0], u2[0]), float(ld[0])
+        return matrix_to_quat(_frame_matrices(u1[0], u2[0])), float(ld[0])
 
     def coupling_block_inverse(self, r: Rotation, context, set_index=0, joint=0):
         pv = self.param_values()
@@ -332,7 +332,7 @@ class FlowModel:
         u1, u2, _ = self._coupling_inverse(
             pv, set_index, m[:, 0][None, :], m[:, 1][None, :],
             self._ctx_row(pv, context, joint))
-        return _rotation_from_cols(u1[0], u2[0])
+        return matrix_to_quat(_frame_matrices(u1[0], u2[0]))
 
     def rotation_layer(self, r: Rotation, context, set_index=0, joint=0):
         """(Q r, logdet = 0) with Q produced by the rotation conditioner."""
@@ -373,11 +373,12 @@ class FlowModel:
         u1, u2, _ = self._from_base(pv, u1, u2, ctx, ctx_constant=True)
         lp_rows = self.log_prob_rows(pv, u1, u2, ctx, ctx_constant=True)
         lp = lp_rows.reshape(total, K).sum(axis=1)
+        mats = _frame_matrices(u1, u2).reshape(total, K, 3, 3)
         g = self.global_rotation_head(context)
         shape_dist = self.shape_head(context)
         samples = []
         for s in range(total):
-            rots = [_rotation_from_cols(u1[s * K + j], u2[s * K + j]) for j in range(K)]
+            rots = [matrix_to_quat(m) for m in mats[s]]
             beta = shape_dist.mean if (include_mode and s == 0) \
                 else shape_dist.mean + np.exp(shape_dist.log_std) * rng.normal(size=self.cfg.shape_dim)
             samples.append(PoseSample(rots, g, beta, float(lp[s])))
@@ -385,6 +386,14 @@ class FlowModel:
 
     def mode_sample(self, context):
         return self.flow_sample(context, 0, np.random.default_rng(0), include_mode=True)[0]
+
+    def mode_rotations(self, pv, ctx_rows):
+        """Relative rotation matrices (N,3,3) of the mode, the base identity
+        pushed through the flow, for N conditioner rows (numpy, no tape)."""
+        n = ctx_rows.shape[0]
+        u1, u2, _ = self._from_base(pv, np.tile([1.0, 0.0, 0.0], (n, 1)),
+                                    np.tile([0.0, 1.0, 0.0], (n, 1)), ctx_rows)
+        return _frame_matrices(u1, u2)
 
     def global_rotation_head(self, context, p=None):
         p = p or self.param_values()
@@ -400,15 +409,17 @@ class FlowModel:
         return DiagGaussian(out[:d], out[d:])
 
 
-def _rotation_from_cols(u1, u2):
-    u1 = u1 / np.linalg.norm(u1)
-    u2 = u2 - (u2 @ u1) * u1
-    u2 = u2 / np.linalg.norm(u2)
-    return matrix_to_quat(np.column_stack([u1, u2, np.cross(u1, u2)]))
+def _frame_matrices(u1, u2):
+    """Rotation matrices (...,3,3) whose columns are u1, u2 (...,3) made
+    orthonormal by Gram-Schmidt, and their cross product."""
+    u1 = u1 / np.sqrt(np.vecdot(u1, u1))[..., None]
+    u2 = u2 - np.vecdot(u2, u1)[..., None] * u1
+    u2 = u2 / np.sqrt(np.vecdot(u2, u2))[..., None]
+    return np.stack([u1, u2, np.cross(u1, u2)], axis=-1)
 
 
 def _pose_cols(rotations):
-    mats = np.stack([r.matrix() for r in rotations])
+    mats = as_matrices(rotations)
     return mats[:, :, 0], mats[:, :, 1]
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .body import (BodyModelDef, _chain_positions, _world_rotations, pose_points,
                    rest_joints, shape_blend)
-from .rotation import Rotation, axis_angle_exp, svd3
+from .rotation import Rotation, as_matrices, axis_angle_exp, svd3
 from .solver import SolveConfig, solve_single_view, solve_multi_view
 from .synth import project
 
@@ -60,8 +60,8 @@ def kp2d_error(pred_px, gt_px):
 
 
 def joints_3d(model: BodyModelDef, pose, shape, translation):
-    return (_chain_positions(model, _world_rotations(model, pose), rest_joints(model, shape))
-            + np.asarray(translation, float))
+    world = _world_rotations(model, as_matrices(pose))
+    return _chain_positions(model, world, rest_joints(model, shape)) + np.asarray(translation, float)
 
 
 def _min_and_mode(values):
@@ -115,7 +115,7 @@ def evaluate(flow, encode, model: BodyModelDef, dataset, n_samples=100,
             abss.append(mpjpe(pj, gt_j, root_align=False))
             if si == 0:
                 obs0 = rec.views[0]
-                pts = pose_points(model, _world_rotations(model, pose),
+                pts = pose_points(model, _world_rotations(model, as_matrices(pose)),
                                   shape_blend(model, shape), model.anchor_indices)
                 px = project(obs0.intrinsics, obs0.extrinsics_r,
                              obs0.extrinsics_t, pts + np.asarray(t, float))

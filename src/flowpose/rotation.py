@@ -15,7 +15,7 @@ __all__ = [
     "DegenerateProjectionError", "InvalidFrameError", "DegenerateMeanError",
     "quat_to_matrix", "matrix_to_quat", "axis_angle_exp", "axis_angle_log",
     "geodesic_distance", "special_orthogonalize", "frame_complete",
-    "rotation_mean", "svd3",
+    "rotation_mean", "svd3", "as_matrices",
 ]
 
 _UNIT_TOL = 1e-12
@@ -133,6 +133,11 @@ def quat_to_matrix(r: Rotation) -> np.ndarray:
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
         [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
     ])
+
+
+def as_matrices(rotations) -> np.ndarray:
+    """The 3x3 matrices (K,3,3) of a sequence of K Rotations."""
+    return np.stack([r.matrix() for r in rotations])
 
 
 def matrix_to_quat(m) -> Rotation:

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ag
 from . import body, distributions as dist, flow as fl, metrics, solver, synth
-from .rotation import (Rotation, axis_angle_exp, axis_angle_log,
+from .rotation import (Rotation, as_matrices, axis_angle_exp, axis_angle_log,
                        geodesic_distance, matrix_to_quat, rotation_mean,
                        special_orthogonalize)
 
@@ -49,8 +49,7 @@ def _suite_autodiff(rng):
     y = ag.leaf(rng.normal(size=(3, 2)))
 
     def f():
-        return ag.reduce_sum(ag.tanh(ag.matmul(x, y)) ** 2 if False else
-                             ag.tanh(ag.matmul(x, y)) * ag.tanh(ag.matmul(x, y)))
+        return ag.reduce_sum(ag.tanh(ag.matmul(x, y)) * ag.tanh(ag.matmul(x, y)))
 
     checks.append(("composite_grad_fd", ag.finite_diff_check(f, [x, y]) < 1e-6))
     m = ag.leaf(np.eye(3) + 0.1 * rng.normal(size=(3, 3)))
@@ -151,7 +150,7 @@ def _suite_solver(rng):
                                  np.ones(len(m.anchor_indices)),
                                  np.ones(len(m.anchor_indices)), kk)
         obs.anchors_2d = solver.reproject(
-            m, solver._world_rotations(m, pose), beta, t, obs)
+            m, solver._world_rotations(m, as_matrices(pose)), beta, t, obs)
         res = solver.solve_single_view(m, pose, obs, solver.SolveConfig())
         checks.append((f"exact_recovery_{i}",
                        np.linalg.norm(res.translation - t) < 1e-6
@@ -228,21 +227,3 @@ def format_report(report):
             lines.append(f"    FAIL {f}")
     lines.append("OVERALL: " + ("PASS" if report["ok"] else "FAIL"))
     return "\n".join(lines)
-
-
-def main(argv=None):
-    import argparse
-    import sys
-
-    p = argparse.ArgumentParser(description="run the built-in check suites")
-    p.add_argument("--seed", type=int, default=0)
-    args = p.parse_args(argv)
-    report = run_selftest(args.seed)
-    print(format_report(report))
-    return 0 if report["ok"] else 2
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ag
 from .body import _world_rotations, pose_points, shape_blend
-from .rotation import Rotation, axis_angle_exp, rotation_mean
+from .rotation import Rotation, as_matrices, axis_angle_exp, rotation_mean
 
 
 class UnderdeterminedError(ValueError):
@@ -193,8 +193,9 @@ def _dlt_rows(obs: Observation, p0, d_delta, d_beta, beta_lin, weights):
     return jrows, rrows
 
 
-def assemble_system(model, pose_init, beta_lin_point, observations, cfg: SolveConfig):
-    """Normal equations for the stacked weighted system.
+def assemble_system(model, world, beta_lin_point, observations, cfg: SolveConfig):
+    """Normal equations for the stacked weighted system, linearized about
+    the world rotations (K,3,3).
 
     Unknown layout: (delta_1..delta_K, beta, t).  Returns (A, b, layout)
     with A = J^T J and b = J^T r.
@@ -204,7 +205,6 @@ def assemble_system(model, pose_init, beta_lin_point, observations, cfg: SolveCo
     k, s = model.n_joints, model.n_shape
     dim = 3 * k + s + 3
     beta_lin = np.asarray(beta_lin_point, float)
-    world = _world_rotations(model, pose_init)
     p0, d_delta, d_beta = _linearized_anchors(model, world, beta_lin)
 
     blocks_j, blocks_r = [], []
@@ -281,14 +281,13 @@ def _solve(model, pose_init, observations, cfg):
     k, s = model.n_joints, model.n_shape
     beta_lin = (np.zeros(s) if cfg.beta_prior is None
                 else np.asarray(cfg.beta_prior, float))
-    world = _world_rotations(model, pose_init)
+    world = _world_rotations(model, as_matrices(pose_init))
     prev_rms = np.inf
     increases = 0
     total_delta = np.zeros((k, 3))
     n_lin = 0
     while True:
-        pose_cur = _relative_from_world(model, world)
-        a, b, layout = assemble_system(model, pose_cur, beta_lin, observations, cfg)
+        a, b, _ = assemble_system(model, world, beta_lin, observations, cfg)
         x = _chol_solve(a, b)
         delta = x[:3 * k].reshape(k, 3)
         beta = x[3 * k:3 * k + s]

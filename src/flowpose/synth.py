@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .body import BodyModelDef, BodyState, _world_rotations
-from .rotation import Rotation, axis_angle_exp
+from .rotation import Rotation, as_matrices, axis_angle_exp
 from .solver import Observation, reproject
 
 
@@ -180,7 +180,7 @@ def sample_state(model: BodyModelDef, rig: RigSpec, rng) -> BodyState:
 def make_scene(model, rig: RigSpec, noise: NoiseSpec, seed) -> SceneRecord:
     rng = np.random.default_rng(seed)
     state = sample_state(model, rig, rng)
-    world = _world_rotations(model, state.pose)
+    world = _world_rotations(model, as_matrices(state.pose))
     n_s = len(model.anchor_indices)
     views, gts = [], []
     for cam in rig.cameras:

@@ -21,10 +21,9 @@ import numpy as np
 from . import autodiff as ag
 from .body import BodyModelDef, _chain_positions, _world_rotations, pose_points, rest_joints
 from .distributions import ProjectedIsoGaussian, pig_sample_batch
-from .flow import (FlowConfig, FlowModel, _pose_cols, _quat_to_matrix_batch,
-                   joint_context_rows)
+from .flow import FlowConfig, FlowModel, _quat_to_matrix_batch, joint_context_rows
 from .nets import Adam, GradientDescent, ParamStore, mlp_apply, mlp_init
-from .rotation import Rotation, geodesic_distance
+from .rotation import Rotation, as_matrices
 from .solver import laplacian_nll
 from .synth import context_feature_dim
 
@@ -97,61 +96,70 @@ def _laplace_obs_loss(pdict, blocks, feats, gt_norm, n_s):
 
 
 def _scene_tensors(model, dataset):
-    """Precompute per-scene GT arrays used every step."""
-    feats = np.stack([rec.context_features for rec in dataset])
-    u1s, u2s, root9, betas = [], [], [], []
-    gt_j = []
-    for rec in dataset:
-        u1, u2 = _pose_cols(rec.gt_state.pose)
-        u1s.append(u1)
-        u2s.append(u2)
-        root9.append(rec.gt_state.pose[0].matrix().reshape(-1))
-        betas.append(rec.gt_state.shape)
-    return feats, np.stack(u1s), np.stack(u2s), np.stack(root9), np.stack(betas)
+    """Per-scene ground-truth arrays used every step, stacked over the dataset."""
+    n = len(dataset)
+    pose = np.stack([as_matrices(rec.gt_state.pose) for rec in dataset])
+    betas = np.stack([rec.gt_state.shape for rec in dataset])
+    views = [rec.views[0] for rec in dataset]
+    cam_r = np.stack([obs.extrinsics_r for obs in views])
+    t_gt = np.stack([rec.gt_state.translation for rec in dataset])
+    intrinsics = np.stack([obs.intrinsics for obs in views])
+    anchors = np.stack([rec.gt_anchors[0] for rec in dataset])
+    f, c = intrinsics[:, 0, 0], intrinsics[:, :2, 2]
+    return {
+        "feats": np.stack([rec.context_features for rec in dataset]),
+        "u1": pose[..., 0], "u2": pose[..., 1], "root9": pose[:, 0].reshape(n, 9),
+        "beta": betas,
+        "joints": _chain_positions(model, _world_rotations(model, pose),
+                                   np.stack([rest_joints(model, b) for b in betas])),
+        # view 0's camera; cam_t is the camera-frame offset t_ext + R t_gt
+        # of the GT-translated body
+        "intrinsics": intrinsics, "cam_r": cam_r,
+        "cam_t": np.stack([obs.extrinsics_t for obs in views])
+        + np.einsum("bij,bj->bi", cam_r, t_gt),
+        "anchors": anchors,
+        # normalized GT (noise-free) anchors for the observation head
+        "anchors_norm": ((anchors - c[:, None]) / f[:, None, None]).reshape(n, -1),
+    }
 
 
-def _mode_shape_losses(flow, model, pdict, dataset, idx, ctx_val, mu_node, rng):
-    """Phase-2 terms: L1 of mode-pose 3D joints and projected anchors,
-    differentiable in the shape-head mean only (mode pose is constant)."""
-    s = model.n_shape
+def _mu_combination(mu, posed):
+    """posed[:, 0] + sum_s mu[:, s] posed[:, 1 + s] on the tape, flattened
+    to (B, M), for posed (B,1+S,...) holding the image of the template and
+    of each shape direction."""
+    b, s1 = posed.shape[:2]
+    flat = posed.reshape(b, s1, -1)
+    return ag.reduce_sum(ag.reshape(mu, (b, s1 - 1, 1)) * flat[:, 1:], axis=1) + flat[:, 0]
+
+
+def _mode_shape_losses(flow, model, tensors, idx, ctx_rows, mu):
+    """Phase-2 terms over the batch idx: L1 of the mode poses' 3D joints
+    and projected anchors, differentiable in the shape-head means mu (B,S)
+    only (the mode poses are constant)."""
+    b, s = len(idx), model.n_shape
+    rel = flow.mode_rotations(flow.param_values(), ag.as_array(ctx_rows))
+    world = _world_rotations(model, rel.reshape(b, -1, 3, 3))[:, None]
     # posing is linear in the rest vertices: row 0 of each posed stack is
     # the template, rows 1..S are the shape Jacobian
     rest = np.concatenate([model.template[None], model.shape_basis.reshape(s, -1, 3)])
-    rest_j = model.joint_regressor @ rest
-    terms_3d, terms_2d = [], []
-    for row, i in enumerate(idx):
-        rec = dataset[i]
-        mode = flow.mode_sample(ctx_val[row])
-        world = _world_rotations(model, mode.joint_rotations)
-        joints = _chain_positions(model, world, rest_j).reshape(1 + s, -1)
-        mu_i = ag.take(mu_node, (slice(row, row + 1), slice(None)))
-        j3d = joints[:1] + ag.matmul(mu_i, joints[1:])
-        gt_j = _chain_positions(model, _world_rotations(model, rec.gt_state.pose),
-                                rest_joints(model, rec.gt_state.shape))
-        terms_3d.append(ag.mean(ag.absolute(j3d - gt_j.reshape(1, -1))))
+    joints = _chain_positions(model, world, model.joint_regressor @ rest)
+    j3d = _mu_combination(mu, joints)
+    l3d = ag.mean(ag.absolute(j3d - tensors["joints"][idx].reshape(b, -1)))
 
-        anchors = pose_points(model, world, rest, model.anchor_indices)
-        n_a = anchors.shape[1]
-        flat = anchors.reshape(1 + s, -1)
-        pts = ag.reshape(flat[:1] + ag.matmul(mu_i, flat[1:]), (n_a, 3))
-        obs = rec.views[0]
-        cam = ag.matmul(pts, obs.extrinsics_r.T) + (obs.extrinsics_t
-                                                    + rec.gt_state.translation @ obs.extrinsics_r.T)
-        x = ag.take(cam, (slice(None), slice(0, 1)))
-        y = ag.take(cam, (slice(None), slice(1, 2)))
-        z = ag.take(cam, (slice(None), slice(2, 3)))
-        kk = obs.intrinsics
-        u = (kk[0, 0] * x) / z + kk[0, 2]
-        v = (kk[1, 1] * y) / z + kk[1, 2]
-        px = ag.concat([u, v], axis=1)
-        terms_2d.append(ag.mean(ag.absolute(px - rec.gt_anchors[0])))
-    n = float(len(idx))
-    sum3 = terms_3d[0]
-    sum2 = terms_2d[0]
-    for t3, t2 in zip(terms_3d[1:], terms_2d[1:]):
-        sum3 = sum3 + t3
-        sum2 = sum2 + t2
-    return sum2 / n, sum3 / n
+    # the camera is affine, so it maps the template's anchors with its
+    # translation and the shape directions' without
+    anchors = pose_points(model, world, rest, model.anchor_indices)
+    cam = anchors @ np.swapaxes(tensors["cam_r"][idx], -1, -2)[:, None]
+    cam[:, 0] += tensors["cam_t"][idx][:, None]
+    cam = ag.reshape(_mu_combination(mu, cam), (b, -1, 3))
+    x, y, z = cam[:, :, 0], cam[:, :, 1], cam[:, :, 2]
+    kk = tensors["intrinsics"][idx]
+    u = (kk[:, 0:1, 0] * x) / z + kk[:, 0:1, 2]
+    v = (kk[:, 1:2, 1] * y) / z + kk[:, 1:2, 2]
+    gt = tensors["anchors"][idx]
+    l2d = ag.mean(ag.absolute(ag.concat([u, v], axis=1)
+                              - np.concatenate([gt[..., 0], gt[..., 1]], axis=1)))
+    return l2d, l3d
 
 
 def train(model: BodyModelDef, dataset, cfg: TrainConfig):
@@ -178,15 +186,7 @@ def train(model: BodyModelDef, dataset, cfg: TrainConfig):
     pdict = dict(zip(names, leaves))
     opt = (Adam if cfg.optimizer == "adam" else GradientDescent)(leaves, cfg.lr)
 
-    feats_all, u1_all, u2_all, root9_all, beta_all = _scene_tensors(model, dataset)
-    # normalized GT (noise-free) anchors for the observation head
-    gt_norm_all = []
-    for rec in dataset:
-        obs = rec.views[0]
-        f, c = obs.intrinsics[0, 0], obs.intrinsics[:2, 2]
-        gt_norm_all.append(((rec.gt_anchors[0] - c) / f).reshape(-1))
-    gt_norm_all = np.stack(gt_norm_all)
-
+    tensors = _scene_tensors(model, dataset)
     n = len(dataset)
     k = model.n_joints
     log_rows = []
@@ -202,26 +202,25 @@ def train(model: BodyModelDef, dataset, cfg: TrainConfig):
             b = len(idx)
             for l in leaves:
                 l.grad = None
-            ctx = mlp_apply(pdict, "enc", feats_all[idx], cfg.blocks)
+            ctx = mlp_apply(pdict, "enc", tensors["feats"][idx], cfg.blocks)
             ctx_rows = joint_context_rows(flow, pdict, ctx)
-            u1 = u1_all[idx].reshape(b * k, 3)
-            u2 = u2_all[idx].reshape(b * k, 3)
+            u1 = tensors["u1"][idx].reshape(b * k, 3)
+            u2 = tensors["u2"][idx].reshape(b * k, 3)
             lp = flow.log_prob_rows(pdict, u1, u2, ctx_rows)
             pose_nll = -ag.reduce_sum(lp) / float(b)
             shape_out = mlp_apply(pdict, "head_shape", ctx, cfg.blocks)
-            shape_nll = _gauss_nll(shape_out, beta_all[idx], model.n_shape)
+            shape_nll = _gauss_nll(shape_out, tensors["beta"][idx], model.n_shape)
             rot_out = ag.special_orthogonalize_op(
                 mlp_apply(pdict, "head_rot", ctx, cfg.blocks))
-            geo = _geodesic_sq(rot_out, root9_all[idx])
-            lnll = _laplace_obs_loss(pdict, cfg.blocks, feats_all[idx],
-                                     gt_norm_all[idx], n_s)
+            geo = _geodesic_sq(rot_out, tensors["root9"][idx])
+            lnll = _laplace_obs_loss(pdict, cfg.blocks, tensors["feats"][idx],
+                                     tensors["anchors_norm"][idx], n_s)
             loss = (cfg.lambda1 * lnll + cfg.lambda2 * pose_nll
                     + cfg.lambda3 * shape_nll + cfg.lambda4 * geo)
             l2d_v = l3d_v = 0.0
             if phase2 and (cfg.lambda5 > 0 or cfg.lambda6 > 0):
                 mu = ag.take(shape_out, (slice(None), slice(0, model.n_shape)))
-                l2d, l3d = _mode_shape_losses(flow, model, pdict, dataset, idx,
-                                              ag.as_array(ctx), mu, rng)
+                l2d, l3d = _mode_shape_losses(flow, model, tensors, idx, ctx_rows, mu)
                 loss = loss + cfg.lambda5 * l2d + cfg.lambda6 * l3d
                 l2d_v, l3d_v = float(ag.as_array(l2d)), float(ag.as_array(l3d))
             lv = float(ag.as_array(loss))
@@ -330,23 +329,18 @@ def fit_toy_distribution(targets, flow_cfg=None, steps=4000, batch=128,
     nll_after = float(ag.as_array(nll_of(probe, flow.param_values())))
 
     draws = flow.flow_sample(context, report_samples, rng)
-    rots = [s.joint_rotations[0] for s in draws]
-    thresh = np.deg2rad(capture_deg)
-    counts = np.zeros(len(targets), dtype=int)
-    outside = 0
-    for r in rots:
-        d = [geodesic_distance(r, t) for t in targets]
-        j = int(np.argmin(d))
-        if d[j] <= thresh:
-            counts[j] += 1
-        else:
-            outside += 1
+    quats = np.stack([s.joint_rotations[0].q for s in draws])
+    # geodesic distance of every draw to every target, from canonical quaternions
+    dist = 2.0 * np.arccos(np.minimum(np.abs(quats @ np.stack([t.q for t in targets]).T), 1.0))
+    nearest = dist.argmin(axis=1)
+    captured = dist[np.arange(len(quats)), nearest] <= np.deg2rad(capture_deg)
+    counts = np.bincount(nearest[captured], minlength=len(targets))
     report = {
         "nll_before": nll_before,
         "nll_after": nll_after,
-        "captured_fraction": 1.0 - outside / len(rots),
-        "per_mode_mass": (counts / len(rots)).tolist(),
-        "n_samples": len(rots),
+        "captured_fraction": 1.0 - np.count_nonzero(~captured) / len(quats),
+        "per_mode_mass": (counts / len(quats)).tolist(),
+        "n_samples": len(quats),
         "capture_deg": capture_deg,
         "steps": steps,
     }

@@ -16,8 +16,8 @@ from flowpose import autodiff as ag
 from flowpose import body, checkpoint, cli, distributions as dist
 from flowpose import flow as fl
 from flowpose import metrics, solver, synth, training
-from flowpose.rotation import (Rotation, axis_angle_exp, axis_angle_log,
-                               geodesic_distance)
+from flowpose.rotation import (Rotation, as_matrices, axis_angle_exp,
+                               axis_angle_log, geodesic_distance)
 
 
 def _line(n, ok, detail):
@@ -225,7 +225,7 @@ def test_criterion_6_solver_exactness():
         obs = solver.Observation(np.zeros((n_anchor, 2)), np.ones(n_anchor),
                                  np.ones(n_anchor), k_mat)
         obs.anchors_2d = solver.reproject(
-            model, solver._world_rotations(model, pose), beta, t, obs)
+            model, solver._world_rotations(model, as_matrices(pose)), beta, t, obs)
         r = solver.solve_single_view(model, pose, obs,
                                      solver.SolveConfig(max_relinearizations=0))
         t_err.append(np.linalg.norm(r.translation - t))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flowpose import body
-from flowpose.rotation import Rotation, axis_angle_exp
+from flowpose.rotation import Rotation, as_matrices, axis_angle_exp
 
 
 def _naive_fk(model, state):
@@ -45,15 +45,16 @@ def test_fk_matches_naive(toy_model, rng):
         np.testing.assert_allclose(j, j_ref, atol=1e-10)
         # the anchor subset the solver and metrics pose
         idx = toy_model.anchor_indices
-        anchors = body.pose_points(toy_model, body._world_rotations(toy_model, state.pose),
-                                   body.shape_blend(toy_model, state.shape), idx)
+        anchors = body.pose_points(
+            toy_model, body._world_rotations(toy_model, as_matrices(state.pose)),
+            body.shape_blend(toy_model, state.shape), idx)
         np.testing.assert_allclose(anchors + state.translation, v_ref[idx], atol=1e-10)
 
 
 def test_posing_batches_over_leading_axes(toy_model, rng):
     world = body._world_rotations(
-        toy_model, [axis_angle_exp(rng.normal(scale=0.4, size=3))
-                    for _ in range(toy_model.n_joints)])
+        toy_model, as_matrices([axis_angle_exp(rng.normal(scale=0.4, size=3))
+                                for _ in range(toy_model.n_joints)]))
     verts = toy_model.template + rng.normal(scale=0.05, size=(3,) + toy_model.template.shape)
     joints = rng.normal(size=(3, toy_model.n_joints, 3))
     idx = toy_model.anchor_indices
@@ -66,6 +67,32 @@ def test_posing_batches_over_leading_axes(toy_model, rng):
     for m in range(len(joints)):
         np.testing.assert_allclose(
             stacked[m], body._chain_positions(toy_model, world, joints[m]), atol=1e-14)
+    # a (B,K,3,3) stack of world rotations: paired with the stacked rest
+    # points, and broadcast against them on a new axis
+    rel = np.stack([as_matrices([axis_angle_exp(rng.normal(scale=0.4, size=3))
+                                 for _ in range(toy_model.n_joints)]) for _ in range(3)])
+    worlds = body._world_rotations(toy_model, rel)
+    for m in range(len(rel)):
+        np.testing.assert_array_equal(worlds[m], body._world_rotations(toy_model, rel[m]))
+    for sub in (None, idx):
+        paired = body.pose_points(toy_model, worlds, verts, sub)
+        crossed = body.pose_points(toy_model, worlds[:, None], verts, sub)
+        for m in range(len(rel)):
+            np.testing.assert_allclose(
+                paired[m], body.pose_points(toy_model, worlds[m], verts[m], sub), atol=1e-14)
+            for n in range(len(verts)):
+                np.testing.assert_allclose(
+                    crossed[m, n], body.pose_points(toy_model, worlds[m], verts[n], sub),
+                    atol=1e-14)
+    paired = body._chain_positions(toy_model, worlds, joints)
+    crossed = body._chain_positions(toy_model, worlds[:, None], joints)
+    for m in range(len(rel)):
+        np.testing.assert_allclose(
+            paired[m], body._chain_positions(toy_model, worlds[m], joints[m]), atol=1e-14)
+        for n in range(len(joints)):
+            np.testing.assert_allclose(
+                crossed[m, n], body._chain_positions(toy_model, worlds[m], joints[n]),
+                atol=1e-14)
 
 
 def test_fk_identity_is_template(toy_model):

@@ -173,6 +173,18 @@ def test_ctx_constant_fast_path_matches(rng):
                                ctx_constant=True)
     np.testing.assert_allclose(np.asarray(ag.as_array(lp_a)),
                                np.asarray(ag.as_array(lp_b)), atol=1e-10)
+    # K joints: one shared context repeats the same K joint rows, and the
+    # fast path must give each joint its own rotation layers
+    model = _perturbed_model(rng, n_joints=3)
+    for k, node in zip(model.params.names(), model.params.leaves()):
+        if k.startswith("rot"):
+            node.value = node.value + 0.3 * rng.normal(size=node.value.shape)
+    pv = model.param_values()
+    u1, u2 = fl._pose_cols([Rotation(q) for q in dist.uniform_quaternions(12, rng)])
+    ctx_rows = fl.joint_context_rows(model, pv, np.tile(ctx, (4, 1)))
+    lp_a = model.log_prob_rows(pv, u1, u2, ctx_rows)
+    lp_b = model.log_prob_rows(pv, u1, u2, ctx_rows, ctx_constant=True)
+    np.testing.assert_allclose(lp_a, lp_b, atol=1e-10)
 
 
 def test_rotation_layer_is_rotation(rng):

@@ -5,7 +5,7 @@ import pytest
 
 from flowpose import autodiff as ag
 from flowpose import body, solver
-from flowpose.rotation import axis_angle_exp, geodesic_distance
+from flowpose.rotation import as_matrices, axis_angle_exp, geodesic_distance
 
 K_MAT = np.array([[800.0, 0, 320, 0], [0, 800.0, 240, 0], [0, 0, 1, 0]])
 
@@ -15,7 +15,7 @@ def _exact_obs(model, pose, beta, t, k_mat=K_MAT, extr_r=None, extr_t=None):
     obs = solver.Observation(np.zeros((n, 2)), np.ones(n), np.ones(n), k_mat,
                              np.eye(3) if extr_r is None else extr_r,
                              np.zeros(3) if extr_t is None else extr_t)
-    world = solver._world_rotations(model, pose)
+    world = solver._world_rotations(model, as_matrices(pose))
     obs.anchors_2d = solver.reproject(model, world, beta, t, obs)
     return obs
 
@@ -63,7 +63,7 @@ def test_pose_correction_applied(toy_model, rng):
     res = solver.solve_single_view(toy_model, init, obs,
                                    solver.SolveConfig(max_relinearizations=3))
     from flowpose.rotation import matrix_to_quat
-    gt_world = solver._world_rotations(toy_model, pose)
+    gt_world = solver._world_rotations(toy_model, as_matrices(pose))
     for j in range(toy_model.n_joints):
         assert geodesic_distance(res.rotations[j],
                                  matrix_to_quat(gt_world[j])) < 0.05
@@ -73,7 +73,7 @@ def test_linearized_anchors_match_finite_differences(toy_model, rng):
     """Anchors are linear in beta, so d_beta is exact; d_delta holds to
     first order when one joint's world rotation is corrected by exp(eps e_i)."""
     pose, beta, _ = _random_scene(toy_model, rng)
-    world = solver._world_rotations(toy_model, pose)
+    world = solver._world_rotations(toy_model, as_matrices(pose))
 
     def anchors(world_rot, b):
         state = body.BodyState(solver._relative_from_world(toy_model, world_rot), b,

@@ -7,8 +7,8 @@ import pytest
 
 from flowpose import autodiff as ag
 from flowpose import body, checkpoint, nets, synth, training
-from flowpose.flow import FlowConfig
-from flowpose.rotation import geodesic_distance
+from flowpose.flow import FlowConfig, PoseSample
+from flowpose.rotation import Rotation, as_matrices, axis_angle_exp, geodesic_distance
 from flowpose.distributions import uniform_sample
 
 
@@ -64,6 +64,85 @@ def test_log_to_csv_parses(small_run):
     assert len(lines) == len(log) + 1
 
 
+def _phase2_step(small_run, idx):
+    """Leaves, scene tensors, contexts, conditioner rows and shape-head
+    means of one phase-2 step over the scenes idx."""
+    model, dataset, cfg, flow, extra, _ = small_run
+    leaves = flow.params.leaves() + extra.leaves()
+    pdict = dict(zip(flow.params.names() + extra.names(), leaves))
+    ctx = nets.mlp_apply(pdict, "enc", np.stack([dataset[i].context_features for i in idx]),
+                         cfg.blocks)
+    mu = nets.mlp_apply(pdict, "head_shape", ctx, cfg.blocks)[:, :model.n_shape]
+    return (leaves, training._scene_tensors(model, dataset), ctx,
+            training.joint_context_rows(flow, pdict, ctx), mu)
+
+
+def _per_scene_mode_losses(flow, model, dataset, idx, ctx, mu):
+    """Reference phase-2 terms, scene by scene from `mode_sample`, with an
+    explicit pinhole projection."""
+    s = model.n_shape
+    rest = np.concatenate([model.template[None], model.shape_basis.reshape(s, -1, 3)])
+    l2d = l3d = 0.0
+    for row, i in enumerate(idx):
+        rec, obs = dataset[i], dataset[i].views[0]
+        mode = flow.mode_sample(ag.as_array(ctx)[row])
+        world = body._world_rotations(model, as_matrices(mode.joint_rotations))
+        mu_i = mu[row:row + 1]
+        joints = body._chain_positions(model, world, model.joint_regressor @ rest)
+        joints = joints.reshape(1 + s, -1)
+        gt_j = body._chain_positions(
+            model, body._world_rotations(model, as_matrices(rec.gt_state.pose)),
+            body.rest_joints(model, rec.gt_state.shape))
+        l3d = l3d + ag.mean(ag.absolute(joints[:1] + ag.matmul(mu_i, joints[1:])
+                                        - gt_j.reshape(1, -1)))
+        anchors = body.pose_points(model, world, rest, model.anchor_indices).reshape(1 + s, -1)
+        pts = ag.reshape(anchors[:1] + ag.matmul(mu_i, anchors[1:]), (-1, 3))
+        world_pts = pts + rec.gt_state.translation
+        cam = ag.matmul(world_pts, obs.extrinsics_r.T) + obs.extrinsics_t
+        proj = ag.matmul(cam, obs.intrinsics[:, :3].T) + obs.intrinsics[:, 3]
+        px = proj[:, 0:2] / proj[:, 2:3]
+        l2d = l2d + ag.mean(ag.absolute(px - rec.gt_anchors[0]))
+    return l2d / len(idx), l3d / len(idx)
+
+
+def test_mode_shape_losses_match_per_scene_reference(small_run):
+    model, dataset, cfg, flow, _, _ = small_run
+    idx = np.array([3, 0, 7, 12, 5, 9, 14, 1])
+    results = []
+    for batched in (True, False):
+        leaves, tensors, ctx, ctx_rows, mu = _phase2_step(small_run, idx)
+        if batched:
+            l2d, l3d = training._mode_shape_losses(flow, model, tensors, idx, ctx_rows, mu)
+        else:
+            l2d, l3d = _per_scene_mode_losses(flow, model, dataset, idx, ctx, mu)
+        ag.backward(cfg.lambda5 * l2d + cfg.lambda6 * l3d)
+        results.append(([float(ag.as_array(l2d)), float(ag.as_array(l3d))],
+                         [l.grad for l in leaves]))
+    (terms, grads), (ref_terms, ref_grads) = results
+    np.testing.assert_allclose(terms, ref_terms, rtol=1e-12)
+    assert any(g is not None and np.abs(g).max() > 0 for g in ref_grads)
+    for g, ref in zip(grads, ref_grads):
+        assert (g is None) == (ref is None)
+        if ref is not None:
+            np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
+
+
+def test_mode_shape_losses_tape_is_independent_of_batch_size(small_run):
+    model, _, _, flow, _, _ = small_run
+    counts = []
+    for idx in (np.array([4, 11]), np.arange(8)):
+        _, tensors, _, ctx_rows, mu = _phase2_step(small_run, idx)
+        l2d, l3d = training._mode_shape_losses(flow, model, tensors, idx, ctx_rows, mu)
+        seen, stack = set(), [l2d + l3d]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node.parents)
+        counts.append(len(seen))
+    assert counts[0] == counts[1]
+
+
 def test_checkpoint_roundtrip(small_run, tmp_path):
     model, dataset, cfg, flow, extra, _ = small_run
     p = tmp_path / "ck.json"
@@ -114,6 +193,28 @@ def test_fit_toy_distribution_short_run(rng):
     assert report["nll_after"] < report["nll_before"]
     assert 0.0 <= report["captured_fraction"] <= 1.0
     assert len(report["per_mode_mass"]) == 2
+
+
+def test_capture_report_matches_per_pair_geodesic_loop(monkeypatch):
+    rng = np.random.default_rng(3)
+    # a half-turn target: canonical signs split its neighbours' quaternions
+    targets = [uniform_sample(rng) for _ in range(3)] + [Rotation((0.0, 0.6, 0.0, 0.8))]
+    draws = [uniform_sample(rng) for _ in range(200)] + [
+        t.compose(axis_angle_exp(0.2 * rng.normal(size=3))) for t in targets for _ in range(50)]
+    monkeypatch.setattr(training.FlowModel, "flow_sample", lambda self, context, n, rng: [
+        PoseSample([r], Rotation.identity(), np.zeros(1), 0.0) for r in draws])
+    _, report = training.fit_toy_distribution(targets, steps=0, report_samples=len(draws))
+    counts, outside = np.zeros(len(targets)), 0
+    for r in draws:
+        d = [geodesic_distance(r, t) for t in targets]
+        j = int(np.argmin(d))
+        if d[j] <= np.deg2rad(report["capture_deg"]):
+            counts[j] += 1
+        else:
+            outside += 1
+    assert report["captured_fraction"] == 1.0 - outside / len(draws)
+    assert report["per_mode_mass"] == (counts / len(draws)).tolist()
+    assert report["n_samples"] == len(draws)
 
 
 def test_nonfinite_loss_aborts():
