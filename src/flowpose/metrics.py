@@ -7,12 +7,14 @@ comparison on the depth-ambiguous rig.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .body import (BodyModelDef, _chain_positions, _world_rotations, pose_points,
                    rest_joints, shape_blend)
 from .rotation import Rotation, as_matrices, axis_angle_exp, svd3
-from .solver import SolveConfig, solve_single_view, solve_multi_view
+from .solver import SolveConfig, SolverFailure, solve_multi_view, solve_single_view
 from .synth import project
 
 
@@ -75,16 +77,19 @@ def evaluate(flow, encode, model: BodyModelDef, dataset, n_samples=100,
 
     encode: callable mapping context_features -> flow context vector.
     Per scene the mode plus n_samples flow draws are scored; solver mode
-    (optional) refits (delta, beta, t) per sample starting from the
-    sampled pose and reports absolute errors from the recovered
-    translation, otherwise the GT translation is used (root-aligned and
-    PA metrics are translation-free either way).
+    (optional) refits (delta, beta, t) per sample over the first `views`
+    views, starting from the sampled pose and shape, and reports absolute
+    errors from the recovered translation, otherwise the GT translation is
+    used (root-aligned and PA metrics are translation-free either way).
+    A draw whose refinement raises SolverFailure is scored unrefined, as
+    without the solver, and counted in summary["solver_failures"].
     """
     rng = np.random.default_rng(rng_seed)
     solve_cfg = solve_cfg or SolveConfig(omega_beta=1e-3, gamma=1e-4,
                                          max_relinearizations=2)
     per = {k: [] for k in ["mpjpe_mode", "mpjpe_min", "pa_mpjpe_mode",
                            "pa_mpjpe_min", "abs_mpjpe_mode", "kp2d_mode"]}
+    failures = 0
     for rec in dataset:
         ctx = encode(rec.context_features)
         samples = flow.flow_sample(ctx, n_samples, rng, include_mode=True)
@@ -94,21 +99,15 @@ def evaluate(flow, encode, model: BodyModelDef, dataset, n_samples=100,
         errs, pas, abss = [], [], []
         kp_mode = None
         for si, smp in enumerate(samples):
+            pose, shape, t = smp.joint_rotations, smp.shape, rec.gt_state.translation
             if use_solver:
-                cfg = SolveConfig(omega_beta=solve_cfg.omega_beta,
-                                  gamma=solve_cfg.gamma,
-                                  beta_prior=smp.shape,
-                                  max_relinearizations=solve_cfg.max_relinearizations)
-                if len(obs_list) == 1:
-                    res = solve_single_view(model, smp.joint_rotations,
-                                            obs_list[0], cfg)
-                else:
-                    res = solve_multi_view(model,
-                                           [smp.joint_rotations] * len(obs_list),
-                                           obs_list, cfg)
-                pose, shape, t = res.pose, res.beta, res.translation
-            else:
-                pose, shape, t = smp.joint_rotations, smp.shape, rec.gt_state.translation
+                try:
+                    res = solve_multi_view(
+                        model, [pose] * len(obs_list), obs_list,
+                        dataclasses.replace(solve_cfg, beta_prior=smp.shape))
+                    pose, shape, t = res.pose, res.beta, res.translation
+                except SolverFailure:
+                    failures += 1
             pj = joints_3d(model, pose, shape, t)
             errs.append(mpjpe(pj, gt_j))
             pas.append(pa_mpjpe(pj, gt_j))
@@ -132,6 +131,8 @@ def evaluate(flow, encode, model: BodyModelDef, dataset, n_samples=100,
     summary["n_samples"] = n_samples
     summary["views"] = views
     summary["use_solver"] = bool(use_solver)
+    if use_solver:
+        summary["solver_failures"] = failures
     return {"summary": summary, "per_scene": per}
 
 

@@ -86,7 +86,6 @@ class SolveConfig:
 @dataclass
 class SolveResult:
     delta_vectors: np.ndarray       # (K,3) small-rotation updates, radians
-    delta_rotations: list           # K Rotations, exp of the above
     rotations: list                 # corrected per-joint world rotations
     pose: list                      # corrected per-joint relative rotations
     beta: np.ndarray
@@ -105,10 +104,10 @@ def anchor_weights(laplace_scale, aux_weight):
     return aux_weight / (laplace_scale + WEIGHT_FLOOR)
 
 
-def _skew(v):
-    return np.array([[0.0, -v[2], v[1]],
-                     [v[2], 0.0, -v[0]],
-                     [-v[1], v[0], 0.0]])
+# [e_i]x for i = 0, 1, 2: the generators of so(3)
+_SO3_GENERATORS = np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
+                            [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+                            [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
 
 
 def _relative_from_world(model, world):
@@ -125,7 +124,8 @@ def _linearized_anchors(model, world_rot, beta_lin):
 
     Returns (p0 (A,3), d_delta (A,K,3,3), d_beta (A,S,3)) so that
         P = p0 + sum_k d_delta[:,k] @ delta_k + d_beta . (beta - beta_lin) + t
-    for anchors A = model.anchor_indices.
+    for anchors A = model.anchor_indices, all three posed by
+    `body.pose_points`.
     """
     idx = model.anchor_indices
     verts = shape_blend(model, beta_lin)
@@ -134,71 +134,43 @@ def _linearized_anchors(model, world_rot, beta_lin):
     rest = np.concatenate([verts[None], model.shape_basis.reshape(model.n_shape, -1, 3)])
     posed = pose_points(model, world_rot, rest, idx)
     p0, d_beta = posed[0], np.transpose(posed[1:], (1, 0, 2))
-
-    jr = model.joint_regressor @ verts
-    w = model.blend_weights[:, idx]                       # (K,A)
-    local = verts[idx][None, :, :] - jr[:, None, :]       # (K,A,3)
-    rot_local = np.einsum("kij,kaj->kai", world_rot, local)
-    n_a = len(idx)
-    k = model.n_joints
-    d_delta = np.zeros((n_a, k, 3, 3))
-    for kk in range(k):
-        for a in range(n_a):
-            # (I + [d]x) r = r - [r]x d
-            d_delta[a, kk] = -w[kk, a] * _skew(rot_local[kk, a])
-    # joint positions also move when an ancestor's rotation is corrected:
-    # wp_j = wp_par + dR_par W_par (jr_j - jr_par), so each parent delta
-    # contributes -[W_par (jr_j - jr_par)]x down its whole subtree
-    dwp = np.zeros((k, k, 3, 3))        # d wp_j / d delta_a
-    for j in range(k):
-        p = int(model.parents[j])
-        if p >= 0:
-            dwp[j] = dwp[p]
-            dwp[j, p] += -_skew(world_rot[p] @ (jr[j] - jr[p]))
-    d_delta += np.einsum("ja,jkim->akim", w, dwp)
-    return p0, d_delta, d_beta
+    # posing is affine in the world rotations, and d/d delta_i of
+    # (I + [delta]x) R_k is [e_i]x R_k: column i of d_delta[:, k] poses the
+    # stack holding [e_i]x R_k at joint k and zeros elsewhere, less the part
+    # no rotation moves (the root joint's rest position)
+    gens = np.einsum("kl,iab,lbc->kilac", np.eye(model.n_joints), _SO3_GENERATORS, world_rot)
+    moved = (pose_points(model, gens, verts, idx)
+             - pose_points(model, np.zeros_like(world_rot), verts, idx))
+    return p0, np.transpose(moved, (2, 0, 3, 1)), d_beta
 
 
 def _dlt_rows(obs: Observation, p0, d_delta, d_beta, beta_lin, weights):
-    """Weighted DLT rows for one view: returns (J (2A,D), r (2A,))."""
-    n_a, k = d_delta.shape[:2]
-    s = d_beta.shape[1]
-    dim = 3 * k + s + 3
+    """Weighted DLT rows for one view: returns (J (2A,D), r (2A,)).
+
+    Anchor a at pixel (u,v) gives the rows (u,v) K[2] - K[0:2], which
+    vanish on its homogeneous camera-frame point Q = re P + te.
+    """
+    n_a = len(p0)
     kk = obs.intrinsics
-    re, te = obs.extrinsics_r, obs.extrinsics_t
-
-    # camera-frame affine pieces: Q = re P + te
-    q0 = p0 @ re.T + te
-    qd = np.einsum("ij,akjl->akil", re, d_delta).reshape(n_a, k, 3, 3)
-    qb = d_beta @ re.T
-    qt = re                                              # dQ/dt
-
-    jrows = np.zeros((2 * n_a, dim))
-    rrows = np.zeros(2 * n_a)
-    for a in range(n_a):
-        u, v = obs.anchors_2d[a]
-        for c, row in enumerate((u * kk[2] - kk[0], v * kk[2] - kk[1])):
-            m, const = row[:3], row[3]
-            jr_ = np.zeros(dim)
-            for j in range(k):
-                jr_[3 * j:3 * j + 3] = m @ qd[a, j]
-            jr_[3 * k:3 * k + s] = m @ qb[a].T
-            jr_[3 * k + s:] = m @ qt
-            # residual convention: J x = r at the solution, with beta
-            # measured absolutely (fold the lin point into the rhs)
-            rhs = -(m @ q0[a] + const) + jr_[3 * k:3 * k + s] @ beta_lin
-            wgt = weights[a]
-            jrows[2 * a + c] = wgt * jr_
-            rrows[2 * a + c] = wgt * rhs
-    return jrows, rrows
+    rows = obs.anchors_2d[:, :, None] * kk[2] - kk[:2]              # (A,2,4)
+    m = rows[..., :3] @ obs.extrinsics_r                            # rows on world P
+    j_beta = np.einsum("acj,asj->acs", m, d_beta)
+    jrows = np.concatenate([np.einsum("acj,akjl->ackl", m, d_delta).reshape(n_a, 2, -1),
+                            j_beta, m], axis=2)
+    # residual convention: J x = r at the solution, with beta measured
+    # absolutely (fold the lin point into the rhs)
+    q0 = p0 @ obs.extrinsics_r.T + obs.extrinsics_t
+    rhs = -(np.einsum("aci,ai->ac", rows[..., :3], q0) + rows[..., 3]) + j_beta @ beta_lin
+    return ((weights[:, None, None] * jrows).reshape(2 * n_a, -1),
+            (weights[:, None] * rhs).reshape(-1))
 
 
 def assemble_system(model, world, beta_lin_point, observations, cfg: SolveConfig):
     """Normal equations for the stacked weighted system, linearized about
     the world rotations (K,3,3).
 
-    Unknown layout: (delta_1..delta_K, beta, t).  Returns (A, b, layout)
-    with A = J^T J and b = J^T r.
+    Unknown layout: (delta_1..delta_K, beta, t).  Returns (A, b) with
+    A = J^T J and b = J^T r.
     """
     if not observations:
         raise ValueError("need at least one observation")
@@ -236,9 +208,7 @@ def assemble_system(model, world, beta_lin_point, observations, cfg: SolveConfig
 
     jmat = np.vstack(blocks_j)
     rvec = np.concatenate(blocks_r)
-    layout = {"delta": (0, 3 * k), "beta": (3 * k, 3 * k + s),
-              "t": (3 * k + s, dim)}
-    return jmat.T @ jmat, jmat.T @ rvec, layout
+    return jmat.T @ jmat, jmat.T @ rvec
 
 
 def _chol_solve(a, b):
@@ -287,7 +257,7 @@ def _solve(model, pose_init, observations, cfg):
     total_delta = np.zeros((k, 3))
     n_lin = 0
     while True:
-        a, b, _ = assemble_system(model, world, beta_lin, observations, cfg)
+        a, b = assemble_system(model, world, beta_lin, observations, cfg)
         x = _chol_solve(a, b)
         delta = x[:3 * k].reshape(k, 3)
         beta = x[3 * k:3 * k + s]
@@ -311,7 +281,6 @@ def _solve(model, pose_init, observations, cfg):
     pose = _relative_from_world(model, world)
     return SolveResult(
         delta_vectors=total_delta,
-        delta_rotations=[axis_angle_exp(total_delta[j]) for j in range(k)],
         rotations=[Rotation.from_matrix(world[j]) for j in range(k)],
         pose=pose,
         beta=beta,

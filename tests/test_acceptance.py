@@ -10,7 +10,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from flowpose import autodiff as ag
 from flowpose import body, checkpoint, cli, distributions as dist
@@ -47,17 +46,6 @@ def _orthonormal_pairs(rng, n):
     u2 = t - np.sum(t * u1, axis=1, keepdims=True) * u1
     u2 /= np.linalg.norm(u2, axis=1, keepdims=True)
     return u1, u2
-
-
-@pytest.fixture(scope="module")
-def trained_model():
-    model = body.make_toy_model()
-    dataset = synth.gen_dataset(model, 24, synth.standard_rig(1),
-                                synth.NoiseSpec(1.0), seed=0)
-    cfg = training.TrainConfig(phase1_epochs=8, phase2_epochs=2, seed=0)
-    flow, extra, _ = training.train(model, dataset, cfg)
-    encode = training.make_encoder(extra, cfg.blocks)
-    return model, dataset, flow, encode
 
 
 def test_criterion_1_mobius_roundtrip():

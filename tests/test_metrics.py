@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from flowpose import body, metrics, synth
+from flowpose import body, metrics, solver, synth
 from flowpose.rotation import axis_angle_exp
 
 
@@ -76,3 +76,25 @@ def test_multi_view_trend_improves_absolute(toy_model):
     rep = metrics.multi_view_trend(toy_model, ds, init_sigma_deg=8.0, seed=0)
     assert rep["abs_2v"] < rep["abs_1v"]
     assert rep["rel_2v"] < 1.1 * rep["rel_1v"]
+
+
+def test_evaluate_with_solver_scores_failed_refinements(trained_model):
+    model, dataset, flow, encode = trained_model
+    scenes, n = dataset[:4], 5
+    rep = metrics.evaluate(flow, encode, model, scenes, n_samples=n,
+                           use_solver=True, rng_seed=3)
+    # replay the same draws through the single-view solver
+    rng = np.random.default_rng(3)
+    failed = 0
+    for rec in scenes:
+        for smp in flow.flow_sample(encode(rec.context_features), n, rng,
+                                    include_mode=True):
+            cfg = solver.SolveConfig(omega_beta=1e-3, gamma=1e-4, beta_prior=smp.shape,
+                                     max_relinearizations=2)
+            try:
+                solver.solve_single_view(model, smp.joint_rotations, rec.views[0], cfg)
+            except solver.SolverFailure:
+                failed += 1
+    assert failed > 0
+    assert rep["summary"]["solver_failures"] == failed
+    assert all(np.isfinite(v).all() for v in rep["per_scene"].values())

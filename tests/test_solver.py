@@ -98,6 +98,53 @@ def test_linearized_anchors_match_finite_differences(toy_model, rng):
                                        d_delta[:, k, :, i], rtol=0, atol=1e-8)
 
 
+def _dlt_rows_reference(obs, p0, d_delta, d_beta, beta_lin, weights):
+    # one anchor, one image row and one joint at a time
+    n_a, k = d_delta.shape[:2]
+    s = d_beta.shape[1]
+    dim = 3 * k + s + 3
+    kk, re, te = obs.intrinsics, obs.extrinsics_r, obs.extrinsics_t
+    q0 = p0 @ re.T + te
+    qd = np.einsum("ij,akjl->akil", re, d_delta)
+    qb = d_beta @ re.T
+    jrows = np.zeros((2 * n_a, dim))
+    rrows = np.zeros(2 * n_a)
+    for a in range(n_a):
+        u, v = obs.anchors_2d[a]
+        for c, row in enumerate((u * kk[2] - kk[0], v * kk[2] - kk[1])):
+            m, const = row[:3], row[3]
+            jr_ = np.zeros(dim)
+            for j in range(k):
+                jr_[3 * j:3 * j + 3] = m @ qd[a, j]
+            jr_[3 * k:3 * k + s] = m @ qb[a].T
+            jr_[3 * k + s:] = m @ re
+            rhs = -(m @ q0[a] + const) + jr_[3 * k:3 * k + s] @ beta_lin
+            jrows[2 * a + c] = weights[a] * jr_
+            rrows[2 * a + c] = weights[a] * rhs
+    return jrows, rrows
+
+
+def test_dlt_rows_match_per_anchor_reference(toy_model, rng):
+    n = len(toy_model.anchor_indices)
+    for _ in range(5):
+        pose, beta, _ = _random_scene(toy_model, rng)
+        world = solver._world_rotations(toy_model, as_matrices(pose))
+        lin = solver._linearized_anchors(toy_model, world, beta)
+        aux = rng.uniform(0.1, 2.0, n)
+        aux[rng.choice(n, n // 4, replace=False)] = 0.0
+        obs = solver.Observation(
+            rng.uniform(0.0, 640.0, (n, 2)), rng.uniform(0.5, 3.0, n), aux,
+            np.array([[810.0, 0, 330, 0], [0, 790.0, 250, 0], [0, 0, 1, 0]]),
+            axis_angle_exp(rng.normal(size=3)).matrix(), rng.normal(size=3))
+        wts = solver.anchor_weights(obs.laplace_scale, obs.aux_weight)
+        got = solver._dlt_rows(obs, *lin, beta, wts)
+        want = _dlt_rows_reference(obs, *lin, beta, wts)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+        assert not got[0][np.repeat(wts == 0, 2)].any()
+
+
 def test_anchor_weights_floor_and_scaling():
     w = solver.anchor_weights(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
     assert abs(w[0] / w[1] - (2.0 + 1e-6) / (1.0 + 1e-6)) < 1e-9
