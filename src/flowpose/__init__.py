@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from . import (autodiff, body, checkpoint, distributions, flow, metrics,
                nets, rotation, solver, synth, training)
 from .body import BodyModelDef, BodyState, load_model, make_toy_model, save_model
-from .flow import FlowConfig, FlowModel, PoseSample
+from .flow import FlowConfig, FlowModel, PoseBatch, PoseSample
 from .rotation import Rotation
 from .solver import Observation, SolveConfig, SolveResult
 
@@ -19,6 +19,6 @@ __all__ = [
     "autodiff", "body", "checkpoint", "distributions", "flow", "metrics",
     "nets", "rotation", "solver", "synth", "training",
     "BodyModelDef", "BodyState", "load_model", "make_toy_model", "save_model",
-    "FlowConfig", "FlowModel", "PoseSample", "Rotation",
+    "FlowConfig", "FlowModel", "PoseBatch", "PoseSample", "Rotation",
     "Observation", "SolveConfig", "SolveResult",
 ]

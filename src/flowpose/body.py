@@ -142,14 +142,15 @@ def save_model(model: BodyModelDef, path):
 
 
 def shape_blend(model: BodyModelDef, beta) -> np.ndarray:
-    """x = template + beta . basis, reshaped to (N,3)."""
+    """x = template + beta . basis, reshaped to (...,N,3) for betas (...,S)."""
     beta = np.asarray(beta, float)
-    if beta.shape != (model.n_shape,):
+    if beta.ndim == 0 or beta.shape[-1] != model.n_shape:
         raise ValueError(f"beta must have length {model.n_shape}")
-    return model.template + (beta @ model.shape_basis).reshape(-1, 3)
+    return model.template + (beta @ model.shape_basis).reshape(*beta.shape[:-1], -1, 3)
 
 
 def rest_joints(model: BodyModelDef, beta) -> np.ndarray:
+    """Rest-pose joints (...,K,3) for betas (...,S)."""
     return model.joint_regressor @ shape_blend(model, beta)
 
 

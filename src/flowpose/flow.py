@@ -3,13 +3,16 @@ conditioner-driven rotation layers.
 
 Direction convention: the analytic Möbius maps run pose -> base, which is the
 direction log-probabilities (and therefore training gradients) need. Sampling
-runs base -> pose by numerically inverting each coupling with bisection; no
-gradient flows through the bisection.
+runs base -> pose by numerically inverting each coupling with Newton steps
+safeguarded by bisection; no gradient flows through the inverse.
+`flow_sample` returns its draws as one `PoseBatch` of arrays.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,16 +20,17 @@ from . import autodiff as ag
 from .distributions import (DiagGaussian, ProjectedIsoGaussian,
                             pig_logpdf_from_qdot, pig_sample_batch)
 from .nets import ParamStore, mlp_apply, mlp_init
-from .rotation import InvalidFrameError, Rotation, as_matrices, matrix_to_quat
+from .rotation import (InvalidFrameError, Rotation, as_matrices, matrix_to_quat,
+                       matrix_to_quat_batch)
 
 __all__ = [
-    "FlowConfig", "FlowModel", "PoseSample", "NonConvergenceError",
+    "FlowConfig", "FlowModel", "PoseSample", "PoseBatch", "NonConvergenceError",
     "constrain_omega", "mobius_map", "mobius_forward", "mobius_inverse",
 ]
 
 OMEGA_MARGIN = 1e-3
-BISECT_EPS = 1e-4
-BISECT_MAX_ITER = 64
+INVERSE_EPS = 1e-8       # radians of residual angle
+INVERSE_MAX_ITER = 64
 
 
 class NonConvergenceError(RuntimeError):
@@ -105,9 +109,16 @@ def _mobius_fwd_batch(held, moving, ox, oy, oz, w):
     return ag.fused((moved, logdet), (held, moving, ox, oy, oz, w), vjp)
 
 
-def _mobius_inv_batch(moved, held, ox, oy, oz, w,
-                      eps=BISECT_EPS, max_iter=BISECT_MAX_ITER):
-    """Bisection inverse of the convex Möbius step (numpy arrays only).
+def _mobius_inv_batch(moved, held, ox, oy, oz, w):
+    """Inverse of the convex Möbius step (numpy arrays only).
+
+    Row by row it solves h(M) = M + sum_j w_j 2 arg(1 + c_j e^{-iM}) = 0
+    for the angle M that turns moved back into moving.  h rises from
+    h(-pi) < 0 to h(pi) > 0 with slope dh/dM = sum_j w_j d_j > 0, the d_j of
+    the forward log-determinant, so the root is unique and bracketed.  Each
+    iteration takes the Newton step where it lands inside the bracket and
+    is shorter than half the row's previous step, and bisects otherwise
+    (after rtsafe, Numerical Recipes §9.4).  A row stops once |h| < INVERSE_EPS.
 
     Returns (moving, per-row iteration counts)."""
     moved = np.asarray(moved, float)
@@ -118,27 +129,35 @@ def _mobius_inv_batch(moved, held, ox, oy, oz, w,
     n = moved.shape[0]
     lo = np.full(n, -np.pi)
     hi = np.full(n, np.pi)
+    x = np.zeros(n)
+    last = np.full(n, 2.0 * np.pi)
     iters = np.zeros(n, dtype=int)
     done = np.zeros(n, dtype=bool)
     root = np.zeros(n)
-    for it in range(1, max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        cm, sm = np.cos(mid)[:, None], np.sin(mid)[:, None]
-        cre = c0re * cm + c0im * sm      # c0 * exp(-i M)
+    for it in range(1, INVERSE_MAX_ITER + 1):
+        cm, sm = np.cos(x)[:, None], np.sin(x)[:, None]
+        cre = c0re * cm + c0im * sm      # c0 * exp(-i x)
         cim = c0im * cm - c0re * sm
-        tau = (w * 2.0 * np.arctan2(cim, 1.0 + cre)).sum(axis=1)
-        h = tau + mid
-        newly = (np.abs(h) < eps) & ~done
+        one_re = 1.0 + cre
+        h = (w * 2.0 * np.arctan2(cim, one_re)).sum(axis=1) + x
+        newly = (np.abs(h) < INVERSE_EPS) & ~done
         iters[newly] = it
-        root[newly] = mid[newly]
+        root[newly] = x[newly]
         done |= newly
         if done.all():
             break
+        slope = (w * (1.0 - (cre * cre + cim * cim)) / (one_re * one_re + cim * cim)).sum(axis=1)
         neg = h < 0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
+        lo = np.where(neg, x, lo)
+        hi = np.where(neg, hi, x)
+        step = h / slope
+        newton = x - step
+        take = (newton > lo) & (newton < hi) & (np.abs(step) < 0.5 * last)
+        nxt = np.where(take, newton, 0.5 * (lo + hi))
+        last = np.abs(nxt - x)
+        x = nxt
     if not done.all():
-        raise NonConvergenceError("bisection failed to reach tolerance")
+        raise NonConvergenceError("Möbius inverse failed to reach tolerance")
     moving = moved * np.cos(root)[:, None] + u3 * np.sin(root)[:, None]
     return moving, iters
 
@@ -202,12 +221,54 @@ class FlowConfig:
         return FlowConfig(**d)
 
 
-@dataclass
+@dataclass(eq=False)
 class PoseSample:
     joint_rotations: list
     global_rotation: Rotation
     shape: np.ndarray
     log_prob: float
+
+    def __eq__(self, other):
+        return (isinstance(other, PoseSample)
+                and self.joint_rotations == other.joint_rotations
+                and self.global_rotation == other.global_rotation
+                and np.array_equal(self.shape, other.shape)
+                and self.log_prob == other.log_prob)
+
+
+@dataclass(frozen=True, eq=False)
+class PoseBatch(Sequence):
+    """N flow draws for one context, as arrays: relative rotation matrices
+    (N,K,3,3), shapes (N,S) and total log-densities (N,), plus the
+    context's global rotation.
+
+    A read-only sequence: item i is draw i as a PoseSample, its Rotations
+    converted once for the whole batch on first access.
+    """
+
+    rotations: np.ndarray
+    shapes: np.ndarray
+    log_probs: np.ndarray
+    global_rotation: Rotation
+
+    def __post_init__(self):
+        for a in (self.rotations, self.shapes, self.log_probs):
+            a.setflags(write=False)
+
+    def __len__(self):
+        return len(self.log_probs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self))[i]
+        k = self.rotations.shape[1]
+        return PoseSample(self._joint_rotations[i * k:(i + 1) * k], self.global_rotation,
+                          self.shapes[i].copy(), float(self.log_probs[i]))
+
+    @cached_property
+    def _joint_rotations(self):
+        return matrix_to_quat_batch(self.rotations.reshape(-1, 3, 3))
 
 
 _EYE9 = np.eye(3).ravel()
@@ -302,7 +363,7 @@ class FlowModel:
         return u1, u2, logdet
 
     def _from_base(self, pv, u1, u2, ctx, ctx_constant=False):
-        """Numeric generative pass (bisection); returns (u1, u2, max iterations)."""
+        """Numeric generative pass (safeguarded Newton); returns (u1, u2, max iterations)."""
         worst = np.zeros(u1.shape[0], dtype=int)
         for i in reversed(range(self.cfg.n_sets)):
             q9 = self._rotation_q(pv, i, ctx[:self.cfg.n_joints] if ctx_constant else ctx)
@@ -358,8 +419,9 @@ class FlowModel:
         lp = self.log_prob_rows(pv, u1, u2, ctx, ctx_constant=True)
         return float(np.sum(lp))
 
-    def flow_sample(self, context, n, rng, include_mode=False):
-        """Draw n PoseSamples for one context (optionally prepend the mode)."""
+    def flow_sample(self, context, n, rng, include_mode=False) -> PoseBatch:
+        """Draw n poses for one context (optionally prepend the mode) as one
+        PoseBatch."""
         pv = self.param_values()
         K = self.cfg.n_joints
         base = ProjectedIsoGaussian(Rotation.identity(), self.cfg.kappa)
@@ -372,17 +434,14 @@ class FlowModel:
         ctx = joint_context_rows(self, pv, np.tile(np.asarray(context, float), (total, 1)))
         u1, u2, _ = self._from_base(pv, u1, u2, ctx, ctx_constant=True)
         lp_rows = self.log_prob_rows(pv, u1, u2, ctx, ctx_constant=True)
-        lp = lp_rows.reshape(total, K).sum(axis=1)
-        mats = _frame_matrices(u1, u2).reshape(total, K, 3, 3)
-        g = self.global_rotation_head(context)
         shape_dist = self.shape_head(context)
-        samples = []
-        for s in range(total):
-            rots = [matrix_to_quat(m) for m in mats[s]]
-            beta = shape_dist.mean if (include_mode and s == 0) \
-                else shape_dist.mean + np.exp(shape_dist.log_std) * rng.normal(size=self.cfg.shape_dim)
-            samples.append(PoseSample(rots, g, beta, float(lp[s])))
-        return samples
+        shapes = shape_dist.mean + np.exp(shape_dist.log_std) * rng.normal(
+            size=(n, self.cfg.shape_dim))
+        if include_mode:
+            shapes = np.concatenate([shape_dist.mean[None], shapes])
+        return PoseBatch(_frame_matrices(u1, u2).reshape(total, K, 3, 3), shapes,
+                         lp_rows.reshape(total, K).sum(axis=1),
+                         self.global_rotation_head(context))
 
     def mode_sample(self, context):
         return self.flow_sample(context, 0, np.random.default_rng(0), include_mode=True)[0]
@@ -399,7 +458,8 @@ class FlowModel:
         p = p or self.param_values()
         ctx = np.asarray(context, float)[None, :]
         out = mlp_apply(p, "head_rot", ctx, self.cfg.blocks)
-        return matrix_to_quat(ag._special_orthogonalize_value(out[0].reshape(3, 3)))
+        m = ag._special_orthogonalize_value(out[0].reshape(3, 3))
+        return matrix_to_quat_batch(m[None])[0]
 
     def shape_head(self, context, p=None):
         p = p or self.param_values()

@@ -13,7 +13,7 @@ import numpy as np
 
 from .body import (BodyModelDef, _chain_positions, _world_rotations, pose_points,
                    rest_joints, shape_blend)
-from .rotation import Rotation, as_matrices, axis_angle_exp, svd3
+from .rotation import Rotation, as_matrices, axis_angle_exp
 from .solver import SolveConfig, SolverFailure, solve_multi_view, solve_single_view
 from .synth import project
 
@@ -23,38 +23,40 @@ class DegenerateAlignmentError(ValueError):
 
 
 def procrustes_align(pred, gt):
-    """Best similarity transform (scale, rotation, translation) of pred onto gt."""
+    """Best similarity transform (scale, rotation, translation) of pred onto
+    gt, for point sets (...,J,3) whose leading axes broadcast; one batched
+    SVD aligns every set."""
     pred = np.asarray(pred, float)
     gt = np.asarray(gt, float)
-    if pred.shape[0] < 3:
+    if pred.shape[-2] < 3:
         raise DegenerateAlignmentError("need at least 3 points")
-    mu_p, mu_g = pred.mean(axis=0), gt.mean(axis=0)
+    mu_p, mu_g = pred.mean(axis=-2, keepdims=True), gt.mean(axis=-2, keepdims=True)
     xp, xg = pred - mu_p, gt - mu_g
-    var_p = (xp ** 2).sum()
-    if var_p < 1e-18:
+    var_p = (xp ** 2).sum(axis=(-2, -1))
+    if (var_p < 1e-18).any():
         raise DegenerateAlignmentError("degenerate point set")
-    cov = xg.T @ xp
-    u, s, v = svd3(cov)      # cov = u diag(s) v^T
-    d = np.sign(np.linalg.det(u @ v.T))
-    flip = np.diag([1.0, 1.0, d])
-    r = u @ flip @ v.T
-    if s[1] < 1e-12 * max(s[0], 1e-300):
+    cov = np.swapaxes(xg, -1, -2) @ xp
+    u, s, vt = np.linalg.svd(cov)      # cov = u diag(s) vt
+    if (s[..., 1] < 1e-12 * np.maximum(s[..., 0], 1e-300)).any():
         raise DegenerateAlignmentError("collinear point set")
-    scale = (s * np.diag(flip)).sum() / var_p
-    return scale * xp @ r.T + mu_g
+    flip = np.ones_like(s)
+    flip[..., 2] = np.sign(np.linalg.det(u @ vt))
+    r = (u * flip[..., None, :]) @ vt
+    scale = (s * flip).sum(axis=-1) / var_p
+    return scale[..., None, None] * xp @ np.swapaxes(r, -1, -2) + mu_g
 
 
 def mpjpe(pred, gt, root_align=True):
-    """Mean per-joint position error in meters."""
+    """Mean per-joint position error in meters of poses pred (...,J,3)."""
     pred = np.asarray(pred, float)
     gt = np.asarray(gt, float)
     if root_align:
-        pred = pred - pred[0] + gt[0]
-    return float(np.linalg.norm(pred - gt, axis=1).mean())
+        pred = pred - pred[..., :1, :] + gt[..., :1, :]
+    return np.linalg.norm(pred - gt, axis=-1).mean(axis=-1)
 
 
 def pa_mpjpe(pred, gt):
-    return float(np.linalg.norm(procrustes_align(pred, gt) - gt, axis=1).mean())
+    return np.linalg.norm(procrustes_align(pred, gt) - gt, axis=-1).mean(axis=-1)
 
 
 def kp2d_error(pred_px, gt_px):
@@ -68,7 +70,30 @@ def joints_3d(model: BodyModelDef, pose, shape, translation):
 
 def _min_and_mode(values):
     # sample 0 is the mode by convention of flow_sample(include_mode=True)
-    return float(values[0]), float(min(values))
+    return float(values[0]), float(np.min(values))
+
+
+def _refine(model, batch, views, solve_cfg, translation):
+    """Solver-refined (rotations, shapes, translations) of every draw of a
+    PoseBatch over the given views, and the number of refinements that
+    raised SolverFailure; such a draw keeps its sampled pose and shape and
+    the given translation."""
+    rel, shapes = batch.rotations.copy(), batch.shapes.copy()
+    trans = np.tile(np.asarray(translation, float), (len(batch), 1))
+    failures = 0
+    for i, smp in enumerate(batch):
+        pose = smp.joint_rotations
+        # solve_multi_view reads each view's root in that camera's frame
+        per_view = [pose] if len(views) == 1 else [
+            [Rotation.from_matrix(v.extrinsics_r @ rel[i, 0])] + pose[1:] for v in views]
+        try:
+            res = solve_multi_view(model, per_view, views,
+                                   dataclasses.replace(solve_cfg, beta_prior=smp.shape))
+        except SolverFailure:
+            failures += 1
+            continue
+        rel[i], shapes[i], trans[i] = as_matrices(res.pose), res.beta, res.translation
+    return rel, shapes, trans, failures
 
 
 def evaluate(flow, encode, model: BodyModelDef, dataset, n_samples=100,
@@ -76,11 +101,12 @@ def evaluate(flow, encode, model: BodyModelDef, dataset, n_samples=100,
     """Metrics JSON for the dataset.
 
     encode: callable mapping context_features -> flow context vector.
-    Per scene the mode plus n_samples flow draws are scored; solver mode
-    (optional) refits (delta, beta, t) per sample over the first `views`
-    views, starting from the sampled pose and shape, and reports absolute
-    errors from the recovered translation, otherwise the GT translation is
-    used (root-aligned and PA metrics are translation-free either way).
+    Per scene the mode plus n_samples flow draws are scored in one pass
+    over the arrays of their PoseBatch; solver mode (optional) refits
+    (delta, beta, t) per sample over the first `views` views, starting
+    from the sampled pose and shape, and reports absolute errors from the
+    recovered translation, otherwise the GT translation is used
+    (root-aligned and PA metrics are translation-free either way).
     A draw whose refinement raises SolverFailure is scored unrefined, as
     without the solver, and counted in summary["solver_failures"].
     """
@@ -91,42 +117,27 @@ def evaluate(flow, encode, model: BodyModelDef, dataset, n_samples=100,
                            "pa_mpjpe_min", "abs_mpjpe_mode", "kp2d_mode"]}
     failures = 0
     for rec in dataset:
-        ctx = encode(rec.context_features)
-        samples = flow.flow_sample(ctx, n_samples, rng, include_mode=True)
-        gt_j = joints_3d(model, rec.gt_state.pose, rec.gt_state.shape,
-                         rec.gt_state.translation)
-        obs_list = rec.views[:views]
-        errs, pas, abss = [], [], []
-        kp_mode = None
-        for si, smp in enumerate(samples):
-            pose, shape, t = smp.joint_rotations, smp.shape, rec.gt_state.translation
-            if use_solver:
-                try:
-                    res = solve_multi_view(
-                        model, [pose] * len(obs_list), obs_list,
-                        dataclasses.replace(solve_cfg, beta_prior=smp.shape))
-                    pose, shape, t = res.pose, res.beta, res.translation
-                except SolverFailure:
-                    failures += 1
-            pj = joints_3d(model, pose, shape, t)
-            errs.append(mpjpe(pj, gt_j))
-            pas.append(pa_mpjpe(pj, gt_j))
-            abss.append(mpjpe(pj, gt_j, root_align=False))
-            if si == 0:
-                obs0 = rec.views[0]
-                pts = pose_points(model, _world_rotations(model, as_matrices(pose)),
-                                  shape_blend(model, shape), model.anchor_indices)
-                px = project(obs0.intrinsics, obs0.extrinsics_r,
-                             obs0.extrinsics_t, pts + np.asarray(t, float))
-                kp_mode = kp2d_error(px, rec.gt_anchors[0])
-        mode, mn = _min_and_mode(errs)
-        per["mpjpe_mode"].append(mode)
-        per["mpjpe_min"].append(mn)
-        mode, mn = _min_and_mode(pas)
-        per["pa_mpjpe_mode"].append(mode)
-        per["pa_mpjpe_min"].append(mn)
-        per["abs_mpjpe_mode"].append(abss[0])
-        per["kp2d_mode"].append(kp_mode)
+        batch = flow.flow_sample(encode(rec.context_features), n_samples, rng,
+                                 include_mode=True)
+        gt = rec.gt_state
+        gt_j = joints_3d(model, gt.pose, gt.shape, gt.translation)
+        if use_solver:
+            rel, shapes, trans, failed = _refine(model, batch, rec.views[:views], solve_cfg,
+                                                 gt.translation)
+            failures += failed
+        else:
+            rel, shapes, trans = batch.rotations, batch.shapes, gt.translation[None]
+        world = _world_rotations(model, rel)
+        pj = _chain_positions(model, world, rest_joints(model, shapes)) + trans[:, None, :]
+        for key, values in (("mpjpe", mpjpe(pj, gt_j)), ("pa_mpjpe", pa_mpjpe(pj, gt_j))):
+            mode, mn = _min_and_mode(values)
+            per[f"{key}_mode"].append(mode)
+            per[f"{key}_min"].append(mn)
+        per["abs_mpjpe_mode"].append(float(mpjpe(pj[0], gt_j, root_align=False)))
+        obs0 = rec.views[0]
+        pts = pose_points(model, world[0], shape_blend(model, shapes[0]), model.anchor_indices)
+        px = project(obs0.intrinsics, obs0.extrinsics_r, obs0.extrinsics_t, pts + trans[0])
+        per["kp2d_mode"].append(kp2d_error(px, rec.gt_anchors[0]))
     summary = {k: float(np.mean(v)) for k, v in per.items()}
     summary["n_samples"] = n_samples
     summary["views"] = views

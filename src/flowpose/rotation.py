@@ -13,8 +13,8 @@ import numpy as np
 __all__ = [
     "Rotation", "TwoVectorFrame", "InvalidRotationError", "NearCutLocusError",
     "DegenerateProjectionError", "InvalidFrameError", "DegenerateMeanError",
-    "quat_to_matrix", "matrix_to_quat", "axis_angle_exp", "axis_angle_log",
-    "geodesic_distance", "special_orthogonalize", "frame_complete",
+    "quat_to_matrix", "matrix_to_quat", "matrix_to_quat_batch", "axis_angle_exp",
+    "axis_angle_log", "geodesic_distance", "special_orthogonalize", "frame_complete",
     "rotation_mean", "svd3", "as_matrices",
 ]
 
@@ -167,6 +167,42 @@ def matrix_to_quat(m) -> Rotation:
         q = ((m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s,
              (m[1, 2] + m[2, 1]) / s, 0.25 * s)
     return Rotation(q)
+
+
+def matrix_to_quat_batch(m) -> list:
+    """matrix_to_quat over a stack of matrices (N,3,3): one list of N
+    Rotations, bitwise equal to N single calls.
+
+    The whole stack is validated at once, by the same orthonormality and
+    det checks, and each matrix takes the same Shepperd branch and
+    arithmetic.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 3 or m.shape[1:] != (3, 3):
+        raise InvalidRotationError("expected a stack of 3x3 matrices")
+    orthonormal = np.isclose(m @ np.swapaxes(m, 1, 2), np.eye(3), atol=1e-6).all(axis=(1, 2))
+    if not orthonormal.all() or (np.linalg.det(m) < 0.0).any():
+        raise InvalidRotationError("matrix is not a rotation within tolerance")
+    d0, d1, d2 = m[:, 0, 0], m[:, 1, 1], m[:, 2, 2]
+    tr = d0 + d1 + d2
+    # Shepperd's pivots, in matrix_to_quat's order of precedence
+    branch = np.where(tr > 0, 0, np.where((d0 > d1) & (d0 > d2), 1, np.where(d1 > d2, 2, 3)))
+    rows = np.arange(len(m))
+    pivots = np.stack([tr + 1.0, 1.0 + d0 - d1 - d2, 1.0 + d1 - d0 - d2, 1.0 + d2 - d0 - d1],
+                      axis=1)
+    s = np.sqrt(pivots[rows, branch]) * 2
+    a = m[:, 2, 1] - m[:, 1, 2]
+    b = m[:, 0, 2] - m[:, 2, 0]
+    c = m[:, 1, 0] - m[:, 0, 1]
+    d = m[:, 0, 1] + m[:, 1, 0]
+    e = m[:, 0, 2] + m[:, 2, 0]
+    f = m[:, 1, 2] + m[:, 2, 1]
+    # row `branch` of this symmetric table over s, its diagonal entry 0.25 s
+    table = np.stack([np.stack(r, axis=1) for r in
+                      ((tr, a, b, c), (a, tr, d, e), (b, d, tr, f), (c, e, f, tr))], axis=1)
+    q = table[rows, branch] / s[:, None]
+    q[rows, branch] = 0.25 * s
+    return [Rotation(qi) for qi in q]
 
 
 def axis_angle_exp(v) -> Rotation:

@@ -75,7 +75,6 @@ class SolveConfig:
     omega_beta: float = 0.0
     gamma: float = 0.0
     beta_prior: np.ndarray | None = None
-    pose_prior: list | None = None
     max_relinearizations: int = 0
 
     def __post_init__(self):

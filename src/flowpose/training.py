@@ -6,7 +6,7 @@ through the diagonal-Gaussian head, squared geodesic error of the
 global-rotation head, and the Laplace observation loss of the
 anchor/uncertainty head.  Phase 2 adds L1 losses on the mode sample's
 3D joints and projected anchors; the mode pose itself is obtained by
-bisection and is treated as a constant, so these terms steer the shape
+the flow's numeric inverse and is treated as a constant, so these terms steer the shape
 head.
 """
 

@@ -8,7 +8,7 @@ from flowpose import autodiff as ag
 from flowpose import distributions as dist
 from flowpose import flow as fl
 from flowpose.rotation import (Rotation, axis_angle_exp, axis_angle_log,
-                               geodesic_distance)
+                               geodesic_distance, matrix_to_quat)
 
 
 def _perturbed_model(rng, scale=0.2, **kw):
@@ -59,7 +59,7 @@ def test_mobius_forward_inverse_roundtrip(rng):
         w = rng.dirichlet(np.ones(8))
         moved, logdet = fl.mobius_forward(held, moving, omegas, w)
         moved = np.asarray(ag.as_array(moved))
-        # the bisection stops on output-space angle error, so verify the
+        # the inverse stops on output-space angle error, so verify the
         # roundtrip in that direction: forward(inverse(y)) vs y
         rec = fl.mobius_inverse(moved, held, omegas, w)
         again, _ = fl.mobius_forward(held, rec, omegas, w)
@@ -139,6 +139,57 @@ def test_flow_sample_logprob_consistent(rng):
     for i, s in enumerate(model.flow_sample(ctx, 5, rng)):
         lp = model.flow_log_prob(s.joint_rotations, ctx)
         assert abs(lp - s.log_prob) < 1e-6
+
+
+def _inverse_roundtrip(seed, omega_scale, n=10_000, k=16):
+    """Forward Möbius steps of n random rows, their inverse, and the
+    forward angular roundtrip error and iterations of that inverse."""
+    rng = np.random.default_rng(seed)
+    u1, u2 = _orthonormal_pairs(rng, n)
+    raw = rng.normal(scale=omega_scale, size=(3, n, k))
+    ox, oy, oz = (np.asarray(ag.as_array(o)) for o in fl._constrain_omega_batch(*raw))
+    w = rng.dirichlet(np.ones(k), size=n)
+    moved, _ = fl._mobius_fwd_batch(u1, u2, ox, oy, oz, w)
+    rec, iters = fl._mobius_inv_batch(moved, u1, ox, oy, oz, w)
+    again, _ = fl._mobius_fwd_batch(u1, rec, ox, oy, oz, w)
+    ang = np.arccos(np.clip(np.sum(again * moved, axis=1), -1.0, 1.0))
+    return ang, iters
+
+
+def test_newton_inverse_on_trained_scale_conditioners():
+    # raw omegas at the scale a trained conditioner produces, as in
+    # acceptance criterion 1
+    ang, iters = _inverse_roundtrip(0, 0.3)
+    assert ang.max() <= 1e-6
+    assert iters.max() <= 8
+
+
+def test_newton_inverse_converges_on_steep_conditioners():
+    # raw omegas N(0, 2^2) push |omega| toward the unit circle, where the
+    # slope of the coupling varies sharply; every row must still converge
+    # (NonConvergenceError otherwise) to the same tolerance
+    ang, iters = _inverse_roundtrip(1, 2.0)
+    assert ang.max() <= 1e-6
+    assert iters.max() < fl.INVERSE_MAX_ITER
+
+
+def test_pose_batch_items_are_pose_samples(rng):
+    model = _perturbed_model(rng, n_joints=3)
+    ctx = rng.normal(size=3)
+    batch = model.flow_sample(ctx, 6, rng, include_mode=True)
+    assert isinstance(batch, fl.PoseBatch)
+    assert batch.rotations.shape == (7, 3, 3, 3)
+    assert batch.shapes.shape == (7, 1) and batch.log_probs.shape == (7,)
+    expect = [fl.PoseSample([matrix_to_quat(m) for m in batch.rotations[i]],
+                            batch.global_rotation, batch.shapes[i], float(batch.log_probs[i]))
+              for i in range(len(batch))]
+    assert len(batch) == 7
+    assert list(batch) == expect
+    assert batch[-1] == expect[-1] and batch[2:4] == expect[2:4]
+    with pytest.raises(IndexError):
+        batch[7]
+    with pytest.raises(ValueError):
+        batch.rotations[0, 0] = np.eye(3)
 
 
 def test_flow_samples_depend_on_context(rng):

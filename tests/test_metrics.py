@@ -1,10 +1,64 @@
 """Evaluation metrics: alignment, per-joint errors, protocol plumbing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from flowpose import body, metrics, solver, synth
-from flowpose.rotation import axis_angle_exp
+from flowpose.rotation import Rotation, as_matrices, axis_angle_exp, svd3
+
+
+def _procrustes_one(pred, gt):
+    """Reference single-pose Procrustes alignment (svd3, one set at a time)."""
+    if pred.shape[0] < 3:
+        raise metrics.DegenerateAlignmentError("need at least 3 points")
+    mu_p, mu_g = pred.mean(axis=0), gt.mean(axis=0)
+    xp, xg = pred - mu_p, gt - mu_g
+    var_p = (xp ** 2).sum()
+    if var_p < 1e-18:
+        raise metrics.DegenerateAlignmentError("degenerate point set")
+    u, s, v = svd3(xg.T @ xp)
+    flip = np.diag([1.0, 1.0, np.sign(np.linalg.det(u @ v.T))])
+    if s[1] < 1e-12 * max(s[0], 1e-300):
+        raise metrics.DegenerateAlignmentError("collinear point set")
+    return (s * np.diag(flip)).sum() / var_p * xp @ (u @ flip @ v.T).T + mu_g
+
+
+def _reference_scene(model, rec, samples, use_solver, views, solve_cfg):
+    """The six per-scene metrics and the solver failures, one draw at a
+    time: each PoseSample posed through joints_3d and scored alone."""
+    gt_j = metrics.joints_3d(model, rec.gt_state.pose, rec.gt_state.shape,
+                             rec.gt_state.translation)
+    obs_list = rec.views[:views]
+    errs, pas, abss, kp_mode, failures = [], [], [], None, 0
+    for si, smp in enumerate(samples):
+        pose, shape, t = smp.joint_rotations, smp.shape, rec.gt_state.translation
+        if use_solver:
+            per_view = [pose] if views == 1 else [
+                [Rotation.from_matrix(v.extrinsics_r @ pose[0].matrix())] + pose[1:]
+                for v in obs_list]
+            try:
+                res = solver.solve_multi_view(
+                    model, per_view, obs_list,
+                    dataclasses.replace(solve_cfg, beta_prior=smp.shape))
+                pose, shape, t = res.pose, res.beta, res.translation
+            except solver.SolverFailure:
+                failures += 1
+        pj = metrics.joints_3d(model, pose, shape, t)
+        root = pj - pj[0] + gt_j[0]
+        errs.append(np.linalg.norm(root - gt_j, axis=1).mean())
+        pas.append(np.linalg.norm(_procrustes_one(pj, gt_j) - gt_j, axis=1).mean())
+        abss.append(np.linalg.norm(pj - gt_j, axis=1).mean())
+        if si == 0:
+            obs0 = rec.views[0]
+            pts = body.pose_points(model, body._world_rotations(model, as_matrices(pose)),
+                                   body.shape_blend(model, shape), model.anchor_indices)
+            px = synth.project(obs0.intrinsics, obs0.extrinsics_r, obs0.extrinsics_t,
+                               pts + np.asarray(t, float))
+            kp_mode = metrics.kp2d_error(px, rec.gt_anchors[0])
+    return {"mpjpe_mode": errs[0], "mpjpe_min": min(errs), "pa_mpjpe_mode": pas[0],
+            "pa_mpjpe_min": min(pas), "abs_mpjpe_mode": abss[0], "kp2d_mode": kp_mode}, failures
 
 
 def test_procrustes_recovers_similarity(rng):
@@ -27,6 +81,29 @@ def test_procrustes_degenerate_raises():
     pts = np.zeros((5, 3))
     with pytest.raises(metrics.DegenerateAlignmentError):
         metrics.procrustes_align(pts, pts)
+
+
+def test_batched_procrustes_matches_single_pose(rng):
+    gt = rng.normal(size=(8, 3))
+    preds = np.stack([1.3 * gt @ axis_angle_exp(rng.normal(size=3)).matrix().T
+                      + 0.05 * rng.normal(size=(8, 3)) for _ in range(6)])
+    preds[2] = gt * np.array([-1.0, 1.0, 1.0])         # a reflection of gt
+    got = metrics.procrustes_align(preds, gt)
+    for p, g in zip(preds, got):
+        np.testing.assert_allclose(g, _procrustes_one(p, gt), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(metrics.procrustes_align(p, gt), g, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        metrics.pa_mpjpe(preds, gt),
+        [np.linalg.norm(_procrustes_one(p, gt) - gt, axis=1).mean() for p in preds],
+        rtol=1e-12)
+    # one degenerate or collinear set fails the whole batch, as it fails alone
+    for bad in (np.zeros((8, 3)), np.outer(np.linspace(0.0, 1.0, 8), [1.0, 2.0, 0.5])):
+        with pytest.raises(metrics.DegenerateAlignmentError):
+            _procrustes_one(bad, gt)
+        with pytest.raises(metrics.DegenerateAlignmentError):
+            metrics.procrustes_align(np.concatenate([preds, bad[None]]), gt)
+    with pytest.raises(metrics.DegenerateAlignmentError):
+        metrics.procrustes_align(preds[:, :2], gt[:2])
 
 
 def test_mpjpe_known_value():
@@ -98,3 +175,46 @@ def test_evaluate_with_solver_scores_failed_refinements(trained_model):
     assert failed > 0
     assert rep["summary"]["solver_failures"] == failed
     assert all(np.isfinite(v).all() for v in rep["per_scene"].values())
+
+
+@pytest.mark.parametrize("use_solver", [False, True])
+def test_evaluate_matches_per_draw_loop(trained_model, use_solver):
+    model, dataset, flow, encode = trained_model
+    scenes, n = dataset[:3], 12 if use_solver else 40
+    cfg = solver.SolveConfig(omega_beta=1e-3, gamma=1e-4, max_relinearizations=2)
+    rep = metrics.evaluate(flow, encode, model, scenes, n_samples=n,
+                           use_solver=use_solver, rng_seed=5)
+    rng = np.random.default_rng(5)
+    failures = 0
+    for s, rec in enumerate(scenes):
+        batch = flow.flow_sample(encode(rec.context_features), n, rng, include_mode=True)
+        ref, failed = _reference_scene(model, rec, batch, use_solver, 1, cfg)
+        failures += failed
+        for key, value in ref.items():
+            assert abs(rep["per_scene"][key][s] - value) <= 1e-12 * abs(value), key
+    if use_solver:
+        assert rep["summary"]["solver_failures"] == failures
+
+
+def test_evaluate_multi_view_hands_solver_the_world_pose(trained_model, monkeypatch):
+    # solve_multi_view reads view v's root in camera v's frame, so the
+    # initial pose reaching the solve must be the draw's own world pose
+    model, _, flow, encode = trained_model
+    scenes = synth.gen_dataset(model, 2, synth.standard_rig(2), synth.NoiseSpec(1.0), seed=9)
+    assert not np.allclose(scenes[0].views[1].extrinsics_r, np.eye(3))
+    inits, real_solve = [], solver._solve
+
+    def spy(model, pose_init, observations, cfg):
+        inits.append(as_matrices(pose_init))
+        return real_solve(model, pose_init, observations, cfg)
+
+    monkeypatch.setattr(solver, "_solve", spy)
+    n = 3
+    metrics.evaluate(flow, encode, model, scenes, n_samples=n, use_solver=True,
+                     views=2, rng_seed=1)
+    rng = np.random.default_rng(1)
+    draws = [m for rec in scenes for m in
+             flow.flow_sample(encode(rec.context_features), n, rng, include_mode=True).rotations]
+    assert len(inits) == len(draws)
+    for got, want in zip(inits, draws):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

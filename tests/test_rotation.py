@@ -9,7 +9,7 @@ from flowpose.rotation import (DegenerateMeanError, InvalidRotationError,
                                Rotation, TwoVectorFrame, axis_angle_exp,
                                axis_angle_log, frame_complete,
                                geodesic_distance, matrix_to_quat,
-                               quat_to_matrix, rotation_mean,
+                               matrix_to_quat_batch, quat_to_matrix, rotation_mean,
                                special_orthogonalize, svd3)
 
 unit_vec3 = st.lists(st.floats(-1, 1), min_size=3, max_size=3).filter(
@@ -111,6 +111,39 @@ def test_matrix_quat_roundtrip(rng):
         q = rng.normal(size=4)
         r = Rotation(q / np.linalg.norm(q))
         assert geodesic_distance(r, matrix_to_quat(quat_to_matrix(r))) < 1e-7
+
+
+def test_matrix_to_quat_batch_bitwise(rng):
+    # near-half-turns about x, y and z take Shepperd's three diagonal
+    # pivots; small and random rotations the trace pivot
+    axes = np.eye(3) + 0.05 * rng.normal(size=(3, 3))
+    mats = [axis_angle_exp(3.0 * a / np.linalg.norm(a)).matrix() for a in axes]
+    mats += [axis_angle_exp(0.1 * rng.normal(size=3)).matrix()]
+    mats += [axis_angle_exp(rng.normal(size=3)).matrix() for _ in range(200)]
+    mats = np.stack(mats)
+    d = np.diagonal(mats, axis1=1, axis2=2)
+    tr = d.sum(axis=1)
+    branch = np.where(tr > 0, 0, np.where((d[:, 0] > d[:, 1]) & (d[:, 0] > d[:, 2]), 1,
+                                          np.where(d[:, 1] > d[:, 2], 2, 3)))
+    assert set(branch[:4]) == {0, 1, 2, 3}
+    got = matrix_to_quat_batch(mats)
+    assert len(got) == len(mats)
+    for r, m in zip(got, mats):
+        assert np.array_equal(r.q, matrix_to_quat(m).q)
+
+
+def test_matrix_to_quat_batch_rejects_non_rotations(rng):
+    good = np.stack([axis_angle_exp(rng.normal(size=3)).matrix() for _ in range(3)])
+    skewed = good.copy()
+    skewed[1, 0, 0] += 1e-3
+    with pytest.raises(InvalidRotationError):
+        matrix_to_quat_batch(skewed)
+    reflected = good.copy()
+    reflected[2] = -reflected[2]
+    with pytest.raises(InvalidRotationError):
+        matrix_to_quat_batch(reflected)
+    with pytest.raises(InvalidRotationError):
+        matrix_to_quat_batch(good[0])
 
 
 def test_svd3_reconstruction(rng):
