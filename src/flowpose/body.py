@@ -91,14 +91,10 @@ def _validate(template, shape_basis, joint_regressor, blend_weights,
         raise ModelLoadError("blend weight columns must be convex combinations")
     if parents.shape != (k,) or parents[0] != -1:
         raise ModelLoadError("parents must be length K with root (-1) at joint 0")
-    # walk every joint to the root; a cycle never terminates within K hops
-    for j in range(1, k):
-        cur, hops = j, 0
-        while cur != 0:
-            cur = int(parents[cur])
-            hops += 1
-            if cur < 0 or cur >= k or hops > k:
-                raise ModelLoadError("parents do not form a tree rooted at joint 0")
+    # the posing kernels walk joints in index order, so each parent must
+    # come first; this also rules out cycles
+    if ((parents[1:] < 0) | (parents[1:] >= np.arange(1, k))).any():
+        raise ModelLoadError("parents must satisfy 0 <= parents[j] < j for every joint j >= 1")
     if anchor_indices.size and (anchor_indices.min() < 0 or anchor_indices.max() >= n):
         raise ModelLoadError("anchor indices out of range")
 

@@ -22,7 +22,7 @@ from . import __version__
 from . import autodiff as ag
 from . import body, checkpoint, metrics, selftest as selftest_mod, synth, training
 from .flow import FlowConfig, NonConvergenceError
-from .rotation import Rotation
+from .rotation import Rotation, matrix_to_quat_batch
 from .solver import (Observation, SolveConfig, SolverFailure, solve_multi_view,
                      solve_single_view)
 
@@ -204,7 +204,7 @@ def cmd_solve(args):
         res = solve_single_view(m, poses[0], obs[0], scfg)
     else:
         res = solve_multi_view(m, poses, obs, scfg)
-    doc = {"pose": [r.to_json() for r in res.pose],
+    doc = {"pose": [r.to_json() for r in matrix_to_quat_batch(res.pose)],
            "delta_vectors": res.delta_vectors.tolist(),
            "beta": res.beta.tolist(),
            "translation": res.translation.tolist(),

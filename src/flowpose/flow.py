@@ -21,7 +21,7 @@ from .distributions import (DiagGaussian, ProjectedIsoGaussian,
                             pig_logpdf_from_qdot, pig_sample_batch)
 from .nets import ParamStore, mlp_apply, mlp_init
 from .rotation import (InvalidFrameError, Rotation, as_matrices, matrix_to_quat,
-                       matrix_to_quat_batch)
+                       matrix_to_quat_batch, quat_to_matrices)
 
 __all__ = [
     "FlowConfig", "FlowModel", "PoseSample", "PoseBatch", "NonConvergenceError",
@@ -429,7 +429,7 @@ class FlowModel:
         if include_mode:
             quats = np.concatenate([np.tile([1.0, 0, 0, 0], (K, 1)), quats], axis=0)
         total = quats.shape[0] // K
-        mats = _quat_to_matrix_batch(quats)
+        mats = quat_to_matrices(quats)
         u1, u2 = mats[:, :, 0], mats[:, :, 1]
         ctx = joint_context_rows(self, pv, np.tile(np.asarray(context, float), (total, 1)))
         u1, u2, _ = self._from_base(pv, u1, u2, ctx, ctx_constant=True)
@@ -482,17 +482,3 @@ def _pose_cols(rotations):
     mats = as_matrices(rotations)
     return mats[:, :, 0], mats[:, :, 1]
 
-
-def _quat_to_matrix_batch(q):
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    m = np.empty((q.shape[0], 3, 3))
-    m[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    m[:, 0, 1] = 2 * (x * y - w * z)
-    m[:, 0, 2] = 2 * (x * z + w * y)
-    m[:, 1, 0] = 2 * (x * y + w * z)
-    m[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    m[:, 1, 2] = 2 * (y * z - w * x)
-    m[:, 2, 0] = 2 * (x * z - w * y)
-    m[:, 2, 1] = 2 * (y * z + w * x)
-    m[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return m

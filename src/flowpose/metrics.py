@@ -13,7 +13,7 @@ import numpy as np
 
 from .body import (BodyModelDef, _chain_positions, _world_rotations, pose_points,
                    rest_joints, shape_blend)
-from .rotation import Rotation, as_matrices, axis_angle_exp
+from .rotation import as_matrices, exp_matrices
 from .solver import SolveConfig, SolverFailure, solve_multi_view, solve_single_view
 from .synth import project
 
@@ -81,19 +81,25 @@ def _refine(model, batch, views, solve_cfg, translation):
     rel, shapes = batch.rotations.copy(), batch.shapes.copy()
     trans = np.tile(np.asarray(translation, float), (len(batch), 1))
     failures = 0
-    for i, smp in enumerate(batch):
-        pose = smp.joint_rotations
+    for i, pose in enumerate(batch.rotations):
         # solve_multi_view reads each view's root in that camera's frame
         per_view = [pose] if len(views) == 1 else [
-            [Rotation.from_matrix(v.extrinsics_r @ rel[i, 0])] + pose[1:] for v in views]
+            _to_view_frame(pose, v.extrinsics_r) for v in views]
         try:
             res = solve_multi_view(model, per_view, views,
-                                   dataclasses.replace(solve_cfg, beta_prior=smp.shape))
+                                   dataclasses.replace(solve_cfg, beta_prior=batch.shapes[i]))
         except SolverFailure:
             failures += 1
             continue
-        rel[i], shapes[i], trans[i] = as_matrices(res.pose), res.beta, res.translation
+        rel[i], shapes[i], trans[i] = res.pose, res.beta, res.translation
     return rel, shapes, trans, failures
+
+
+def _to_view_frame(pose, r):
+    """A copy of the relative rotations (K,3,3) with the root carried by r."""
+    out = np.array(pose)
+    out[0] = r @ pose[0]
+    return out
 
 
 def evaluate(flow, encode, model: BodyModelDef, dataset, n_samples=100,
@@ -109,7 +115,10 @@ def evaluate(flow, encode, model: BodyModelDef, dataset, n_samples=100,
     (root-aligned and PA metrics are translation-free either way).
     A draw whose refinement raises SolverFailure is scored unrefined, as
     without the solver, and counted in summary["solver_failures"].
+    Raises ValueError unless every scene has at least `views` views.
     """
+    if not all(1 <= views <= len(rec.views) for rec in dataset):
+        raise ValueError(f"views must be between 1 and each scene's view count, got {views}")
     rng = np.random.default_rng(rng_seed)
     solve_cfg = solve_cfg or SolveConfig(omega_beta=1e-3, gamma=1e-4,
                                          max_relinearizations=2)
@@ -166,15 +175,13 @@ def multi_view_trend(model, dataset, init_sigma_deg=8.0, seed=0,
             raise ValueError("dataset must be generated on a 2-view rig")
         gt_j = joints_3d(model, rec.gt_state.pose, rec.gt_state.shape,
                          rec.gt_state.translation)
+        pose = as_matrices(rec.gt_state.pose)
         per_view = []
         for v in rec.views:
-            est = []
-            for j, r in enumerate(rec.gt_state.pose):
-                noise = axis_angle_exp(sig * _unit(rng))
-                rw = r if j > 0 else Rotation.from_matrix(v.extrinsics_r @ r.matrix())
-                est.append(rw.compose(noise))
-            per_view.append(est)
-        r1 = solve_single_view(model, _from_view_frame(per_view[0], rec.views[0]),
+            axes = rng.normal(size=(model.n_joints, 3))
+            noise = exp_matrices(sig * axes / np.linalg.norm(axes, axis=-1, keepdims=True))
+            per_view.append(_to_view_frame(pose, v.extrinsics_r) @ noise)
+        r1 = solve_single_view(model, _to_view_frame(per_view[0], rec.views[0].extrinsics_r.T),
                                rec.views[0], cfg)
         r2 = solve_multi_view(model, per_view, rec.views, cfg)
         for tag, res in (("1v", r1), ("2v", r2)):
@@ -183,12 +190,3 @@ def multi_view_trend(model, dataset, init_sigma_deg=8.0, seed=0,
             out[f"rel_{tag}"].append(mpjpe(pj, gt_j))
     return {k: float(np.mean(v)) for k, v in out.items()}
 
-
-def _from_view_frame(pose, view):
-    mapped = [Rotation.from_matrix(view.extrinsics_r.T @ pose[0].matrix())]
-    return mapped + list(pose[1:])
-
-
-def _unit(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)

@@ -13,9 +13,10 @@ import numpy as np
 __all__ = [
     "Rotation", "TwoVectorFrame", "InvalidRotationError", "NearCutLocusError",
     "DegenerateProjectionError", "InvalidFrameError", "DegenerateMeanError",
-    "quat_to_matrix", "matrix_to_quat", "matrix_to_quat_batch", "axis_angle_exp",
-    "axis_angle_log", "geodesic_distance", "special_orthogonalize", "frame_complete",
-    "rotation_mean", "svd3", "as_matrices",
+    "quat_to_matrix", "quat_to_matrices", "quat_multiply", "matrix_to_quat",
+    "matrix_to_quat_batch", "axis_angle_exp", "exp_matrices", "axis_angle_log",
+    "geodesic_distance", "special_orthogonalize", "frame_complete", "rotation_mean", "svd3",
+    "as_matrices",
 ]
 
 _UNIT_TOL = 1e-12
@@ -81,14 +82,7 @@ class Rotation:
 
     def compose(self, other: "Rotation") -> "Rotation":
         """Hamilton product self * other (apply ``other`` first)."""
-        w1, x1, y1, z1 = self.q
-        w2, x2, y2, z2 = other.q
-        return Rotation((
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ))
+        return Rotation(quat_multiply(self.q, other.q))
 
     def inverse(self) -> "Rotation":
         w, x, y, z = self.q
@@ -126,56 +120,50 @@ class TwoVectorFrame:
         object.__setattr__(self, "u2", u2)
 
 
+def quat_to_matrices(q) -> np.ndarray:
+    """Rotation matrices (...,3,3) of unit quaternions (...,4)."""
+    q = np.asarray(q, dtype=np.float64)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    m = np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+                  2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+                  2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], axis=-1)
+    return m.reshape(q.shape[:-1] + (3, 3))
+
+
 def quat_to_matrix(r: Rotation) -> np.ndarray:
-    w, x, y, z = r.q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    return quat_to_matrices(r.q)
+
+
+def quat_multiply(a, b) -> np.ndarray:
+    """Hamilton products a * b of quaternions (...,4), not renormalized."""
+    w1, x1, y1, z1 = np.moveaxis(np.asarray(a, dtype=np.float64), -1, 0)
+    w2, x2, y2, z2 = np.moveaxis(np.asarray(b, dtype=np.float64), -1, 0)
+    return np.stack([w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+                     w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+                     w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+                     w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2], axis=-1)
 
 
 def as_matrices(rotations) -> np.ndarray:
-    """The 3x3 matrices (K,3,3) of a sequence of K Rotations."""
-    return np.stack([r.matrix() for r in rotations])
+    """The matrices (K,3,3) of a sequence of K Rotations; an array of
+    matrices is returned as it is."""
+    if isinstance(rotations, np.ndarray):
+        return rotations
+    return quat_to_matrices(np.array([r.q for r in rotations]).reshape(-1, 4))
 
 
 def matrix_to_quat(m) -> Rotation:
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (3, 3):
         raise InvalidRotationError("expected a 3x3 matrix")
-    if not np.allclose(m @ m.T, np.eye(3), atol=1e-6) or np.linalg.det(m) < 0.0:
-        raise InvalidRotationError("matrix is not a rotation within tolerance")
-    # Shepperd's method: pick the largest pivot for stability
-    tr = np.trace(m)
-    if tr > 0:
-        s = np.sqrt(tr + 1.0) * 2
-        q = (0.25 * s,
-             (m[2, 1] - m[1, 2]) / s,
-             (m[0, 2] - m[2, 0]) / s,
-             (m[1, 0] - m[0, 1]) / s)
-    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
-        s = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2
-        q = ((m[2, 1] - m[1, 2]) / s, 0.25 * s,
-             (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s)
-    elif m[1, 1] > m[2, 2]:
-        s = np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2
-        q = ((m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s,
-             0.25 * s, (m[1, 2] + m[2, 1]) / s)
-    else:
-        s = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2
-        q = ((m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s,
-             (m[1, 2] + m[2, 1]) / s, 0.25 * s)
-    return Rotation(q)
+    return matrix_to_quat_batch(m[None])[0]
 
 
 def matrix_to_quat_batch(m) -> list:
-    """matrix_to_quat over a stack of matrices (N,3,3): one list of N
-    Rotations, bitwise equal to N single calls.
+    """The Rotations of a stack of matrices (N,3,3), by Shepperd's method.
 
-    The whole stack is validated at once, by the same orthonormality and
-    det checks, and each matrix takes the same Shepperd branch and
-    arithmetic.
+    The whole stack is validated at once: each matrix must be orthonormal
+    to 1e-6 with a nonnegative determinant.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 3 or m.shape[1:] != (3, 3):
@@ -185,7 +173,7 @@ def matrix_to_quat_batch(m) -> list:
         raise InvalidRotationError("matrix is not a rotation within tolerance")
     d0, d1, d2 = m[:, 0, 0], m[:, 1, 1], m[:, 2, 2]
     tr = d0 + d1 + d2
-    # Shepperd's pivots, in matrix_to_quat's order of precedence
+    # the largest of Shepperd's four pivots, for stability
     branch = np.where(tr > 0, 0, np.where((d0 > d1) & (d0 > d2), 1, np.where(d1 > d2, 2, 3)))
     rows = np.arange(len(m))
     pivots = np.stack([tr + 1.0, 1.0 + d0 - d1 - d2, 1.0 + d1 - d0 - d2, 1.0 + d2 - d0 - d1],
@@ -205,16 +193,27 @@ def matrix_to_quat_batch(m) -> list:
     return [Rotation(qi) for qi in q]
 
 
-def axis_angle_exp(v) -> Rotation:
+def _exp_quats(v) -> np.ndarray:
+    """Quaternions (...,4) of the rotation vectors v (...,3), unnormalized."""
     v = np.asarray(v, dtype=np.float64)
-    angle = np.linalg.norm(v)
-    if angle < 1e-12:
-        # second-order series keeps exp(log(r)) tight near the identity
-        half = 0.5 * angle
-        return Rotation((1.0 - half * half / 2.0, *(0.5 * v)))
-    axis = v / angle
+    angle = np.sqrt(np.vecdot(v, v))
     half = 0.5 * angle
-    return Rotation((np.cos(half), *(np.sin(half) * axis)))
+    small = angle < 1e-12
+    # second-order series keeps exp(log(r)) tight near the identity
+    w = np.where(small, 1.0 - half * half / 2.0, np.cos(half))
+    axis = v / np.where(small, 1.0, angle)[..., None]
+    xyz = np.where(small[..., None], 0.5 * v, np.sin(half)[..., None] * axis)
+    return np.concatenate([w[..., None], xyz], axis=-1)
+
+
+def exp_matrices(v) -> np.ndarray:
+    """Rotation matrices (...,3,3) of the rotation vectors v (...,3)."""
+    q = _exp_quats(v)
+    return quat_to_matrices(q / np.sqrt(np.vecdot(q, q))[..., None])
+
+
+def axis_angle_exp(v) -> Rotation:
+    return Rotation(_exp_quats(v))
 
 
 def axis_angle_log(r: Rotation) -> np.ndarray:
@@ -268,19 +267,17 @@ def frame_complete(f: TwoVectorFrame) -> Rotation:
 
 
 def rotation_mean(rotations, weights=None) -> Rotation:
-    """Chordal L2 mean: project the weighted sum of matrices onto SO(3)."""
-    rotations = list(rotations)
-    if not rotations:
+    """Chordal L2 mean of K Rotations or matrices (K,3,3): project the
+    weighted sum of matrices onto SO(3)."""
+    mats = as_matrices(rotations)
+    if len(mats) == 0:
         raise ValueError("rotation_mean needs at least one rotation")
     if weights is None:
-        weights = np.ones(len(rotations))
+        weights = np.ones(len(mats))
     weights = np.asarray(weights, dtype=np.float64)
     if np.any(weights < 0) or weights.sum() <= 0:
         raise ValueError("weights must be nonnegative with positive sum")
-    acc = np.zeros((3, 3))
-    for r, w in zip(rotations, weights):
-        acc += w * r.matrix()
     try:
-        return special_orthogonalize(acc)
+        return special_orthogonalize(np.tensordot(weights, mats, 1))
     except DegenerateProjectionError as e:
         raise DegenerateMeanError("weighted rotation sum is rank deficient") from e

@@ -5,8 +5,12 @@ global translation from pixel anchors.  Depth is eliminated with DLT
 cross-product rows, each joint's world rotation is corrected by
 I + [delta]x about the current estimate, and the resulting linear
 system is solved by Cholesky on the normal equations, optionally
-relinearizing.  Multi-view simply stacks rows with per-view extrinsics
-and initializes from the chordal mean of the per-view poses.
+relinearizing; each step applies exp(delta) to all joints at once.
+Multi-view simply stacks rows with per-view extrinsics and initializes
+from the chordal mean of the per-view poses.
+
+Rotations are matrices throughout: a pose may come in as K Rotations or
+as an array (K,3,3), and a SolveResult holds (K,3,3) arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ag
 from .body import _world_rotations, pose_points, shape_blend
-from .rotation import Rotation, as_matrices, axis_angle_exp, rotation_mean
+from .rotation import as_matrices, exp_matrices, rotation_mean
 
 
 class UnderdeterminedError(ValueError):
@@ -60,8 +64,13 @@ class Observation:
         self.intrinsics = np.asarray(self.intrinsics, float)
         self.extrinsics_r = np.asarray(self.extrinsics_r, float)
         self.extrinsics_t = np.asarray(self.extrinsics_t, float)
-        if self.intrinsics.shape != (3, 4):
-            raise ValueError("intrinsics must be 3x4")
+        n = len(self.anchors_2d) if self.anchors_2d.ndim else 0
+        for name, shape in (("anchors_2d", (n, 2)), ("laplace_scale", (n,)),
+                            ("aux_weight", (n,)), ("intrinsics", (3, 4)),
+                            ("extrinsics_r", (3, 3)), ("extrinsics_t", (3,))):
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, "
+                                 f"got {getattr(self, name).shape}")
         if not np.allclose(self.intrinsics[2], [0.0, 0.0, 1.0, 0.0]):
             raise ValueError("intrinsics row 3 must be (0,0,1,0)")
         if (self.laplace_scale <= 0).any():
@@ -85,8 +94,8 @@ class SolveConfig:
 @dataclass
 class SolveResult:
     delta_vectors: np.ndarray       # (K,3) small-rotation updates, radians
-    rotations: list                 # corrected per-joint world rotations
-    pose: list                      # corrected per-joint relative rotations
+    rotations: np.ndarray           # (K,3,3) corrected per-joint world rotations
+    pose: np.ndarray                # (K,3,3) corrected per-joint relative rotations
     beta: np.ndarray
     translation: np.ndarray
     weighted_rms_residual: float
@@ -110,12 +119,11 @@ _SO3_GENERATORS = np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]
 
 
 def _relative_from_world(model, world):
-    pose = []
-    for j in range(model.n_joints):
-        p = int(model.parents[j])
-        rel = world[j] if p < 0 else world[p].T @ world[j]
-        pose.append(Rotation.from_matrix(rel))
-    return pose
+    """Relative rotations (K,3,3) of world rotations (K,3,3): the inverse of
+    `body._world_rotations`; the root, joint 0, keeps its world rotation."""
+    rel = np.swapaxes(world[np.maximum(model.parents, 0)], -1, -2) @ world
+    rel[0] = world[0]
+    return rel
 
 
 def _linearized_anchors(model, world_rot, beta_lin):
@@ -181,6 +189,9 @@ def assemble_system(model, world, beta_lin_point, observations, cfg: SolveConfig
     blocks_j, blocks_r = [], []
     n_data_rows = 0
     for obs in observations:
+        if len(obs.anchors_2d) != len(p0):
+            raise ValueError(f"a view has {len(obs.anchors_2d)} anchors, "
+                             f"the model {len(p0)}")
         wts = anchor_weights(obs.laplace_scale, obs.aux_weight)
         j, r = _dlt_rows(obs, p0, d_delta, d_beta, beta_lin, wts)
         keep = np.repeat(wts > 0, 2)
@@ -261,8 +272,7 @@ def _solve(model, pose_init, observations, cfg):
         delta = x[:3 * k].reshape(k, 3)
         beta = x[3 * k:3 * k + s]
         t = x[3 * k + s:]
-        world_new = np.stack([axis_angle_exp(delta[j]).matrix() @ world[j]
-                              for j in range(k)])
+        world_new = exp_matrices(delta) @ world
         rms, per = _residual_report(model, world_new, beta, t, observations)
         total_delta += delta
         world = world_new
@@ -277,11 +287,10 @@ def _solve(model, pose_init, observations, cfg):
             break
         n_lin += 1
         beta_lin = beta
-    pose = _relative_from_world(model, world)
     return SolveResult(
         delta_vectors=total_delta,
-        rotations=[Rotation.from_matrix(world[j]) for j in range(k)],
-        pose=pose,
+        rotations=world,
+        pose=_relative_from_world(model, world),
         beta=beta,
         translation=t,
         weighted_rms_residual=rms,
@@ -308,15 +317,9 @@ def solve_multi_view(model, per_view_poses, views, cfg: SolveConfig) -> SolveRes
         raise ValueError("one pose set per view required")
     if len(views) == 1:
         return _solve(model, per_view_poses[0], views, cfg)
-    k = model.n_joints
-    pose_init = []
-    for j in range(k):
-        if j == 0:
-            cands = [Rotation.from_matrix(v.extrinsics_r.T @ p[0].matrix())
-                     for p, v in zip(per_view_poses, views)]
-        else:
-            cands = [p[j] for p in per_view_poses]
-        pose_init.append(rotation_mean(cands))
+    mats = np.stack([as_matrices(p) for p in per_view_poses])    # (V,K,3,3)
+    mats[:, 0] = np.swapaxes(np.stack([v.extrinsics_r for v in views]), -1, -2) @ mats[:, 0]
+    pose_init = as_matrices([rotation_mean(mats[:, j]) for j in range(model.n_joints)])
     return _solve(model, pose_init, views, cfg)
 
 

@@ -21,9 +21,9 @@ import numpy as np
 from . import autodiff as ag
 from .body import BodyModelDef, _chain_positions, _world_rotations, pose_points, rest_joints
 from .distributions import ProjectedIsoGaussian, pig_sample_batch
-from .flow import FlowConfig, FlowModel, _quat_to_matrix_batch, joint_context_rows
+from .flow import FlowConfig, FlowModel, joint_context_rows
 from .nets import Adam, GradientDescent, ParamStore, mlp_apply, mlp_init
-from .rotation import Rotation, as_matrices
+from .rotation import Rotation, as_matrices, quat_multiply, quat_to_matrices
 from .solver import laplacian_nll
 from .synth import context_feature_dim
 
@@ -265,22 +265,13 @@ def make_encoder(extra: ParamStore, blocks):
 # ---------------------------------------------------------------------------
 # fixed-context toy distribution fit
 
-def _quat_mul_batch(a, b):
-    w1, x1, y1, z1 = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-    w2, x2, y2, z2 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
-    return np.stack([w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-                     w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-                     w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-                     w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2], axis=1)
-
-
 def sample_targets(targets, n, noise_kappa, rng):
     """Rotations near the target modes: mode composed with pig noise."""
     base = ProjectedIsoGaussian(Rotation.identity(), noise_kappa)
     noise = pig_sample_batch(base, n, rng)
     which = rng.integers(len(targets), size=n)
     modes = np.stack([t.q for t in targets])[which]
-    return _quat_mul_batch(modes, noise)
+    return quat_multiply(modes, noise)
 
 
 def fit_toy_distribution(targets, flow_cfg=None, steps=4000, batch=128,
@@ -304,7 +295,7 @@ def fit_toy_distribution(targets, flow_cfg=None, steps=4000, batch=128,
     context = np.zeros(cfg.context_dim)
 
     def nll_of(quats, p):
-        mats = _quat_to_matrix_batch(quats)
+        mats = quat_to_matrices(quats)
         rows = joint_context_rows(flow, p, np.tile(context, (len(quats), 1)))
         # the context is one fixed vector, so the rotation layers need a
         # single conditioner row rather than one SVD per sample

@@ -16,7 +16,7 @@ from flowpose import body, checkpoint, cli, distributions as dist
 from flowpose import flow as fl
 from flowpose import metrics, solver, synth, training
 from flowpose.rotation import (Rotation, as_matrices, axis_angle_exp,
-                               axis_angle_log, geodesic_distance)
+                               axis_angle_log, geodesic_distance, quat_to_matrices)
 
 
 def _line(n, ok, detail):
@@ -130,7 +130,7 @@ def test_criterion_3_exact_density():
         acc = 0.0
         for _ in range(n // chunk):
             q = dist.uniform_quaternions(chunk, rng)
-            m = fl._quat_to_matrix_batch(q)
+            m = quat_to_matrices(q)
             lp = model.log_prob_rows(p, m[:, :, 0], m[:, :, 1],
                                      np.repeat(rows, chunk, axis=0),
                                      ctx_constant=True)

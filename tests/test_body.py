@@ -166,6 +166,22 @@ def test_validation_rejects_cycle(toy_model, tmp_path):
         _corrupt_and_load(toy_model, tmp_path, mutate)
 
 
+def test_validation_rejects_a_parent_after_its_child(toy_model, tmp_path):
+    # the toy model with its non-root joints renumbered in reverse: still a
+    # tree rooted at joint 0, but a parent now follows its children
+    k = toy_model.n_joints
+    order = [0] + list(range(k - 1, 0, -1))        # new joint -> old joint
+    new_of = {old: new for new, old in enumerate(order)}
+
+    def mutate(doc):
+        doc["parents"] = [-1] + [new_of[int(toy_model.parents[o])] for o in order[1:]]
+        doc["joint_regressor"] = [doc["joint_regressor"][o] for o in order]
+        doc["blend_weights"] = [doc["blend_weights"][o] for o in order]
+
+    with pytest.raises(body.ModelLoadError):
+        _corrupt_and_load(toy_model, tmp_path, mutate)
+
+
 def test_validation_rejects_nonconvex_regressor(toy_model, tmp_path):
     def mutate(doc):
         doc["joint_regressor"][0] = [2 * x for x in doc["joint_regressor"][0]]

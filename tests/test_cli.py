@@ -128,6 +128,19 @@ def test_solve_command(workspace, tmp_path):
     assert len(doc["pose"]) == 8
 
 
+def test_solve_rejects_a_one_entry_scale(workspace, tmp_path):
+    from flowpose import synth
+    rec = synth.load_dataset(workspace / "dataset.jsonl")[0]
+    v = rec.views[0]
+    cfg = _write(tmp_path / "p.json", {
+        "model": str(workspace / "model.json"),
+        "pose_init": [r.to_json() for r in rec.gt_state.pose],
+        "observations": [{"anchors": v.anchors_2d.tolist(), "scale": [1.0],
+                          "intrinsics": v.intrinsics.tolist()}]})
+    assert _run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "solve_result.json").exists()
+
+
 def test_eval_command(workspace, tmp_path):
     cfg = _write(tmp_path / "e.json",
                  {"model": str(workspace / "model.json"),

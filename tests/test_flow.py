@@ -8,7 +8,7 @@ from flowpose import autodiff as ag
 from flowpose import distributions as dist
 from flowpose import flow as fl
 from flowpose.rotation import (Rotation, axis_angle_exp, axis_angle_log,
-                               geodesic_distance, matrix_to_quat)
+                               geodesic_distance, matrix_to_quat, quat_to_matrices)
 
 
 def _perturbed_model(rng, scale=0.2, **kw):
@@ -313,7 +313,7 @@ def test_toy_fit_step_tape_size():
                         n_sets=4, channels=64, blocks=2, embed_dim=4, kappa=1.0)
     model = fl.FlowModel(cfg, rng)
     p = dict(zip(model.params.names(), model.params.leaves()))
-    m = fl._quat_to_matrix_batch(dist.uniform_quaternions(128, rng))
+    m = quat_to_matrices(dist.uniform_quaternions(128, rng))
     rows = training.joint_context_rows(model, p, np.zeros((128, 1)))
     loss = -ag.mean(model.log_prob_rows(p, m[:, :, 0], m[:, :, 1], rows,
                                         ctx_constant=True))

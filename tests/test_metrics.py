@@ -35,7 +35,7 @@ def _reference_scene(model, rec, samples, use_solver, views, solve_cfg):
     for si, smp in enumerate(samples):
         pose, shape, t = smp.joint_rotations, smp.shape, rec.gt_state.translation
         if use_solver:
-            per_view = [pose] if views == 1 else [
+            per_view = [samples.rotations[si]] if views == 1 else [
                 [Rotation.from_matrix(v.extrinsics_r @ pose[0].matrix())] + pose[1:]
                 for v in obs_list]
             try:
@@ -194,6 +194,14 @@ def test_evaluate_matches_per_draw_loop(trained_model, use_solver):
             assert abs(rep["per_scene"][key][s] - value) <= 1e-12 * abs(value), key
     if use_solver:
         assert rep["summary"]["solver_failures"] == failures
+
+
+def test_evaluate_rejects_more_views_than_a_scene_has(trained_model):
+    model, dataset, flow, encode = trained_model
+    assert len(dataset[0].views) == 1
+    with pytest.raises(ValueError, match="views"):
+        metrics.evaluate(flow, encode, model, dataset[:2], n_samples=2,
+                         use_solver=True, views=3)
 
 
 def test_evaluate_multi_view_hands_solver_the_world_pose(trained_model, monkeypatch):

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation as ScipyRot
 
 from flowpose.rotation import (DegenerateMeanError, InvalidRotationError,
-                               Rotation, TwoVectorFrame, axis_angle_exp,
-                               axis_angle_log, frame_complete,
+                               Rotation, TwoVectorFrame, as_matrices, axis_angle_exp,
+                               axis_angle_log, exp_matrices, frame_complete,
                                geodesic_distance, matrix_to_quat,
-                               matrix_to_quat_batch, quat_to_matrix, rotation_mean,
-                               special_orthogonalize, svd3)
+                               matrix_to_quat_batch, quat_multiply, quat_to_matrices,
+                               quat_to_matrix, rotation_mean, special_orthogonalize, svd3)
 
 unit_vec3 = st.lists(st.floats(-1, 1), min_size=3, max_size=3).filter(
     lambda v: 0.1 < np.linalg.norm(v) < 3.0)
@@ -132,6 +132,38 @@ def test_matrix_to_quat_batch_bitwise(rng):
         assert np.array_equal(r.q, matrix_to_quat(m).q)
 
 
+def _shepperd_reference(m):
+    """Shepperd's method one matrix at a time, branch by branch."""
+    tr = np.trace(m)
+    if tr > 0:
+        s = np.sqrt(tr + 1.0) * 2
+        q = (0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s,
+             (m[1, 0] - m[0, 1]) / s)
+    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
+        s = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2
+        q = ((m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s,
+             (m[0, 2] + m[2, 0]) / s)
+    elif m[1, 1] > m[2, 2]:
+        s = np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2
+        q = ((m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s,
+             (m[1, 2] + m[2, 1]) / s)
+    else:
+        s = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2
+        q = ((m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s,
+             (m[1, 2] + m[2, 1]) / s, 0.25 * s)
+    return Rotation(q)
+
+
+def test_matrix_to_quat_batch_matches_shepperd_reference(rng):
+    # near-half-turns about x, y and z take the three diagonal pivots
+    axes = np.eye(3) + 0.05 * rng.normal(size=(3, 3))
+    vs = np.concatenate([3.0 * axes / np.linalg.norm(axes, axis=1, keepdims=True),
+                         rng.normal(size=(200, 3))])
+    mats = np.stack([axis_angle_exp(v).matrix() for v in vs])
+    for r, m in zip(matrix_to_quat_batch(mats), mats):
+        assert r == _shepperd_reference(m)
+
+
 def test_matrix_to_quat_batch_rejects_non_rotations(rng):
     good = np.stack([axis_angle_exp(rng.normal(size=3)).matrix() for _ in range(3)])
     skewed = good.copy()
@@ -144,6 +176,59 @@ def test_matrix_to_quat_batch_rejects_non_rotations(rng):
         matrix_to_quat_batch(reflected)
     with pytest.raises(InvalidRotationError):
         matrix_to_quat_batch(good[0])
+
+
+def test_quat_to_matrices_bitwise(rng):
+    rots = [[Rotation(q) for q in row] for row in rng.normal(size=(12, 5, 4))]
+    q = np.array([[r.q for r in row] for row in rots])
+    stack = quat_to_matrices(q)
+    assert stack.shape == (12, 5, 3, 3)
+    for i in range(12):
+        assert np.array_equal(quat_to_matrices(q[i]), stack[i])
+        for k in range(5):
+            assert np.array_equal(stack[i, k], quat_to_matrix(rots[i][k]))
+
+
+def test_quat_multiply_bitwise_compose(rng):
+    a = [Rotation(q) for q in rng.normal(size=(50, 4))]
+    b = [Rotation(q) for q in rng.normal(size=(50, 4))]
+    prods = quat_multiply(np.stack([r.q for r in a]), np.stack([r.q for r in b]))
+    for ra, rb, p in zip(a, b, prods):
+        assert Rotation(p) == ra.compose(rb)
+
+
+def _exp_reference(v):
+    """axis_angle_exp as one scalar formula, branch by branch."""
+    v = np.asarray(v, dtype=np.float64)
+    angle = np.linalg.norm(v)
+    half = 0.5 * angle
+    if angle < 1e-12:
+        return Rotation((1.0 - half * half / 2.0, *(0.5 * v)))
+    return Rotation((np.cos(half), *(np.sin(half) * (v / angle))))
+
+
+def test_axis_angle_exp_bitwise_reference(rng):
+    vs = np.concatenate([rng.normal(size=(500, 3)) * s for s in (1e-14, 1e-7, 0.3, 3.0)])
+    vs = np.concatenate([vs, np.zeros((1, 3))])
+    assert (np.linalg.norm(vs[:500], axis=1) < 1e-12).all()
+    for v in vs:
+        assert axis_angle_exp(v) == _exp_reference(v)
+
+
+def test_exp_matrices_match_axis_angle_exp(rng):
+    vs = rng.normal(size=(300, 3))
+    near_pi = vs[:100] * (np.pi - 1e-9) / np.linalg.norm(vs[:100], axis=1, keepdims=True)
+    vs = np.concatenate([vs, near_pi, 1e-13 * vs[:10], np.zeros((3, 3))])
+    got = exp_matrices(vs.reshape(-1, 7, 3)).reshape(-1, 3, 3)
+    want = np.stack([axis_angle_exp(v).matrix() for v in vs])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+def test_as_matrices_returns_an_array_as_is(rng):
+    rots = [axis_angle_exp(rng.normal(size=3)) for _ in range(4)]
+    mats = as_matrices(rots)
+    assert as_matrices(mats) is mats
+    assert np.array_equal(mats, np.stack([r.matrix() for r in rots]))
 
 
 def test_svd3_reconstruction(rng):

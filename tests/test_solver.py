@@ -5,7 +5,7 @@ import pytest
 
 from flowpose import autodiff as ag
 from flowpose import body, solver
-from flowpose.rotation import as_matrices, axis_angle_exp, geodesic_distance
+from flowpose.rotation import Rotation, as_matrices, axis_angle_exp, geodesic_distance
 
 K_MAT = np.array([[800.0, 0, 320, 0], [0, 800.0, 240, 0], [0, 0, 1, 0]])
 
@@ -65,8 +65,50 @@ def test_pose_correction_applied(toy_model, rng):
     from flowpose.rotation import matrix_to_quat
     gt_world = solver._world_rotations(toy_model, as_matrices(pose))
     for j in range(toy_model.n_joints):
-        assert geodesic_distance(res.rotations[j],
+        assert geodesic_distance(matrix_to_quat(res.rotations[j]),
                                  matrix_to_quat(gt_world[j])) < 0.05
+
+
+def test_relative_from_world_inverts_world_rotations(toy_model, rng):
+    for _ in range(5):
+        rel = as_matrices(_random_scene(toy_model, rng, pose_scale=1.0)[0])
+        world = solver._world_rotations(toy_model, rel)
+        np.testing.assert_allclose(solver._relative_from_world(toy_model, world), rel,
+                                   rtol=0, atol=1e-14)
+
+
+def _perturbed_solve_inputs(model, rng):
+    pose, beta, t = _random_scene(model, rng)
+    obs = _exact_obs(model, pose, beta, t)
+    init = [p.compose(axis_angle_exp(np.radians(5.0) * _unit(rng))) for p in pose]
+    return init, obs, solver.SolveConfig(gamma=1e-4, max_relinearizations=2)
+
+
+def test_solve_from_rotations_equals_solve_from_matrices(toy_model, rng):
+    init, obs, cfg = _perturbed_solve_inputs(toy_model, rng)
+    a = solver.solve_single_view(toy_model, init, obs, cfg)
+    b = solver.solve_single_view(toy_model, as_matrices(init), obs, cfg)
+    assert a.n_relinearizations == b.n_relinearizations == 2
+    assert a.pose.shape == a.rotations.shape == (toy_model.n_joints, 3, 3)
+    for field in ("delta_vectors", "rotations", "pose", "beta", "translation",
+                  "weighted_rms_residual", "per_anchor_residuals"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+def test_solve_builds_no_rotation(toy_model, rng, monkeypatch):
+    init, obs, cfg = _perturbed_solve_inputs(toy_model, rng)
+    mats = as_matrices(init)
+    built, real_init = [], Rotation.__init__
+
+    def counting_init(self, q):
+        built.append(q)
+        real_init(self, q)
+
+    monkeypatch.setattr(Rotation, "__init__", counting_init)
+    for pose in (mats, init):
+        res = solver.solve_single_view(toy_model, pose, obs, cfg)
+        assert res.n_relinearizations == 2
+    assert built == []
 
 
 def test_linearized_anchors_match_finite_differences(toy_model, rng):
@@ -143,6 +185,27 @@ def test_dlt_rows_match_per_anchor_reference(toy_model, rng):
             assert g.shape == w.shape
             assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
         assert not got[0][np.repeat(wts == 0, 2)].any()
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("anchors_2d", np.zeros((5, 3))), ("anchors_2d", np.zeros(())), ("laplace_scale", np.ones(1)),
+    ("aux_weight", np.ones((5, 1))), ("extrinsics_r", np.eye(4)),
+    ("extrinsics_t", np.zeros((3, 1)))])
+def test_observation_checks_shapes(field, bad):
+    args = {"anchors_2d": np.zeros((5, 2)), "laplace_scale": np.ones(5),
+            "aux_weight": np.ones(5), "intrinsics": K_MAT}
+    args[field] = bad
+    with pytest.raises(ValueError, match=field):
+        solver.Observation(**args)
+
+
+def test_assemble_rejects_anchor_count_mismatch(toy_model, rng):
+    pose, beta, t = _random_scene(toy_model, rng)
+    n = len(toy_model.anchor_indices) - 1
+    obs = solver.Observation(np.zeros((n, 2)), np.ones(n), np.ones(n), K_MAT)
+    world = solver._world_rotations(toy_model, as_matrices(pose))
+    with pytest.raises(ValueError, match="anchors"):
+        solver.assemble_system(toy_model, world, beta, [obs], solver.SolveConfig())
 
 
 def test_anchor_weights_floor_and_scaling():
