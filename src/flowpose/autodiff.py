@@ -17,8 +17,7 @@ from scipy.special import ndtr
 __all__ = [
     "Node", "as_array", "leaf", "backward",
     "add", "sub", "mul", "div", "neg", "matmul", "tanh", "exp", "log",
-    "atan2", "acos", "softmax", "reduce_sum", "mean", "dot",
-    "cross", "l2norm", "concat", "take", "reshape", "absolute",
+    "softmax", "reduce_sum", "mean", "cross", "concat", "take", "reshape", "absolute",
     "sqrt", "normal_cdf", "normal_pdf", "special_orthogonalize_op",
     "solve_node", "fused", "gather_rows", "finite_diff_check",
     "NotSPDError", "ShapeError", "DomainError",
@@ -249,23 +248,6 @@ def absolute(x):
     return _unary(x, np.abs, lambda g, a, o: g * np.sign(a))
 
 
-def atan2(y, x):
-    return _binary(
-        y, x, np.arctan2,
-        lambda g, a, b, o: g * b / (a * a + b * b),
-        lambda g, a, b, o: -g * a / (a * a + b * b),
-    )
-
-
-def acos(x):
-    def fwd(a):
-        if np.any(np.abs(a) > 1.0):
-            raise DomainError("acos argument outside [-1, 1]")
-        return np.arccos(a)
-
-    return _unary(x, fwd, lambda g, a, o: -g / np.sqrt(np.maximum(1.0 - a * a, 1e-300)))
-
-
 def clip(x, lo, hi):
     """Clamp with pass-through gradient strictly inside the interval."""
 
@@ -317,10 +299,6 @@ def mean(x, axis=None, keepdims=False):
     return mul(reduce_sum(x, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
-def dot(x, y):
-    return reduce_sum(mul(x, y))
-
-
 def cross(x, y):
     """Cross product along the last axis (size 3)."""
     return _binary(
@@ -329,21 +307,6 @@ def cross(x, y):
         lambda g, a, b, o: np.cross(b, g),
         lambda g, a, b, o: np.cross(g, a),
     )
-
-
-def l2norm(x, axis=-1, keepdims=False):
-    def fwd(a):
-        n = np.sqrt((a * a).sum(axis=axis, keepdims=keepdims))
-        if np.any(n == 0):
-            raise DomainError("l2norm of zero vector")
-        return n
-
-    def vjp(g, a, o):
-        n = o if keepdims else np.expand_dims(o, axis)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return gg * a / n
-
-    return _unary(x, fwd, vjp)
 
 
 def concat(xs, axis=-1):
@@ -389,12 +352,6 @@ def reshape(x, shape):
         return g.reshape(a.shape)
 
     return _unary(x, lambda a: a.reshape(shape), vjp)
-
-
-def _special_orthogonalize_value(m):
-    u, s, vt = np.linalg.svd(m)
-    d = np.sign(np.linalg.det(u @ vt))
-    return u @ np.diag([1.0, 1.0, d]) @ vt
 
 
 def special_orthogonalize_op(x):

@@ -170,7 +170,6 @@ def cmd_sample(args):
     samples = flow.flow_sample(ctx, int(cfg.get("n", 10)), rng, include_mode=True)
     doc = {"samples": [{"is_mode": i == 0,
                         "joint_rotations": [r.to_json() for r in s.joint_rotations],
-                        "global_rotation": s.global_rotation.to_json(),
                         "shape": np.asarray(s.shape).tolist(),
                         "log_prob": s.log_prob} for i, s in enumerate(samples)]}
     path = _write_json(os.path.join(_outdir(args), "samples.json"), doc)

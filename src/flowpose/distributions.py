@@ -15,7 +15,7 @@ from .rotation import Rotation
 
 __all__ = [
     "ProjectedIsoGaussian", "DiagGaussian",
-    "pig_sample", "pig_logpdf", "pig_logpdf_from_qdot",
+    "pig_logpdf", "pig_logpdf_from_qdot",
     "igso3_logpdf", "uniform_sample", "uniform_quaternions",
     "diag_gaussian_sample", "diag_gaussian_logpdf",
 ]
@@ -55,13 +55,9 @@ class DiagGaussian:
         object.__setattr__(self, "log_std", log_std)
 
 
-def pig_sample(d: ProjectedIsoGaussian, rng: np.random.Generator) -> Rotation:
-    v = rng.normal(size=4) + d.kappa * d.mode.q
-    return Rotation(v)  # constructor normalizes and folds to w >= 0
-
-
 def pig_sample_batch(d: ProjectedIsoGaussian, n: int, rng: np.random.Generator):
-    """(n, 4) canonical quaternions; vectorized variant of pig_sample."""
+    """(n, 4) canonical quaternions drawn from d: each a normalized
+    N(kappa * q_mode, I_4) draw, folded to w >= 0."""
     v = rng.normal(size=(n, 4)) + d.kappa * d.mode.q
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     flip = v[:, 0] < 0

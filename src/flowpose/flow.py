@@ -224,14 +224,12 @@ class FlowConfig:
 @dataclass(eq=False)
 class PoseSample:
     joint_rotations: list
-    global_rotation: Rotation
     shape: np.ndarray
     log_prob: float
 
     def __eq__(self, other):
         return (isinstance(other, PoseSample)
                 and self.joint_rotations == other.joint_rotations
-                and self.global_rotation == other.global_rotation
                 and np.array_equal(self.shape, other.shape)
                 and self.log_prob == other.log_prob)
 
@@ -239,8 +237,7 @@ class PoseSample:
 @dataclass(frozen=True, eq=False)
 class PoseBatch(Sequence):
     """N flow draws for one context, as arrays: relative rotation matrices
-    (N,K,3,3), shapes (N,S) and total log-densities (N,), plus the
-    context's global rotation.
+    (N,K,3,3), shapes (N,S) and total log-densities (N,).
 
     A read-only sequence: item i is draw i as a PoseSample, its Rotations
     converted once for the whole batch on first access.
@@ -249,7 +246,6 @@ class PoseBatch(Sequence):
     rotations: np.ndarray
     shapes: np.ndarray
     log_probs: np.ndarray
-    global_rotation: Rotation
 
     def __post_init__(self):
         for a in (self.rotations, self.shapes, self.log_probs):
@@ -263,7 +259,7 @@ class PoseBatch(Sequence):
             return [self[j] for j in range(*i.indices(len(self)))]
         i = range(len(self))[i]
         k = self.rotations.shape[1]
-        return PoseSample(self._joint_rotations[i * k:(i + 1) * k], self.global_rotation,
+        return PoseSample(self._joint_rotations[i * k:(i + 1) * k],
                           self.shapes[i].copy(), float(self.log_probs[i]))
 
     @cached_property
@@ -275,7 +271,7 @@ _EYE9 = np.eye(3).ravel()
 
 
 class FlowModel:
-    """All learnable parameters of the conditional flow plus its heads.
+    """All learnable parameters of the conditional flow plus its shape head.
 
     Conditioners are shared across joints; joint identity enters through a
     learned per-joint embedding concatenated to the context vector.
@@ -292,8 +288,6 @@ class FlowModel:
             mlp_init(self.params, f"cpl{i}b", 3 + ctx_e, d_out, cfg.channels, cfg.blocks, rng)
             mlp_init(self.params, f"rot{i}", ctx_e, 9, cfg.channels, cfg.blocks, rng,
                      final_bias=_EYE9)
-        mlp_init(self.params, "head_rot", cfg.context_dim, 9, cfg.channels, cfg.blocks,
-                 rng, final_bias=_EYE9)
         mlp_init(self.params, "head_shape", cfg.context_dim, 2 * cfg.shape_dim,
                  cfg.channels, cfg.blocks, rng)
         self.base = ProjectedIsoGaussian(Rotation.identity(), cfg.kappa)
@@ -301,9 +295,6 @@ class FlowModel:
     # ---- parameter access -------------------------------------------------
     def param_values(self):
         return self.params.values()
-
-    def leaves(self):
-        return self.params.leaves()
 
     # ---- conditioners ------------------------------------------------------
     def _coupling_cond(self, p, name, held, ctx):
@@ -424,8 +415,7 @@ class FlowModel:
         PoseBatch."""
         pv = self.param_values()
         K = self.cfg.n_joints
-        base = ProjectedIsoGaussian(Rotation.identity(), self.cfg.kappa)
-        quats = pig_sample_batch(base, n * K, rng)
+        quats = pig_sample_batch(self.base, n * K, rng)
         if include_mode:
             quats = np.concatenate([np.tile([1.0, 0, 0, 0], (K, 1)), quats], axis=0)
         total = quats.shape[0] // K
@@ -440,8 +430,7 @@ class FlowModel:
         if include_mode:
             shapes = np.concatenate([shape_dist.mean[None], shapes])
         return PoseBatch(_frame_matrices(u1, u2).reshape(total, K, 3, 3), shapes,
-                         lp_rows.reshape(total, K).sum(axis=1),
-                         self.global_rotation_head(context))
+                         lp_rows.reshape(total, K).sum(axis=1))
 
     def mode_sample(self, context):
         return self.flow_sample(context, 0, np.random.default_rng(0), include_mode=True)[0]
@@ -454,17 +443,9 @@ class FlowModel:
                                     np.tile([0.0, 1.0, 0.0], (n, 1)), ctx_rows)
         return _frame_matrices(u1, u2)
 
-    def global_rotation_head(self, context, p=None):
-        p = p or self.param_values()
+    def shape_head(self, context):
         ctx = np.asarray(context, float)[None, :]
-        out = mlp_apply(p, "head_rot", ctx, self.cfg.blocks)
-        m = ag._special_orthogonalize_value(out[0].reshape(3, 3))
-        return matrix_to_quat_batch(m[None])[0]
-
-    def shape_head(self, context, p=None):
-        p = p or self.param_values()
-        ctx = np.asarray(context, float)[None, :]
-        out = mlp_apply(p, "head_shape", ctx, self.cfg.blocks)[0]
+        out = mlp_apply(self.param_values(), "head_shape", ctx, self.cfg.blocks)[0]
         d = self.cfg.shape_dim
         return DiagGaussian(out[:d], out[d:])
 

@@ -15,8 +15,8 @@ __all__ = [
     "DegenerateProjectionError", "InvalidFrameError", "DegenerateMeanError",
     "quat_to_matrix", "quat_to_matrices", "quat_multiply", "matrix_to_quat",
     "matrix_to_quat_batch", "axis_angle_exp", "exp_matrices", "axis_angle_log",
-    "geodesic_distance", "special_orthogonalize", "frame_complete", "rotation_mean", "svd3",
-    "as_matrices",
+    "geodesic_distance", "special_orthogonalize", "special_orthogonalize_matrices",
+    "frame_complete", "rotation_mean", "svd3", "as_matrices",
 ]
 
 _UNIT_TOL = 1e-12
@@ -247,15 +247,23 @@ def svd3(m):
     return u, s, vt.T
 
 
-def special_orthogonalize(m) -> Rotation:
-    """Nearest rotation in Frobenius norm: U V^T diag(1, 1, det(UV^T))."""
+def special_orthogonalize_matrices(m) -> np.ndarray:
+    """Nearest rotations in Frobenius norm, U diag(1, 1, det(UV^T)) V^T, to
+    matrices (...,3,3); DegenerateProjectionError if a smallest singular
+    value is <= 1e-9, where the projection is not unique."""
     m = np.asarray(m, dtype=np.float64)
-    u, s, v = svd3(m)
-    if s[2] <= 1e-9:
+    if m.shape[-2:] != (3, 3):
+        raise ValueError(f"expected matrices (...,3,3), got {m.shape}")
+    u, s, vt = np.linalg.svd(m)
+    if (s[..., 2] <= 1e-9).any():
         raise DegenerateProjectionError("matrix is rank deficient")
-    d = np.sign(np.linalg.det(u @ v.T))
-    r = u @ np.diag([1.0, 1.0, d]) @ v.T
-    return matrix_to_quat(r)
+    u[..., 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
+    return u @ vt
+
+
+def special_orthogonalize(m) -> Rotation:
+    """Nearest rotation in Frobenius norm to one 3x3 matrix."""
+    return matrix_to_quat(special_orthogonalize_matrices(m))
 
 
 def frame_complete(f: TwoVectorFrame) -> Rotation:

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import autodiff as ag
 from .body import _world_rotations, pose_points, shape_blend
-from .rotation import as_matrices, exp_matrices, rotation_mean
+from .rotation import (DegenerateMeanError, DegenerateProjectionError, as_matrices,
+                       exp_matrices, special_orthogonalize_matrices)
 
 
 class UnderdeterminedError(ValueError):
@@ -257,11 +258,20 @@ def _residual_report(model, world_rot, beta, t, observations):
     return rms, np.concatenate(per)
 
 
+def _pose_matrices(model, pose):
+    """A pose's matrices (K,3,3), checked to hold one rotation per joint."""
+    mats = as_matrices(pose)
+    if mats.shape != (model.n_joints, 3, 3):
+        raise ValueError(f"pose must have shape {(model.n_joints, 3, 3)}, "
+                         f"got {mats.shape}")
+    return mats
+
+
 def _solve(model, pose_init, observations, cfg):
     k, s = model.n_joints, model.n_shape
     beta_lin = (np.zeros(s) if cfg.beta_prior is None
                 else np.asarray(cfg.beta_prior, float))
-    world = _world_rotations(model, as_matrices(pose_init))
+    world = _world_rotations(model, _pose_matrices(model, pose_init))
     prev_rms = np.inf
     increases = 0
     total_delta = np.zeros((k, 3))
@@ -317,9 +327,12 @@ def solve_multi_view(model, per_view_poses, views, cfg: SolveConfig) -> SolveRes
         raise ValueError("one pose set per view required")
     if len(views) == 1:
         return _solve(model, per_view_poses[0], views, cfg)
-    mats = np.stack([as_matrices(p) for p in per_view_poses])    # (V,K,3,3)
+    mats = np.stack([_pose_matrices(model, p) for p in per_view_poses])    # (V,K,3,3)
     mats[:, 0] = np.swapaxes(np.stack([v.extrinsics_r for v in views]), -1, -2) @ mats[:, 0]
-    pose_init = as_matrices([rotation_mean(mats[:, j]) for j in range(model.n_joints)])
+    try:
+        pose_init = special_orthogonalize_matrices(mats.sum(axis=0))
+    except DegenerateProjectionError as e:
+        raise DegenerateMeanError("summed rotations of a joint are rank deficient") from e
     return _solve(model, pose_init, views, cfg)
 
 

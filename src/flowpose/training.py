@@ -1,13 +1,12 @@
 """Two-phase training of the conditional flow on synthetic scenes,
 plus the fixed-context multimodal toy fit.
 
-Phase 1 trains by likelihood: pose NLL through the flow, shape NLL
-through the diagonal-Gaussian head, squared geodesic error of the
-global-rotation head, and the Laplace observation loss of the
-anchor/uncertainty head.  Phase 2 adds L1 losses on the mode sample's
-3D joints and projected anchors; the mode pose itself is obtained by
-the flow's numeric inverse and is treated as a constant, so these terms steer the shape
-head.
+Phase 1 trains by likelihood: pose NLL through the flow (joint 0, the
+root, included), shape NLL through the diagonal-Gaussian head, and the
+Laplace observation loss of the anchor/uncertainty head.  Phase 2 adds
+L1 losses on the mode sample's 3D joints and projected anchors; the mode
+pose itself is obtained by the flow's numeric inverse and is treated as
+a constant, so these terms steer the shape head.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ class TrainConfig:
     lambda1: float = 0.01      # Laplace observation loss
     lambda2: float = 0.001     # pose NLL
     lambda3: float = 0.0001    # shape NLL
-    lambda4: float = 1.0       # global-rotation geodesic^2
     lambda5: float = 0.1       # phase-2 projected-anchor L1
     lambda6: float = 0.1       # phase-2 mode 3D joint L1
     phase1_epochs: int = 20
@@ -55,7 +53,7 @@ class TrainConfig:
     blocks: int = 2
 
     def __post_init__(self):
-        for name in ("lambda1", "lambda2", "lambda3", "lambda4", "lambda5", "lambda6"):
+        for name in ("lambda1", "lambda2", "lambda3", "lambda5", "lambda6"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.kappa <= 0:
@@ -76,14 +74,6 @@ def _gauss_nll(out, beta_gt, s):
     z = (beta_gt - mu) * ag.exp(-log_std)
     per = ag.reduce_sum(log_std + 0.5 * z * z, axis=1) + 0.5 * s * np.log(2 * np.pi)
     return ag.mean(per)
-
-
-def _geodesic_sq(out9_so3, gt9):
-    """Mean squared geodesic distance from (B,9) rotations to GT rows."""
-    tr = ag.reduce_sum(out9_so3 * gt9, axis=1)
-    c = ag.clip((tr - 1.0) * 0.5, -1.0 + 1e-7, 1.0 - 1e-7)
-    th = ag.acos(c)
-    return ag.mean(th * th)
 
 
 def _laplace_obs_loss(pdict, blocks, feats, gt_norm, n_s):
@@ -108,8 +98,7 @@ def _scene_tensors(model, dataset):
     f, c = intrinsics[:, 0, 0], intrinsics[:, :2, 2]
     return {
         "feats": np.stack([rec.context_features for rec in dataset]),
-        "u1": pose[..., 0], "u2": pose[..., 1], "root9": pose[:, 0].reshape(n, 9),
-        "beta": betas,
+        "u1": pose[..., 0], "u2": pose[..., 1], "beta": betas,
         "joints": _chain_positions(model, _world_rotations(model, pose),
                                    np.stack([rest_joints(model, b) for b in betas])),
         # view 0's camera; cam_t is the camera-frame offset t_ext + R t_gt
@@ -195,7 +184,7 @@ def train(model: BodyModelDef, dataset, cfg: TrainConfig):
         phase2 = epoch >= cfg.phase1_epochs
         order = rng.permutation(n)
         sums = {"lnll": 0.0, "pose_nll": 0.0, "shape_nll": 0.0,
-                "geo": 0.0, "l2d": 0.0, "l3d": 0.0, "total": 0.0}
+                "l2d": 0.0, "l3d": 0.0, "total": 0.0}
         n_batches = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
@@ -210,13 +199,10 @@ def train(model: BodyModelDef, dataset, cfg: TrainConfig):
             pose_nll = -ag.reduce_sum(lp) / float(b)
             shape_out = mlp_apply(pdict, "head_shape", ctx, cfg.blocks)
             shape_nll = _gauss_nll(shape_out, tensors["beta"][idx], model.n_shape)
-            rot_out = ag.special_orthogonalize_op(
-                mlp_apply(pdict, "head_rot", ctx, cfg.blocks))
-            geo = _geodesic_sq(rot_out, tensors["root9"][idx])
             lnll = _laplace_obs_loss(pdict, cfg.blocks, tensors["feats"][idx],
                                      tensors["anchors_norm"][idx], n_s)
             loss = (cfg.lambda1 * lnll + cfg.lambda2 * pose_nll
-                    + cfg.lambda3 * shape_nll + cfg.lambda4 * geo)
+                    + cfg.lambda3 * shape_nll)
             l2d_v = l3d_v = 0.0
             if phase2 and (cfg.lambda5 > 0 or cfg.lambda6 > 0):
                 mu = ag.take(shape_out, (slice(None), slice(0, model.n_shape)))
@@ -233,7 +219,6 @@ def train(model: BodyModelDef, dataset, cfg: TrainConfig):
             sums["lnll"] += float(ag.as_array(lnll))
             sums["pose_nll"] += float(ag.as_array(pose_nll))
             sums["shape_nll"] += float(ag.as_array(shape_nll))
-            sums["geo"] += float(ag.as_array(geo))
             sums["l2d"] += l2d_v
             sums["l3d"] += l3d_v
             sums["total"] += lv

@@ -108,6 +108,7 @@ def test_sample_command(workspace, tmp_path):
     doc = json.loads((tmp_path / "samples.json").read_text())
     assert len(doc["samples"]) == 5  # the mode plus n random draws
     assert doc["samples"][0]["is_mode"]
+    assert set(doc["samples"][0]) == {"is_mode", "joint_rotations", "shape", "log_prob"}
 
 
 def test_solve_command(workspace, tmp_path):
@@ -126,6 +127,35 @@ def test_solve_command(workspace, tmp_path):
     doc = json.loads((tmp_path / "solve_result.json").read_text())
     assert doc["weighted_rms_residual"] < 10.0
     assert len(doc["pose"]) == 8
+
+
+def test_solve_rejects_a_pose_with_a_joint_missing(workspace, tmp_path, capsys):
+    from flowpose import synth
+    rec = synth.load_dataset(workspace / "dataset.jsonl")[0]
+    v = rec.views[0]
+    cfg = _write(tmp_path / "p.json", {
+        "model": str(workspace / "model.json"),
+        "pose_init": [r.to_json() for r in rec.gt_state.pose[:7]],
+        "observations": [{"anchors": v.anchors_2d.tolist(),
+                          "scale": v.laplace_scale.tolist(),
+                          "intrinsics": v.intrinsics.tolist()}]})
+    capsys.readouterr()
+    assert _run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: pose must have shape (8, 3, 3), got (7, 3, 3)"]
+    assert not (tmp_path / "solve_result.json").exists()
+
+
+def test_train_rejects_the_removed_lambda4(workspace, tmp_path, capsys):
+    tcfg = _write(tmp_path / "t.json",
+                  {"model": str(workspace / "model.json"),
+                   "dataset": str(workspace / "dataset.jsonl"),
+                   "train": {"phase1_epochs": 1, "phase2_epochs": 0, "lambda4": 1.0}})
+    capsys.readouterr()
+    assert _run(["train", "--config", tcfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad train config") and "lambda4" in err
+    assert not (tmp_path / "checkpoint.json").exists()
 
 
 def test_solve_rejects_a_one_entry_scale(workspace, tmp_path):

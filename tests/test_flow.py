@@ -181,7 +181,7 @@ def test_pose_batch_items_are_pose_samples(rng):
     assert batch.rotations.shape == (7, 3, 3, 3)
     assert batch.shapes.shape == (7, 1) and batch.log_probs.shape == (7,)
     expect = [fl.PoseSample([matrix_to_quat(m) for m in batch.rotations[i]],
-                            batch.global_rotation, batch.shapes[i], float(batch.log_probs[i]))
+                            batch.shapes[i], float(batch.log_probs[i]))
               for i in range(len(batch))]
     assert len(batch) == 7
     assert list(batch) == expect

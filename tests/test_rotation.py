@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation as ScipyRot
 
-from flowpose.rotation import (DegenerateMeanError, InvalidRotationError,
-                               Rotation, TwoVectorFrame, as_matrices, axis_angle_exp,
-                               axis_angle_log, exp_matrices, frame_complete,
-                               geodesic_distance, matrix_to_quat,
+from flowpose.rotation import (DegenerateMeanError, DegenerateProjectionError,
+                               InvalidRotationError, Rotation, TwoVectorFrame,
+                               as_matrices, axis_angle_exp, axis_angle_log, exp_matrices,
+                               frame_complete, geodesic_distance, matrix_to_quat,
                                matrix_to_quat_batch, quat_multiply, quat_to_matrices,
-                               quat_to_matrix, rotation_mean, special_orthogonalize, svd3)
+                               quat_to_matrix, rotation_mean, special_orthogonalize,
+                               special_orthogonalize_matrices, svd3)
 
 unit_vec3 = st.lists(st.floats(-1, 1), min_size=3, max_size=3).filter(
     lambda v: 0.1 < np.linalg.norm(v) < 3.0)
@@ -246,6 +247,20 @@ def test_special_orthogonalize_projects(rng):
     assert np.linalg.det(m) > 0
     # projection of a clean rotation is that rotation
     assert geodesic_distance(special_orthogonalize(r.matrix()), r) < 1e-7
+
+
+def test_special_orthogonalize_matrices_matches_svd3_projection(rng):
+    m = rng.normal(size=(4, 5, 3, 3))
+    assert (np.linalg.det(m) < 0).any() and (np.linalg.det(m) > 0).any()
+    q = special_orthogonalize_matrices(m)
+    for mi, qi in zip(m.reshape(-1, 3, 3), q.reshape(-1, 3, 3)):
+        u, _, v = svd3(mi)
+        ref = u @ np.diag([1.0, 1.0, np.sign(np.linalg.det(u @ v.T))]) @ v.T
+        np.testing.assert_allclose(qi, ref, rtol=0, atol=1e-15)
+    singular = m[0].copy()
+    singular[2] = np.outer([1.0, 2.0, 0.0], [0.0, 1.0, 1.0])
+    with pytest.raises(DegenerateProjectionError):
+        special_orthogonalize_matrices(singular)
 
 
 def test_frame_complete_orthonormal(rng):

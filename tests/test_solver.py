@@ -108,7 +108,20 @@ def test_solve_builds_no_rotation(toy_model, rng, monkeypatch):
     for pose in (mats, init):
         res = solver.solve_single_view(toy_model, pose, obs, cfg)
         assert res.n_relinearizations == 2
+    solver.solve_multi_view(toy_model, [mats, init], [obs, obs], cfg)
     assert built == []
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_solve_rejects_a_pose_with_the_wrong_joint_count(toy_model, rng, extra):
+    init, obs, cfg = _perturbed_solve_inputs(toy_model, rng)
+    k = toy_model.n_joints
+    pose = (init + init)[:k + extra]
+    msg = rf"pose must have shape \({k}, 3, 3\), got \({k + extra}, 3, 3\)"
+    with pytest.raises(ValueError, match=msg):
+        solver.solve_single_view(toy_model, pose, obs, cfg)
+    with pytest.raises(ValueError, match=msg):
+        solver.solve_multi_view(toy_model, [init, as_matrices(pose)], [obs, obs], cfg)
 
 
 def test_linearized_anchors_match_finite_differences(toy_model, rng):

@@ -161,6 +161,24 @@ def test_checkpoint_roundtrip(small_run, tmp_path):
                - flow2.flow_log_prob(r, ctx)) < 1e-12
 
 
+def test_checkpoint_with_a_global_rotation_head_loads_and_samples(small_run, tmp_path):
+    """Checkpoints written while the flow still had its global-rotation
+    head hold `head_rot/*` params and `lambda4`; both are ignored."""
+    model, _, cfg, flow, extra, _ = small_run
+    p = tmp_path / "ck.json"
+    checkpoint.save_checkpoint(p, flow, extra, cfg, with_timestamp=False)
+    doc = json.loads(p.read_text())
+    doc["params"]["head_rot/w_out"] = doc["params"]["head_shape/w_out"]
+    doc["train_config"]["lambda4"] = 1.0
+    p.write_text(json.dumps(doc))
+    flow2, _, tcfg = checkpoint.load_checkpoint(p)
+    assert tcfg["lambda4"] == 1.0
+    ctx = np.zeros(cfg.context_dim)
+    a = flow.flow_sample(ctx, 3, np.random.default_rng(0), include_mode=True)
+    b = flow2.flow_sample(ctx, 3, np.random.default_rng(0), include_mode=True)
+    assert list(a) == list(b)
+
+
 def test_checkpoint_idempotent_without_timestamp(small_run, tmp_path):
     _, _, cfg, flow, extra, _ = small_run
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -202,7 +220,7 @@ def test_capture_report_matches_per_pair_geodesic_loop(monkeypatch):
     draws = [uniform_sample(rng) for _ in range(200)] + [
         t.compose(axis_angle_exp(0.2 * rng.normal(size=3))) for t in targets for _ in range(50)]
     monkeypatch.setattr(training.FlowModel, "flow_sample", lambda self, context, n, rng: [
-        PoseSample([r], Rotation.identity(), np.zeros(1), 0.0) for r in draws])
+        PoseSample([r], np.zeros(1), 0.0) for r in draws])
     _, report = training.fit_toy_distribution(targets, steps=0, report_samples=len(draws))
     counts, outside = np.zeros(len(targets)), 0
     for r in draws:
