@@ -167,7 +167,7 @@ def cmd_sample(args):
     else:
         raise ValidationError("sample config needs either context or dataset")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    samples = flow.flow_sample(ctx, int(cfg.get("n", 10)), rng, include_mode=True)
+    samples = flow.flow_sample(ctx, cfg.get("n", 10), rng, include_mode=True)
     doc = {"samples": [{"is_mode": i == 0,
                         "joint_rotations": [r.to_json() for r in s.joint_rotations],
                         "shape": np.asarray(s.shape).tolist(),

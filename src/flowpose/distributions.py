@@ -17,7 +17,7 @@ __all__ = [
     "ProjectedIsoGaussian", "DiagGaussian",
     "pig_logpdf", "pig_logpdf_from_qdot",
     "igso3_logpdf", "uniform_sample", "uniform_quaternions",
-    "diag_gaussian_sample", "diag_gaussian_logpdf",
+    "diag_gaussian_logpdf",
 ]
 
 # hemisphere surface area of S^3 is pi^2; uniform-on-SO(3) surface density
@@ -139,10 +139,6 @@ def uniform_quaternions(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def uniform_sample(rng: np.random.Generator) -> Rotation:
     return Rotation(rng.normal(size=4))
-
-
-def diag_gaussian_sample(d: DiagGaussian, rng: np.random.Generator) -> np.ndarray:
-    return d.mean + np.exp(d.log_std) * rng.normal(size=d.mean.shape)
 
 
 def diag_gaussian_logpdf(d: DiagGaussian, x):

@@ -4,8 +4,9 @@ conditioner-driven rotation layers.
 Direction convention: the analytic Möbius maps run pose -> base, which is the
 direction log-probabilities (and therefore training gradients) need. Sampling
 runs base -> pose by numerically inverting each coupling with Newton steps
-safeguarded by bisection; no gradient flows through the inverse.
-`flow_sample` returns its draws as one `PoseBatch` of arrays.
+safeguarded by bisection; no gradient flows through the inverse. The Newton
+slope at each root is the coupling's forward Jacobian factor, so `flow_sample`
+scores its draws in the same pass and returns them as one `PoseBatch` of arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import autodiff as ag
-from .distributions import (DiagGaussian, ProjectedIsoGaussian,
+from .distributions import (DiagGaussian, ProjectedIsoGaussian, pig_logpdf_batch,
                             pig_logpdf_from_qdot, pig_sample_batch)
 from .nets import ParamStore, mlp_apply, mlp_init
 from .rotation import (InvalidFrameError, Rotation, as_matrices, matrix_to_quat,
@@ -120,7 +121,8 @@ def _mobius_inv_batch(moved, held, ox, oy, oz, w):
     is shorter than half the row's previous step, and bisects otherwise
     (after rtsafe, Numerical Recipes §9.4).  A row stops once |h| < INVERSE_EPS.
 
-    Returns (moving, per-row iteration counts)."""
+    Returns (moving, per-row iteration counts, log slope at each root): the
+    last is the forward log-determinant of the step at the returned point."""
     moved = np.asarray(moved, float)
     held = np.asarray(held, float)
     u3 = np.cross(moved, held)
@@ -134,19 +136,21 @@ def _mobius_inv_batch(moved, held, ox, oy, oz, w):
     iters = np.zeros(n, dtype=int)
     done = np.zeros(n, dtype=bool)
     root = np.zeros(n)
+    root_slope = np.ones(n)
     for it in range(1, INVERSE_MAX_ITER + 1):
         cm, sm = np.cos(x)[:, None], np.sin(x)[:, None]
         cre = c0re * cm + c0im * sm      # c0 * exp(-i x)
         cim = c0im * cm - c0re * sm
         one_re = 1.0 + cre
         h = (w * 2.0 * np.arctan2(cim, one_re)).sum(axis=1) + x
+        slope = (w * (1.0 - (cre * cre + cim * cim)) / (one_re * one_re + cim * cim)).sum(axis=1)
         newly = (np.abs(h) < INVERSE_EPS) & ~done
         iters[newly] = it
         root[newly] = x[newly]
+        root_slope[newly] = slope[newly]
         done |= newly
         if done.all():
             break
-        slope = (w * (1.0 - (cre * cre + cim * cim)) / (one_re * one_re + cim * cim)).sum(axis=1)
         neg = h < 0
         lo = np.where(neg, x, lo)
         hi = np.where(neg, hi, x)
@@ -159,7 +163,7 @@ def _mobius_inv_batch(moved, held, ox, oy, oz, w):
     if not done.all():
         raise NonConvergenceError("Möbius inverse failed to reach tolerance")
     moving = moved * np.cos(root)[:, None] + u3 * np.sin(root)[:, None]
-    return moving, iters
+    return moving, iters, np.log(root_slope)
 
 
 def joint_context_rows(flow, pdict, ctx):
@@ -195,7 +199,7 @@ def mobius_inverse(moved, held, omegas, weights):
     held, moved = _check_frame(held, moved)
     omegas = np.asarray(omegas, float).reshape(-1, 3)
     w = np.asarray(weights, float).reshape(1, -1)
-    moving, _ = _mobius_inv_batch(
+    moving, _, _ = _mobius_inv_batch(
         moved[None, :], held[None, :],
         omegas[None, :, 0], omegas[None, :, 1], omegas[None, :, 2], w)
     return moving[0]
@@ -317,10 +321,10 @@ class FlowModel:
 
     def _coupling_inverse(self, p, i, u1, u2, ctx):
         ox, oy, oz, w = self._coupling_cond(p, f"cpl{i}b", u2, ctx)
-        u1p, it1 = _mobius_inv_batch(u1, u2, ox, oy, oz, w)
+        u1p, it1, ld_b = _mobius_inv_batch(u1, u2, ox, oy, oz, w)
         ox, oy, oz, w = self._coupling_cond(p, f"cpl{i}a", u1p, ctx)
-        u2p, it2 = _mobius_inv_batch(u2, u1p, ox, oy, oz, w)
-        return u1p, u2p, np.maximum(it1, it2)
+        u2p, it2, ld_a = _mobius_inv_batch(u2, u1p, ox, oy, oz, w)
+        return u1p, u2p, np.maximum(it1, it2), ld_a + ld_b
 
     @staticmethod
     def _apply_q(q9, u, transpose=False):
@@ -329,7 +333,7 @@ class FlowModel:
         q = ag.as_array(q9).reshape(-1, 3, 3)
         if transpose:
             q = q.transpose(0, 2, 1)
-        uv = ag.as_array(u).reshape(-1, q.shape[0], 3)
+        uv = ag.as_array(u).reshape(-1 if len(q) else 0, len(q), 3)
         out = q[:, :, 0] * uv[..., 0:1] + q[:, :, 1] * uv[..., 1:2] + q[:, :, 2] * uv[..., 2:3]
 
         def vjp(g):
@@ -354,15 +358,18 @@ class FlowModel:
         return u1, u2, logdet
 
     def _from_base(self, pv, u1, u2, ctx, ctx_constant=False):
-        """Numeric generative pass (safeguarded Newton); returns (u1, u2, max iterations)."""
+        """Numeric generative pass (safeguarded Newton); returns (u1, u2, max iterations,
+        logdet), the pose -> base log-determinant summed from each coupling's root slope."""
         worst = np.zeros(u1.shape[0], dtype=int)
+        logdet = np.zeros(u1.shape[0])
         for i in reversed(range(self.cfg.n_sets)):
             q9 = self._rotation_q(pv, i, ctx[:self.cfg.n_joints] if ctx_constant else ctx)
             u1 = self._apply_q(q9, u1, transpose=True)
             u2 = self._apply_q(q9, u2, transpose=True)
-            u1, u2, its = self._coupling_inverse(pv, i, u1, u2, ctx)
+            u1, u2, its, ld = self._coupling_inverse(pv, i, u1, u2, ctx)
             worst = np.maximum(worst, its)
-        return u1, u2, worst
+            logdet += ld
+        return u1, u2, worst, logdet
 
     # ---- public spec operations --------------------------------------------
     def _ctx_row(self, pv, context, joint=0):
@@ -381,7 +388,7 @@ class FlowModel:
     def coupling_block_inverse(self, r: Rotation, context, set_index=0, joint=0):
         pv = self.param_values()
         m = r.matrix()
-        u1, u2, _ = self._coupling_inverse(
+        u1, u2, _, _ = self._coupling_inverse(
             pv, set_index, m[:, 0][None, :], m[:, 1][None, :],
             self._ctx_row(pv, context, joint))
         return matrix_to_quat(_frame_matrices(u1[0], u2[0]))
@@ -413,6 +420,8 @@ class FlowModel:
     def flow_sample(self, context, n, rng, include_mode=False) -> PoseBatch:
         """Draw n poses for one context (optionally prepend the mode) as one
         PoseBatch."""
+        if not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError(f"n must be a non-negative integer, got {n!r}")
         pv = self.param_values()
         K = self.cfg.n_joints
         quats = pig_sample_batch(self.base, n * K, rng)
@@ -422,8 +431,8 @@ class FlowModel:
         mats = quat_to_matrices(quats)
         u1, u2 = mats[:, :, 0], mats[:, :, 1]
         ctx = joint_context_rows(self, pv, np.tile(np.asarray(context, float), (total, 1)))
-        u1, u2, _ = self._from_base(pv, u1, u2, ctx, ctx_constant=True)
-        lp_rows = self.log_prob_rows(pv, u1, u2, ctx, ctx_constant=True)
+        u1, u2, _, logdet = self._from_base(pv, u1, u2, ctx, ctx_constant=True)
+        lp_rows = pig_logpdf_batch(self.base, quats) + logdet
         shape_dist = self.shape_head(context)
         shapes = shape_dist.mean + np.exp(shape_dist.log_std) * rng.normal(
             size=(n, self.cfg.shape_dim))
@@ -439,8 +448,8 @@ class FlowModel:
         """Relative rotation matrices (N,3,3) of the mode, the base identity
         pushed through the flow, for N conditioner rows (numpy, no tape)."""
         n = ctx_rows.shape[0]
-        u1, u2, _ = self._from_base(pv, np.tile([1.0, 0.0, 0.0], (n, 1)),
-                                    np.tile([0.0, 1.0, 0.0], (n, 1)), ctx_rows)
+        u1, u2, _, _ = self._from_base(pv, np.tile([1.0, 0.0, 0.0], (n, 1)),
+                                       np.tile([0.0, 1.0, 0.0], (n, 1)), ctx_rows)
         return _frame_matrices(u1, u2)
 
     def shape_head(self, context):

@@ -28,9 +28,6 @@ class ParamStore:
     def __getitem__(self, name):
         return self._params[name]
 
-    def __contains__(self, name):
-        return name in self._params
-
     def names(self):
         return list(self._params)
 
@@ -46,9 +43,6 @@ class ParamStore:
             if v.shape != node.value.shape:
                 raise ValueError(f"shape mismatch for {k}: {v.shape} vs {node.value.shape}")
             node.value = v.copy()
-
-    def n_parameters(self):
-        return sum(v.value.size for v in self._params.values())
 
 
 def mlp_init(store: ParamStore, prefix, d_in, d_out, channels, blocks, rng,

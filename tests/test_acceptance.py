@@ -64,7 +64,7 @@ def test_criterion_1_mobius_roundtrip():
     w /= w.sum(axis=1, keepdims=True)
     moved, _ = fl._mobius_fwd_batch(u1, u2, ox, oy, oz, w)
     moved = np.asarray(ag.as_array(moved))
-    rec, iters = fl._mobius_inv_batch(moved, u1, ox, oy, oz, w)
+    rec, iters, _ = fl._mobius_inv_batch(moved, u1, ox, oy, oz, w)
     again, _ = fl._mobius_fwd_batch(u1, rec, ox, oy, oz, w)
     again = np.asarray(ag.as_array(again))
     ang = np.arccos(np.clip(np.sum(again * moved, axis=1), -1.0, 1.0))

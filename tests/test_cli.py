@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,18 @@ def test_sample_command(workspace, tmp_path):
     assert len(doc["samples"]) == 5  # the mode plus n random draws
     assert doc["samples"][0]["is_mode"]
     assert set(doc["samples"][0]) == {"is_mode", "joint_rotations", "shape", "log_prob"}
+
+
+@pytest.mark.parametrize("n", [-1, 2.5])
+def test_sample_invalid_n_exit_1(workspace, tmp_path, capsys, n):
+    cfg = _write(tmp_path / "s.json",
+                 {"checkpoint": str(workspace / "checkpoint.json"),
+                  "dataset": str(workspace / "dataset.jsonl"), "n": n})
+    capsys.readouterr()
+    assert _run(["sample", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert re.search(r"\bn\b", err[0])
 
 
 def test_solve_command(workspace, tmp_path):

@@ -141,16 +141,21 @@ def test_flow_sample_logprob_consistent(rng):
         assert abs(lp - s.log_prob) < 1e-6
 
 
-def _inverse_roundtrip(seed, omega_scale, n=10_000, k=16):
-    """Forward Möbius steps of n random rows, their inverse, and the
-    forward angular roundtrip error and iterations of that inverse."""
+def _roundtrip_rows(seed, omega_scale, n=10_000, k=16):
+    """n random Möbius-step inputs (u1, u2, ox, oy, oz, w)."""
     rng = np.random.default_rng(seed)
     u1, u2 = _orthonormal_pairs(rng, n)
     raw = rng.normal(scale=omega_scale, size=(3, n, k))
     ox, oy, oz = (np.asarray(ag.as_array(o)) for o in fl._constrain_omega_batch(*raw))
-    w = rng.dirichlet(np.ones(k), size=n)
+    return u1, u2, ox, oy, oz, rng.dirichlet(np.ones(k), size=n)
+
+
+def _inverse_roundtrip(seed, omega_scale):
+    """Forward Möbius steps of random rows, their inverse, and the
+    forward angular roundtrip error and iterations of that inverse."""
+    u1, u2, ox, oy, oz, w = _roundtrip_rows(seed, omega_scale)
     moved, _ = fl._mobius_fwd_batch(u1, u2, ox, oy, oz, w)
-    rec, iters = fl._mobius_inv_batch(moved, u1, ox, oy, oz, w)
+    rec, iters, _ = fl._mobius_inv_batch(moved, u1, ox, oy, oz, w)
     again, _ = fl._mobius_fwd_batch(u1, rec, ox, oy, oz, w)
     ang = np.arccos(np.clip(np.sum(again * moved, axis=1), -1.0, 1.0))
     return ang, iters
@@ -171,6 +176,82 @@ def test_newton_inverse_converges_on_steep_conditioners():
     ang, iters = _inverse_roundtrip(1, 2.0)
     assert ang.max() <= 1e-6
     assert iters.max() < fl.INVERSE_MAX_ITER
+
+
+def _criterion_1_rows(n=10_000, k=16):
+    """The rows of acceptance criterion 1, drawn as it draws them."""
+    rng = np.random.default_rng(0)
+    u1 = rng.normal(size=(n, 3))
+    u1 /= np.linalg.norm(u1, axis=1, keepdims=True)
+    t = rng.normal(size=(n, 3))
+    u2 = t - np.sum(t * u1, axis=1, keepdims=True) * u1
+    u2 /= np.linalg.norm(u2, axis=1, keepdims=True)
+    raw = rng.normal(scale=0.3, size=(3, n, k))
+    ox, oy, oz = (np.asarray(ag.as_array(o)) for o in fl._constrain_omega_batch(*raw))
+    w = np.exp(rng.normal(size=(n, k)))
+    return u1, u2, ox, oy, oz, w / w.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("rows", [_criterion_1_rows, lambda: _roundtrip_rows(1, 2.0)],
+                         ids=["criterion-1", "steep"])
+def test_inverse_log_slope_is_forward_logdet(rows):
+    # the Newton slope kept at each root is the forward Jacobian factor
+    # of the step at the point the inverse returns
+    u1, u2, ox, oy, oz, w = rows()
+    moved, _ = fl._mobius_fwd_batch(u1, u2, ox, oy, oz, w)
+    rec, _, log_slope = fl._mobius_inv_batch(moved, u1, ox, oy, oz, w)
+    _, logdet = fl._mobius_fwd_batch(u1, rec, ox, oy, oz, w)
+    np.testing.assert_allclose(log_slope, logdet, rtol=0, atol=1e-12)
+
+
+def test_flow_sample_makes_one_pass(rng, monkeypatch):
+    model = _perturbed_model(rng, n_joints=2)
+
+    def second_pass(*args, **kwargs):
+        raise AssertionError("flow_sample ran log_prob_rows")
+
+    monkeypatch.setattr(fl.FlowModel, "log_prob_rows", second_pass)
+    batch = model.flow_sample(rng.normal(size=3), 5, rng, include_mode=True)
+    assert np.isfinite(batch.log_probs).all()
+
+
+def test_flow_sample_logprob_matches_on_trained_fixture(trained_model):
+    # mode + 100 draws per scene of the criterion-8 fixture
+    _, dataset, flow, encode = trained_model
+    worst = 0.0
+    for j, rec in enumerate(dataset):
+        ctx = encode(rec.context_features)
+        batch = flow.flow_sample(ctx, 100, np.random.default_rng(j), include_mode=True)
+        ref = [flow.flow_log_prob(r, ctx) for r in batch.rotations]
+        worst = max(worst, np.abs(batch.log_probs - ref).max())
+    assert worst <= 1e-6
+
+
+def test_flow_sample_logprob_matches_on_toy_fit():
+    # a short criterion-4 fit. The sampled log-density sums each coupling's
+    # slope at a root found to |h| < INVERSE_EPS, so its error is about
+    # INVERSE_EPS times a sharp coupling's slope; 1e-4 nats leaves room for
+    # the sharper couplings of longer fits
+    from flowpose import training
+    rng = np.random.default_rng(12)
+    targets = [dist.uniform_sample(rng) for _ in range(4)]
+    flow, _ = training.fit_toy_distribution(targets, steps=75, batch=128, seed=12,
+                                            report_samples=16)
+    ctx = np.zeros(flow.cfg.context_dim)
+    batch = flow.flow_sample(ctx, 200, rng, include_mode=True)
+    ref = [flow.flow_log_prob(r, ctx) for r in batch.rotations]
+    assert np.abs(batch.log_probs - ref).max() <= 1e-4
+
+
+def test_flow_sample_empty_and_invalid_n(rng):
+    model = _perturbed_model(rng, n_joints=3)
+    ctx = rng.normal(size=3)
+    batch = model.flow_sample(ctx, 0, rng)
+    assert batch.rotations.shape == (0, 3, 3, 3)
+    assert batch.shapes.shape == (0, 1) and batch.log_probs.shape == (0,)
+    for n in (-1, 2.5):
+        with pytest.raises(ValueError, match=r"\bn\b"):
+            model.flow_sample(ctx, n, rng)
 
 
 def test_pose_batch_items_are_pose_samples(rng):
