@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,18 @@ class BodyModelDef:
     @property
     def n_shape(self):
         return self.shape_basis.shape[0]
+
+    @cached_property
+    def anchor_levers(self):
+        """(c (1+S,A,3), L (K,1+S,A,3)): posed under world rotations R (K,3,3),
+        the anchors of the rest stack [template; shape basis] are
+        c + sum_k R_k L_k.  Posed once, at the zero and the K unit stacks."""
+        stacks = np.eye(self.n_joints + 1)[:, 1:, None, None] * np.eye(3)
+        rest = np.concatenate([self.template[None], self.shape_basis.reshape(self.n_shape, -1, 3)])
+        posed = pose_points(self, stacks[:, None], rest, self.anchor_indices)
+        c, levers = posed[0], posed[1:] - posed[0]
+        c.flags.writeable = levers.flags.writeable = False      # shared by every caller
+        return c, levers
 
 
 @dataclass

@@ -6,6 +6,8 @@ cross-product rows, each joint's world rotation is corrected by
 I + [delta]x about the current estimate, and the resulting linear
 system is solved by Cholesky on the normal equations, optionally
 relinearizing; each step applies exp(delta) to all joints at once.
+A linearization poses nothing: it contracts the model's cached
+`anchor_levers` table, and only the residual poses exactly.
 Multi-view simply stacks rows with per-view extrinsics and initializes
 from the chordal mean of the per-view poses.
 
@@ -132,24 +134,22 @@ def _linearized_anchors(model, world_rot, beta_lin):
 
     Returns (p0 (A,3), d_delta (A,K,3,3), d_beta (A,S,3)) so that
         P = p0 + sum_k d_delta[:,k] @ delta_k + d_beta . (beta - beta_lin) + t
-    for anchors A = model.anchor_indices, all three posed by
-    `body.pose_points`.
+    for anchors A = model.anchor_indices, contracted from the model's
+    `anchor_levers` table (c, L): the anchors pose to c + sum_k R_k L_k.
     """
-    idx = model.anchor_indices
-    verts = shape_blend(model, beta_lin)
-    # posing is linear in the rest vertices: the shape directions pose to
-    # the columns of d_beta
-    rest = np.concatenate([verts[None], model.shape_basis.reshape(model.n_shape, -1, 3)])
-    posed = pose_points(model, world_rot, rest, idx)
-    p0, d_beta = posed[0], np.transpose(posed[1:], (1, 0, 2))
-    # posing is affine in the world rotations, and d/d delta_i of
-    # (I + [delta]x) R_k is [e_i]x R_k: column i of d_delta[:, k] poses the
-    # stack holding [e_i]x R_k at joint k and zeros elsewhere, less the part
-    # no rotation moves (the root joint's rest position)
-    gens = np.einsum("kl,iab,lbc->kilac", np.eye(model.n_joints), _SO3_GENERATORS, world_rot)
-    moved = (pose_points(model, gens, verts, idx)
-             - pose_points(model, np.zeros_like(world_rot), verts, idx))
-    return p0, np.transpose(moved, (2, 0, 3, 1)), d_beta
+    c, levers = model.anchor_levers                # (1+S,A,3), (K,1+S,A,3)
+    k, n_rest, n_a = levers.shape[:3]
+    coef = np.concatenate([[1.0], beta_lin])
+    # y_k = R_k L_k(beta_lin), joint k's share of the posed anchors
+    y = np.einsum("s,ksaj->kaj", coef, levers) @ np.swapaxes(world_rot, -1, -2)
+    p0 = (coef @ c.reshape(n_rest, -1)).reshape(n_a, 3) + y.sum(axis=0)
+    # shape direction s poses to c_s + sum_k R_k L_k(basis_s): one product over (k, j)
+    moved = (np.swapaxes(world_rot, 0, 1).reshape(3, 3 * k)
+             @ np.moveaxis(levers[:, 1:], 3, 1).reshape(3 * k, -1))
+    d_beta = np.transpose(c[1:], (1, 0, 2)) + moved.reshape(3, n_rest - 1, n_a).T
+    # d/d delta of (I + [delta]x) R_k L_k is delta x y_k = -[y_k]x delta
+    d_delta = (np.swapaxes(y, 0, 1) @ -_SO3_GENERATORS.reshape(3, 9)).reshape(n_a, k, 3, 3)
+    return p0, d_delta, d_beta
 
 
 def _dlt_rows(obs: Observation, p0, d_delta, d_beta, beta_lin, weights):
@@ -205,33 +205,30 @@ def assemble_system(model, world, beta_lin_point, observations, cfg: SolveConfig
         raise UnderdeterminedError(
             f"{n_data_rows + n_reg} rows for {dim} unknowns")
 
+    jmat = np.vstack(blocks_j)
+    a, b = jmat.T @ jmat, jmat.T @ np.concatenate(blocks_r)
+    # each regularizer's rows are a scaled identity: its weight adds to a diagonal
     if cfg.omega_beta > 0:
         prior = np.zeros(s) if cfg.beta_prior is None else np.asarray(cfg.beta_prior, float)
-        jb = np.zeros((s, dim))
-        jb[:, 3 * k:3 * k + s] = np.sqrt(cfg.omega_beta) * np.eye(s)
-        blocks_j.append(jb)
-        blocks_r.append(np.sqrt(cfg.omega_beta) * prior)
+        diag = np.arange(3 * k, 3 * k + s)
+        a[diag, diag] += cfg.omega_beta
+        b[diag] += cfg.omega_beta * prior
     if cfg.gamma > 0:
-        jg = np.zeros((3 * k, dim))
-        jg[:, :3 * k] = np.sqrt(cfg.gamma) * np.eye(3 * k)
-        blocks_j.append(jg)
-        blocks_r.append(np.zeros(3 * k))
-
-    jmat = np.vstack(blocks_j)
-    rvec = np.concatenate(blocks_r)
-    return jmat.T @ jmat, jmat.T @ rvec
+        diag = np.arange(3 * k)
+        a[diag, diag] += cfg.gamma
+    return a, b
 
 
 def _chol_solve(a, b):
+    from scipy.linalg import cho_factor, cho_solve   # ~50 ms to import: only solves pay it
     try:
-        c = np.linalg.cholesky(a)
+        factor = cho_factor(a, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
         try:
-            c = np.linalg.cholesky(a + JITTER * np.eye(len(a)))
+            factor = cho_factor(a + JITTER * np.eye(len(a)), lower=True, check_finite=False)
         except np.linalg.LinAlgError:
             raise SolverFailure("normal equations not SPD even with jitter")
-    y = np.linalg.solve(c, b)
-    return np.linalg.solve(c.T, y)
+    return cho_solve(factor, b, check_finite=False)
 
 
 def reproject(model, world_rot, beta, translation, obs: Observation):

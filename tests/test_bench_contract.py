@@ -14,7 +14,7 @@ import layers  # noqa: E402
 import spans  # noqa: E402
 
 from flowpose import distributions as dist  # noqa: E402
-from flowpose import training  # noqa: E402
+from flowpose import metrics, solver, training  # noqa: E402
 
 
 def test_traced_toy_fit_gives_strict_json_metrics():
@@ -28,9 +28,35 @@ def test_traced_toy_fit_gives_strict_json_metrics():
         flow.flow_sample(np.zeros(flow.cfg.context_dim), 20, rng)
     window = (t0, time.perf_counter())
     values = layers.layer_metrics(tracer, hooks.missing, [window], 0.0)
-    assert not [h for h in hooks.missing
-                if h.split(".")[0] in ("flow", "autodiff", "nets")]
+    assert not hooks.missing
     json.dumps(values, allow_nan=False)
     # iteration counts come from the inverse's second output
     assert values["flow.bisect_iters_mean"] >= 1
     assert values["flow.bisect_iters_max"] >= 1
+
+
+def test_traced_solve_and_evaluate_give_strict_json_solver_metrics(trained_model):
+    model, dataset, flow, encode = trained_model
+    rec = dataset[0]
+    tracer = spans.Tracer()
+    t0 = time.perf_counter()
+    with spans.Hooks(tracer, layers.HOOKS) as hooks:
+        metrics.evaluate(flow, encode, model, dataset[:2], n_samples=5)
+        draws = flow.flow_sample(encode(rec.context_features), 6,
+                                 np.random.default_rng(0), include_mode=True)
+        for rotations, shape in zip(draws.rotations, draws.shapes):
+            cfg = solver.SolveConfig(omega_beta=1e-3, gamma=1e-4, beta_prior=shape,
+                                     max_relinearizations=2)
+            try:
+                solver.solve_single_view(model, rotations, rec.views[0], cfg)
+            except solver.SolverFailure:
+                pass
+    window = (t0, time.perf_counter())
+    values = layers.layer_metrics(tracer, hooks.missing, [window], 0.0)
+    assert not hooks.missing
+    json.dumps(values, allow_nan=False)
+    solver_values = {k: v for k, v in values.items() if k.startswith("solver.")}
+    assert solver_values and None not in solver_values.values()
+    assert values["solver.linearizations_per_solve"] >= 1
+    assert values["solver.assemble_ms_per_linearization"] > 0
+    assert values["metrics.score_ms_per_draw"] > 0

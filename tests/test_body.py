@@ -1,10 +1,12 @@
 """Articulated body model: skinning, kinematics, serialization, anchors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from flowpose import body
-from flowpose.rotation import Rotation, as_matrices, axis_angle_exp
+from flowpose.rotation import Rotation, as_matrices, axis_angle_exp, exp_matrices
 
 
 def _naive_fk(model, state):
@@ -49,6 +51,48 @@ def test_fk_matches_naive(toy_model, rng):
             toy_model, body._world_rotations(toy_model, as_matrices(state.pose)),
             body.shape_blend(toy_model, state.shape), idx)
         np.testing.assert_allclose(anchors + state.translation, v_ref[idx], atol=1e-10)
+
+
+def _levered_anchors(model, world, beta):
+    """Anchors posed from the model's table: c(beta) + sum_k R_k L_k(beta)."""
+    c, levers = model.anchor_levers
+    coef = np.concatenate([[1.0], beta])
+    return (np.tensordot(coef, c, axes=1)
+            + np.einsum("kij,kaj->ai", world, np.tensordot(coef, levers, axes=(0, 1))))
+
+
+def test_anchor_levers_reproduce_pose_points(toy_model, rng):
+    """The table is exact: random world rotations, a third of them within
+    1e-6 rad of a half turn, and random betas."""
+    k, s = toy_model.n_joints, toy_model.n_shape
+    c, levers = toy_model.anchor_levers
+    assert c.shape == (1 + s, len(toy_model.anchor_indices), 3)
+    assert levers.shape == (k,) + c.shape
+    for trial in range(30):
+        axes = rng.normal(size=(k, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        angles = (np.pi - rng.uniform(0, 1e-6, (k, 1)) if trial % 3 == 0
+                  else rng.uniform(0, np.pi, (k, 1)))
+        world = exp_matrices(angles * axes)
+        beta = rng.normal(scale=1.5, size=s)
+        posed = body.pose_points(toy_model, world, body.shape_blend(toy_model, beta),
+                                 toy_model.anchor_indices)
+        err = np.abs(_levered_anchors(toy_model, world, beta) - posed).max()
+        assert err <= 1e-12 * np.abs(posed).max()
+
+
+def test_anchor_levers_follow_the_anchor_set(toy_model, rng):
+    sub = toy_model.anchor_indices[::3]
+    other = dataclasses.replace(toy_model, anchor_indices=sub)
+    assert other.anchor_levers[0].shape[1] == len(sub)
+    assert toy_model.anchor_levers[0].shape[1] == len(toy_model.anchor_indices)
+    world = exp_matrices(rng.normal(size=(toy_model.n_joints, 3)))
+    beta = rng.normal(size=toy_model.n_shape)
+    posed = body.pose_points(toy_model, world, body.shape_blend(toy_model, beta), sub)
+    np.testing.assert_allclose(_levered_anchors(other, world, beta), posed, rtol=0, atol=1e-12)
+    for table in other.anchor_levers:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
 
 
 def test_posing_batches_over_leading_axes(toy_model, rng):

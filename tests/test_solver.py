@@ -221,6 +221,93 @@ def test_assemble_rejects_anchor_count_mismatch(toy_model, rng):
         solver.assemble_system(toy_model, world, beta, [obs], solver.SolveConfig())
 
 
+def _stacked_normal_equations(model, world, beta_lin, observations, cfg):
+    """J^T J and J^T r of the whole stacked system: every view's data rows,
+    then sqrt-weighted identity rows for the beta prior and the delta damping."""
+    k, s = model.n_joints, model.n_shape
+    dim = 3 * k + s + 3
+    lin = solver._linearized_anchors(model, world, beta_lin)
+    rows = [solver._dlt_rows(o, *lin, beta_lin,
+                             solver.anchor_weights(o.laplace_scale, o.aux_weight))
+            for o in observations]
+    jmat = [j for j, _ in rows]
+    rvec = [r for _, r in rows]
+    prior = np.zeros(s) if cfg.beta_prior is None else cfg.beta_prior
+    jb = np.zeros((s, dim))
+    jb[:, 3 * k:3 * k + s] = np.sqrt(cfg.omega_beta) * np.eye(s)
+    jg = np.zeros((3 * k, dim))
+    jg[:, :3 * k] = np.sqrt(cfg.gamma) * np.eye(3 * k)
+    jmat = np.vstack(jmat + [jb, jg])
+    rvec = np.concatenate(rvec + [np.sqrt(cfg.omega_beta) * prior, np.zeros(3 * k)])
+    return jmat.T @ jmat, jmat.T @ rvec
+
+
+@pytest.mark.parametrize("omega_beta, gamma, with_prior", [
+    (0.0, 0.0, False), (0.3, 0.0, True), (0.0, 0.05, False), (0.3, 0.05, False),
+    (1e3, 1e-4, True)])
+def test_assemble_adds_regularizers_to_the_normal_equations(toy_model, rng, omega_beta,
+                                                            gamma, with_prior):
+    pose, beta, t = _random_scene(toy_model, rng)
+    world = solver._world_rotations(toy_model, as_matrices(pose))
+    views = [_exact_obs(toy_model, pose, beta, t),
+             _exact_obs(toy_model, pose, beta, t,
+                        extr_r=axis_angle_exp(rng.normal(scale=0.3, size=3)).matrix(),
+                        extr_t=rng.normal(scale=0.1, size=3))]
+    views[1].aux_weight[::5] = 0.0
+    cfg = solver.SolveConfig(omega_beta=omega_beta, gamma=gamma,
+                             beta_prior=rng.normal(size=toy_model.n_shape) if with_prior else None)
+    beta_lin = beta + rng.normal(scale=0.1, size=beta.shape)
+    got = solver.assemble_system(toy_model, world, beta_lin, views, cfg)
+    want = _stacked_normal_equations(toy_model, world, beta_lin, views, cfg)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+def test_chol_solve_jitters_a_singular_system_and_names_a_non_spd_one():
+    a = np.diag([4.0, 0.0])
+    np.testing.assert_allclose(solver._chol_solve(a, np.array([2.0, 0.0])), [0.5, 0.0])
+    with pytest.raises(solver.SolverFailure, match="not SPD even with jitter"):
+        solver._chol_solve(-np.eye(3), np.ones(3))
+    spd = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+    b = np.array([1.0, -2.0, 0.5])
+    np.testing.assert_allclose(solver._chol_solve(spd, b), np.linalg.solve(spd, b),
+                               rtol=1e-14, atol=0)
+
+
+def test_solve_poses_anchors_only_to_reproject(toy_model, rng, monkeypatch):
+    """Once the model's anchor table exists, linearizing poses nothing:
+    every `pose_points` call of a 3-linearization solve comes from
+    `reproject`, which measures the residual with exact posing."""
+    init, obs, cfg = _perturbed_solve_inputs(toy_model, rng)
+    toy_model.anchor_levers
+    depth, posed, assembled = [0], [], []
+    real_pose, real_reproject = solver.pose_points, solver.reproject
+    real_assemble = solver.assemble_system
+
+    def counting_pose(*args, **kwargs):
+        posed.append(depth[0])
+        return real_pose(*args, **kwargs)
+
+    def nested_reproject(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return real_reproject(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counting_assemble(*args, **kwargs):
+        assembled.append(1)
+        return real_assemble(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "pose_points", counting_pose)
+    monkeypatch.setattr(solver, "reproject", nested_reproject)
+    monkeypatch.setattr(solver, "assemble_system", counting_assemble)
+    res = solver.solve_single_view(toy_model, init, obs, cfg)
+    assert res.n_relinearizations == 2 and len(assembled) == 3
+    assert len(posed) == 3 and all(posed)
+
+
 def test_anchor_weights_floor_and_scaling():
     w = solver.anchor_weights(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
     assert abs(w[0] / w[1] - (2.0 + 1e-6) / (1.0 + 1e-6)) < 1e-9
