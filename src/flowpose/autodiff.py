@@ -6,13 +6,17 @@ with and without gradient tracking. Rank is limited to <= 2 for matmul; the
 elementwise ops follow numpy broadcasting and un-broadcast their adjoints.
 
 Each node has one VJP returning every parent's gradient; ``fused`` records a
-whole kernel (a Möbius step, a residual MLP) as one such node.
+whole kernel (a Möbius step, a residual MLP) as one such node. A kernel with
+several outputs gives one Node per output; they share one kernel record whose
+VJP runs once, with one gradient per output.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.special import ndtr
+
+from .rotation import cross3
 
 __all__ = [
     "Node", "as_array", "leaf", "backward",
@@ -133,6 +137,26 @@ def _unary(x, fwd, vjp):
     return Node(out, (x,), lambda g: (vjp(g, a, out),))
 
 
+class _Kernel:
+    """A multi-output kernel's record, the one parent of each of its
+    outputs; during ``backward`` its grad maps output index -> gradient."""
+
+    __slots__ = ("parents", "vjp", "grad")
+
+    def __init__(self, parents, vjp):
+        self.parents, self.vjp, self.grad = parents, vjp, None
+
+
+class _Output(Node):
+    """Output ``index`` of a multi-output kernel record."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, value, kernel, index):
+        super().__init__(value, (kernel,))
+        self.index = index
+
+
 def fused(values, parents, vjp):
     """Record a whole kernel as one tape node.
 
@@ -143,8 +167,8 @@ def fused(values, parents, vjp):
     With no Node parent the values come back unchanged, so the same kernel
     code serves the tape and the plain-array path.
 
-    A multi-output kernel is one node holding the flattened outputs, plus one
-    slicing node per output.
+    A multi-output kernel returns one Node per output, all children of one
+    kernel record; ``backward`` runs the VJP once, after every output.
     """
     keep = [i for i, p in enumerate(parents) if isinstance(p, Node)]
     if not keep:
@@ -157,22 +181,10 @@ def fused(values, parents, vjp):
     nodes = tuple(parents[i] for i in keep)
     if not isinstance(values, tuple):
         return Node(values, nodes, lambda g: parent_grads((g,)))
-    cuts = np.cumsum([np.size(v) for v in values])[:-1]
-
-    def unpack(flat):
-        return [part.reshape(np.shape(v)) for part, v in zip(np.split(flat, cuts), values)]
-
-    core = Node(np.concatenate([np.ravel(v) for v in values]), nodes,
-                lambda g: parent_grads(unpack(g)))
-
-    def output(i):
-        def scatter(g):
-            flat = np.zeros(core.value.size)
-            unpack(flat)[i][...] = g
-            return (flat,)
-        return Node(values[i], (core,), scatter)
-
-    return tuple(output(i) for i in range(len(values)))
+    shapes = [np.shape(v) for v in values]
+    kernel = _Kernel(nodes, lambda gs: parent_grads(
+        [gs[i] if i in gs else np.zeros(s) for i, s in enumerate(shapes)]))
+    return tuple(_Output(v, kernel, i) for i, v in enumerate(values))
 
 
 def add(x, y):
@@ -303,9 +315,9 @@ def cross(x, y):
     """Cross product along the last axis (size 3)."""
     return _binary(
         x, y,
-        lambda a, b: np.cross(a, b),
-        lambda g, a, b, o: np.cross(b, g),
-        lambda g, a, b, o: np.cross(g, a),
+        cross3,
+        lambda g, a, b, o: cross3(b, g),
+        lambda g, a, b, o: cross3(g, a),
     )
 
 
@@ -427,21 +439,17 @@ def backward(output):
     for node in reversed(order):
         if node.grad is None or not node.parents:
             continue
+        if type(node) is _Output:
+            kernel = node.parents[0]
+            kernel.grad = kernel.grad or {}
+            kernel.grad[node.index] = node.grad
+            continue
         for parent, g in zip(node.parents, node.vjp(node.grad)):
             if g is None:
                 continue
-            if parent.grad is None:
-                parent.grad = np.array(g, dtype=np.float64, copy=True)
-            else:
-                parent.grad = parent.grad + g
+            # stored as is: no .grad is changed in place, accumulation builds a new array
+            parent.grad = np.asarray(g, np.float64) if parent.grad is None else parent.grad + g
     return output.grad
-
-
-def grad(f, leaves):
-    """Gradients of the scalar ``f()`` w.r.t. ``leaves`` (list of Nodes)."""
-    out = f()
-    backward(out)
-    return [np.zeros_like(l.value) if l.grad is None else l.grad for l in leaves]
 
 
 def finite_diff_check(f, leaves, step=1e-6):
@@ -451,7 +459,8 @@ def finite_diff_check(f, leaves, step=1e-6):
     ``f`` is re-evaluated after each perturbation of the leaf values, so it
     must read the leaves' current ``.value``.
     """
-    grads = grad(f, leaves)
+    backward(f())
+    grads = [np.zeros_like(l.value) if l.grad is None else l.grad for l in leaves]
     worst = 0.0
     for node, g in zip(leaves, grads):
         flat = node.value.ravel()

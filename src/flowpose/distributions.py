@@ -17,7 +17,6 @@ __all__ = [
     "ProjectedIsoGaussian", "DiagGaussian",
     "pig_logpdf", "pig_logpdf_from_qdot",
     "igso3_logpdf", "uniform_sample", "uniform_quaternions",
-    "diag_gaussian_logpdf",
 ]
 
 # hemisphere surface area of S^3 is pi^2; uniform-on-SO(3) surface density
@@ -139,14 +138,3 @@ def uniform_quaternions(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def uniform_sample(rng: np.random.Generator) -> Rotation:
     return Rotation(rng.normal(size=4))
-
-
-def diag_gaussian_logpdf(d: DiagGaussian, x):
-    """Exact log-density; accepts arrays or autodiff nodes for x."""
-    xv = ag.as_array(x)
-    if xv.shape != d.mean.shape:
-        raise ag.ShapeError("dimension mismatch in diag_gaussian_logpdf")
-    z = (x - d.mean) * np.exp(-d.log_std)
-    quad = ag.reduce_sum(z * z)
-    const = d.mean.size * np.log(2.0 * np.pi) + 2.0 * float(np.sum(d.log_std))
-    return -0.5 * (quad + const)

@@ -21,12 +21,12 @@ from . import autodiff as ag
 from .distributions import (DiagGaussian, ProjectedIsoGaussian, pig_logpdf_batch,
                             pig_logpdf_from_qdot, pig_sample_batch)
 from .nets import ParamStore, mlp_apply, mlp_init
-from .rotation import (InvalidFrameError, Rotation, as_matrices, matrix_to_quat,
+from .rotation import (InvalidFrameError, Rotation, as_matrices, cross3, matrix_to_quat,
                        matrix_to_quat_batch, quat_to_matrices)
 
 __all__ = [
     "FlowConfig", "FlowModel", "PoseSample", "PoseBatch", "NonConvergenceError",
-    "constrain_omega", "mobius_map", "mobius_forward", "mobius_inverse",
+    "mobius_map", "mobius_forward", "mobius_inverse",
 ]
 
 OMEGA_MARGIN = 1e-3
@@ -38,18 +38,13 @@ class NonConvergenceError(RuntimeError):
     pass
 
 
-def constrain_omega(raw):
-    """Map an unconstrained 3-vector into the open unit ball, radius <= 1-1e-3."""
-    raw = np.asarray(raw, dtype=np.float64)
-    n = np.linalg.norm(raw)
-    if n == 0.0:
-        return np.zeros(3)
-    return raw * (np.tanh(n) * (1.0 - OMEGA_MARGIN) / n)
-
-
-def _constrain_omega_batch(ox, oy, oz):
-    """constrain_omega over omega components (B,k) each; one tape node."""
-    o = [ag.as_array(c) for c in (ox, oy, oz)]
+def _constrain_omega_batch(out, k):
+    """Map each omega of a conditioner output into the open unit ball, to
+    radius tanh|o| (1 - OMEGA_MARGIN). Columns [0,k), [k,2k) and [2k,3k) of
+    ``out`` hold x, y and z (B,k). One tape node with one parent, ``out``;
+    later columns get no gradient."""
+    a = ag.as_array(out)
+    o = [a[:, :k], a[:, k:2 * k], a[:, 2 * k:3 * k]]
     n = np.sqrt(o[0] * o[0] + o[1] * o[1] + o[2] * o[2] + 1e-30)
     t = np.tanh(n)
     s = t * ((1.0 - OMEGA_MARGIN) / n)
@@ -58,9 +53,12 @@ def _constrain_omega_batch(ox, oy, oz):
         # ds/dn = (1-m)(1-tanh^2)/n - s/n, and dn/do_i = o_i/n
         g_s = gx * o[0] + gy * o[1] + gz * o[2]
         g_n = g_s * ((1.0 - OMEGA_MARGIN) * (1.0 - t * t) - s) / n
-        return tuple(g * s + g_n * oc / n for g, oc in zip((gx, gy, gz), o))
+        g_out = np.zeros_like(a)
+        for i, (g, oc) in enumerate(zip((gx, gy, gz), o)):
+            g_out[:, i * k:(i + 1) * k] = g * s + g_n * oc / n
+        return (g_out,)
 
-    return ag.fused((o[0] * s, o[1] * s, o[2] * s), (ox, oy, oz), vjp)
+    return ag.fused((o[0] * s, o[1] * s, o[2] * s), (out,), vjp)
 
 
 def mobius_map(c: complex, omega: complex) -> complex:
@@ -81,7 +79,7 @@ def _mobius_fwd_batch(held, moving, ox, oy, oz, w):
     """
     hv, mv, wv = ag.as_array(held), ag.as_array(moving), ag.as_array(w)
     o = [ag.as_array(c) for c in (ox, oy, oz)]
-    u3 = np.cross(mv, hv)
+    u3 = cross3(mv, hv)
     cre = o[0] * mv[:, 0:1] + o[1] * mv[:, 1:2] + o[2] * mv[:, 2:3]
     cim = o[0] * u3[:, 0:1] + o[1] * u3[:, 1:2] + o[2] * u3[:, 2:3]
     one_re = 1.0 + cre
@@ -104,7 +102,7 @@ def _mobius_fwd_batch(held, moving, ox, oy, oz, w):
         g_mv = cos * g_moved + np.stack([(g_cre * oc).sum(axis=1) for oc in o], axis=1)
         g_u3 = sin * g_moved + np.stack([(g_cim * oc).sum(axis=1) for oc in o], axis=1)
         g_o = [g_cre * mv[:, i:i + 1] + g_cim * u3[:, i:i + 1] for i in range(3)]
-        return (np.cross(g_u3, mv), g_mv + np.cross(hv, g_u3), *g_o,
+        return (cross3(g_u3, mv), g_mv + cross3(hv, g_u3), *g_o,
                 g_theta * theta_j + g_d * d_j)
 
     return ag.fused((moved, logdet), (held, moving, ox, oy, oz, w), vjp)
@@ -125,18 +123,14 @@ def _mobius_inv_batch(moved, held, ox, oy, oz, w):
     last is the forward log-determinant of the step at the returned point."""
     moved = np.asarray(moved, float)
     held = np.asarray(held, float)
-    u3 = np.cross(moved, held)
+    u3 = cross3(moved, held)
     c0re = ox * moved[:, 0:1] + oy * moved[:, 1:2] + oz * moved[:, 2:3]
     c0im = ox * u3[:, 0:1] + oy * u3[:, 1:2] + oz * u3[:, 2:3]
     n = moved.shape[0]
-    lo = np.full(n, -np.pi)
-    hi = np.full(n, np.pi)
-    x = np.zeros(n)
-    last = np.full(n, 2.0 * np.pi)
-    iters = np.zeros(n, dtype=int)
-    done = np.zeros(n, dtype=bool)
-    root = np.zeros(n)
-    root_slope = np.ones(n)
+    iters, root, root_slope = np.zeros(n, dtype=int), np.zeros(n), np.ones(n)
+    # the working arrays hold only the rows still iterating
+    rows, x, last = np.arange(n), np.zeros(n), np.full(n, 2.0 * np.pi)
+    lo, hi = np.full(n, -np.pi), np.full(n, np.pi)
     for it in range(1, INVERSE_MAX_ITER + 1):
         cm, sm = np.cos(x)[:, None], np.sin(x)[:, None]
         cre = c0re * cm + c0im * sm      # c0 * exp(-i x)
@@ -144,12 +138,13 @@ def _mobius_inv_batch(moved, held, ox, oy, oz, w):
         one_re = 1.0 + cre
         h = (w * 2.0 * np.arctan2(cim, one_re)).sum(axis=1) + x
         slope = (w * (1.0 - (cre * cre + cim * cim)) / (one_re * one_re + cim * cim)).sum(axis=1)
-        newly = (np.abs(h) < INVERSE_EPS) & ~done
-        iters[newly] = it
-        root[newly] = x[newly]
-        root_slope[newly] = slope[newly]
-        done |= newly
-        if done.all():
+        conv = np.abs(h) < INVERSE_EPS
+        if conv.any():
+            hit, go = rows[conv], ~conv
+            iters[hit], root[hit], root_slope[hit] = it, x[conv], slope[conv]
+            rows, x, h, slope, lo, hi, last, c0re, c0im, w = (
+                v[go] for v in (rows, x, h, slope, lo, hi, last, c0re, c0im, w))
+        if not rows.size:
             break
         neg = h < 0
         lo = np.where(neg, x, lo)
@@ -160,7 +155,7 @@ def _mobius_inv_batch(moved, held, ox, oy, oz, w):
         nxt = np.where(take, newton, 0.5 * (lo + hi))
         last = np.abs(nxt - x)
         x = nxt
-    if not done.all():
+    if rows.size:
         raise NonConvergenceError("Möbius inverse failed to reach tolerance")
     moving = moved * np.cos(root)[:, None] + u3 * np.sin(root)[:, None]
     return moving, iters, np.log(root_slope)
@@ -304,7 +299,7 @@ class FlowModel:
     def _coupling_cond(self, p, name, held, ctx):
         k = self.cfg.k_transforms
         out = mlp_apply(p, name, ag.concat([held, ctx], axis=1), self.cfg.blocks)
-        ox, oy, oz = _constrain_omega_batch(out[:, :k], out[:, k:2 * k], out[:, 2 * k:3 * k])
+        ox, oy, oz = _constrain_omega_batch(out, k)
         return ox, oy, oz, ag.softmax(out[:, 3 * k:], axis=1)
 
     def _rotation_q(self, p, i, ctx):
@@ -393,12 +388,6 @@ class FlowModel:
             self._ctx_row(pv, context, joint))
         return matrix_to_quat(_frame_matrices(u1[0], u2[0]))
 
-    def rotation_layer(self, r: Rotation, context, set_index=0, joint=0):
-        """(Q r, logdet = 0) with Q produced by the rotation conditioner."""
-        pv = self.param_values()
-        q9 = self._rotation_q(pv, set_index, self._ctx_row(pv, context, joint))
-        return matrix_to_quat(q9[0].reshape(3, 3) @ r.matrix()), 0.0
-
     def log_prob_rows(self, p, u1, u2, ctx_rows, ctx_constant=False):
         """Per-row joint log-density: base log-pdf at the image plus logdet."""
         u1b, u2b, logdet = self._to_base(p, u1, u2, ctx_rows, ctx_constant)
@@ -465,7 +454,7 @@ def _frame_matrices(u1, u2):
     u1 = u1 / np.sqrt(np.vecdot(u1, u1))[..., None]
     u2 = u2 - np.vecdot(u2, u1)[..., None] * u1
     u2 = u2 / np.sqrt(np.vecdot(u2, u2))[..., None]
-    return np.stack([u1, u2, np.cross(u1, u2)], axis=-1)
+    return np.stack([u1, u2, cross3(u1, u2)], axis=-1)
 
 
 def _pose_cols(rotations):

@@ -106,45 +106,91 @@ def mlp_apply(params, prefix, x, blocks):
     return ag.fused(out, [x] + nodes, vjp)
 
 
+_BLOCK = 16384  # elements per block of an optimizer pass: a block of every vector fits in L2
+
+
+class _Packed:
+    """Leaves whose ``.value`` are reshaped views into one float64 vector
+    ``x``, and a gradient buffer ``g`` with the same layout."""
+
+    def __init__(self, leaves):
+        bounds = np.cumsum([0] + [l.value.size for l in leaves]).tolist()
+        self.x = np.concatenate([l.value.ravel() for l in leaves])
+        self.g, self.sq = np.zeros_like(self.x), np.zeros_like(self.x)
+        self.segments = []
+        for l, a, b in zip(leaves, bounds, bounds[1:]):
+            l.value = self.x[a:b].reshape(l.value.shape)
+            self.segments.append((l, l.value, self.g[a:b].reshape(l.value.shape), a, b))
+
+    def gather(self):
+        """Copy the live leaves' gradients into ``g``. Returns [start, end)
+        blocks of at most _BLOCK elements over the runs of consecutive live
+        leaves, and the clip norm summed leaf by leaf."""
+        live, runs = [], []
+        for l, view, g, a, b in self.segments:
+            if l.value is not view:
+                raise RuntimeError("a packed leaf's .value was rebound; "
+                                   "the optimizer would no longer update it")
+            if l.grad is not None:
+                g[...] = l.grad
+                live.append((a, b))
+                if runs and runs[-1][1] == a:
+                    runs[-1][1] = b
+                else:
+                    runs.append([a, b])
+        for a, b in runs:
+            np.multiply(self.g[a:b], self.g[a:b], out=self.sq[a:b])
+        total = np.sqrt(sum(float(np.add.reduce(self.sq[a:b])) for a, b in live))
+        return [(s, min(s + _BLOCK, b)) for a, b in runs for s in range(a, b, _BLOCK)], total
+
+
 class GradientDescent:
     """Plain gradient descent with global gradient-norm clipping."""
 
     def __init__(self, leaves, lr, clip_norm=1.0):
-        self.leaves = leaves
+        self.packed = _Packed(leaves)
         self.lr = lr
         self.clip_norm = clip_norm
 
     def step(self):
-        live = [l for l in self.leaves if l.grad is not None]
-        total = np.sqrt(sum(float(np.sum(l.grad * l.grad)) for l in live))
-        scale = 1.0 if total <= self.clip_norm else self.clip_norm / total
-        for l in live:
-            l.value = l.value - self.lr * scale * l.grad
+        blocks, total = self.packed.gather()
+        rate = self.lr * (1.0 if total <= self.clip_norm else self.clip_norm / total)
+        x, g = self.packed.x, self.packed.g
+        for a, b in blocks:
+            x[a:b] -= np.multiply(g[a:b], rate, out=g[a:b])
 
 
 class Adam:
+    """Adam with global gradient-norm clipping; a leaf with no gradient
+    keeps its value and moments."""
+
     def __init__(self, leaves, lr, beta1=0.9, beta2=0.999, eps=1e-8, clip_norm=1.0):
-        self.leaves = leaves
+        self.packed = _Packed(leaves)
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.clip_norm = clip_norm
-        self.m = [np.zeros_like(l.value) for l in leaves]
-        self.v = [np.zeros_like(l.value) for l in leaves]
+        self.m, self.v = np.zeros_like(self.packed.x), np.zeros_like(self.packed.x)
+        self._tmp = np.zeros((2, min(_BLOCK, self.m.size)))
         self.t = 0
 
     def step(self):
         self.t += 1
-        live = [i for i, l in enumerate(self.leaves) if l.grad is not None]
-        grads = [self.leaves[i].grad for i in live]
-        total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
-        if self.clip_norm and total > self.clip_norm:
-            grads = [g * (self.clip_norm / total) for g in grads]
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
-        for i, g in zip(live, grads):
-            l = self.leaves[i]
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            mhat = self.m[i] / b1t
-            vhat = self.v[i] / b2t
-            l.value = l.value - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        blocks, total = self.packed.gather()
+        clip = self.clip_norm and total > self.clip_norm
+        b1, b2 = self.beta1, self.beta2
+        b1t, b2t = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        for a, b in blocks:
+            # in place: m = b1 m + (1-b1) g, v = b2 v + (1-b2) g g and
+            # x -= lr (m / b1t) / (sqrt(v / b2t) + eps)
+            g, m, v = self.packed.g[a:b], self.m[a:b], self.v[a:b]
+            u, w = self._tmp[:, :b - a]
+            if clip:
+                g *= self.clip_norm / total
+            m *= b1
+            m += np.multiply(g, 1 - b1, out=u)
+            v *= b2
+            v += np.multiply(np.multiply(g, 1 - b2, out=u), g, out=u)
+            np.sqrt(np.divide(v, b2t, out=u), out=u)
+            u += self.eps
+            np.multiply(np.divide(m, b1t, out=w), self.lr, out=w)
+            self.packed.x[a:b] -= np.divide(w, u, out=w)

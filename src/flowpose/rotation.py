@@ -11,12 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Rotation", "TwoVectorFrame", "InvalidRotationError", "NearCutLocusError",
+    "Rotation", "InvalidRotationError", "NearCutLocusError",
     "DegenerateProjectionError", "InvalidFrameError", "DegenerateMeanError",
     "quat_to_matrix", "quat_to_matrices", "quat_multiply", "matrix_to_quat",
     "matrix_to_quat_batch", "axis_angle_exp", "exp_matrices", "axis_angle_log",
     "geodesic_distance", "special_orthogonalize", "special_orthogonalize_matrices",
-    "frame_complete", "rotation_mean", "svd3", "as_matrices",
+    "rotation_mean", "as_matrices", "cross3",
 ]
 
 _UNIT_TOL = 1e-12
@@ -73,10 +73,6 @@ class Rotation:
     def identity():
         return Rotation((1.0, 0.0, 0.0, 0.0))
 
-    @staticmethod
-    def from_matrix(m):
-        return matrix_to_quat(m)
-
     def matrix(self):
         return quat_to_matrix(self)
 
@@ -102,22 +98,16 @@ class Rotation:
         return bool(np.allclose(self.q, other.q, atol=atol))
 
 
-@dataclass(frozen=True)
-class TwoVectorFrame:
-    """Two orthonormal vectors; the third column of a rotation is implied."""
-
-    u1: np.ndarray
-    u2: np.ndarray
-
-    def __init__(self, u1, u2):
-        u1 = np.asarray(u1, dtype=np.float64)
-        u2 = np.asarray(u2, dtype=np.float64)
-        if abs(np.linalg.norm(u1) - 1.0) > 1e-10 or abs(np.linalg.norm(u2) - 1.0) > 1e-10:
-            raise InvalidFrameError("frame vectors must be unit length")
-        if abs(float(u1 @ u2)) > 1e-10:
-            raise InvalidFrameError("frame vectors must be orthogonal")
-        object.__setattr__(self, "u1", u1)
-        object.__setattr__(self, "u2", u2)
+def cross3(a, b):
+    """Cross product of 3-vectors along the last axis of float64 arrays;
+    np.cross bit for bit, without its axis and dtype handling."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    np.subtract(a1 * b2, a2 * b1, out=out[..., 0])
+    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
+    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
+    return out
 
 
 def quat_to_matrices(q) -> np.ndarray:
@@ -232,21 +222,6 @@ def geodesic_distance(a: Rotation, b: Rotation) -> float:
     return 2.0 * np.arccos(min(d, 1.0))
 
 
-def svd3(m):
-    """SVD of a 3x3 matrix with descending nonnegative singular values."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape != (3, 3):
-        raise ValueError("svd3 expects a 3x3 matrix")
-    u, s, vt = np.linalg.svd(m)
-    # deterministic column signs: largest-|entry| of each U column positive
-    for i in range(3):
-        k = np.argmax(np.abs(u[:, i]))
-        if u[k, i] < 0:
-            u[:, i] = -u[:, i]
-            vt[i, :] = -vt[i, :]
-    return u, s, vt.T
-
-
 def special_orthogonalize_matrices(m) -> np.ndarray:
     """Nearest rotations in Frobenius norm, U diag(1, 1, det(UV^T)) V^T, to
     matrices (...,3,3); DegenerateProjectionError if a smallest singular
@@ -264,14 +239,6 @@ def special_orthogonalize_matrices(m) -> np.ndarray:
 def special_orthogonalize(m) -> Rotation:
     """Nearest rotation in Frobenius norm to one 3x3 matrix."""
     return matrix_to_quat(special_orthogonalize_matrices(m))
-
-
-def frame_complete(f: TwoVectorFrame) -> Rotation:
-    u3 = np.cross(f.u1, f.u2)
-    m = np.column_stack([f.u1, f.u2, u3])
-    if not np.allclose(m @ m.T, np.eye(3), atol=1e-6):
-        raise InvalidFrameError("frame is not orthonormal within tolerance")
-    return matrix_to_quat(m)
 
 
 def rotation_mean(rotations, weights=None) -> Rotation:

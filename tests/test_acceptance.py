@@ -57,7 +57,7 @@ def test_criterion_1_mobius_roundtrip():
     t0 = time.time()
     u1, u2 = _orthonormal_pairs(rng, n)
     raw = rng.normal(scale=0.3, size=(3, n, k))
-    ox, oy, oz = fl._constrain_omega_batch(*raw)
+    ox, oy, oz = fl._constrain_omega_batch(np.concatenate(raw, axis=1), k)
     ox, oy, oz = (np.asarray(ag.as_array(o)) for o in (ox, oy, oz))
     logits = rng.normal(size=(n, k))
     w = np.exp(logits)
@@ -103,7 +103,7 @@ def test_criterion_2_volume_element():
     raw_w = ag.leaf(rng.normal(size=(1, 6)))
 
     def f():
-        cx, cy, cz = fl._constrain_omega_batch(ox, oy, oz)
+        cx, cy, cz = fl._constrain_omega_batch(ag.concat([ox, oy, oz], axis=1), 6)
         _, logdet = fl._mobius_fwd_batch(u1, u2, cx, cy, cz,
                                          ag.softmax(raw_w))
         return ag.reduce_sum(logdet)

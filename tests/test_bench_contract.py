@@ -14,7 +14,7 @@ import layers  # noqa: E402
 import spans  # noqa: E402
 
 from flowpose import distributions as dist  # noqa: E402
-from flowpose import metrics, solver, training  # noqa: E402
+from flowpose import body, metrics, solver, synth, training  # noqa: E402
 
 
 def test_traced_toy_fit_gives_strict_json_metrics():
@@ -60,3 +60,25 @@ def test_traced_solve_and_evaluate_give_strict_json_solver_metrics(trained_model
     assert values["solver.linearizations_per_solve"] >= 1
     assert values["solver.assemble_ms_per_linearization"] > 0
     assert values["metrics.score_ms_per_draw"] > 0
+
+
+def test_step_clock_bindings_are_each_owners_own():
+    # Hooks wrap owner.__dict__[attr]: a step inherited from a base class
+    # would leave the optimizer unhooked and the step clock empty
+    for _, bindings, _ in layers.STEP_CLOCK:
+        for owner_path, attr in bindings:
+            owner = spans._resolve(owner_path)
+            assert owner is not None, owner_path
+            assert callable(owner.__dict__.get(attr)), (owner_path, attr)
+
+
+def test_traced_sgd_train_times_its_steps():
+    model = body.make_toy_model()
+    dataset = synth.gen_dataset(model, 4, synth.standard_rig(1), synth.NoiseSpec(1.0), seed=0)
+    cfg = training.TrainConfig(phase1_epochs=2, phase2_epochs=0, batch_size=2, seed=0)
+    assert cfg.optimizer == "sgd"
+    tracer = spans.Tracer()
+    with spans.Hooks(tracer, layers.STEP_CLOCK) as hooks:
+        training.train(model, dataset, cfg)
+    assert not hooks.missing
+    assert tracer.step_durations()

@@ -44,17 +44,26 @@ def test_mobius_map_preserves_unit_circle(rng):
         assert abs(abs(fl.mobius_map(c, om)) - 1.0) < 1e-12
 
 
+def constrain_omega(raw):
+    """Reference: one omega 3-vector mapped into the ball of radius 1 - 1e-3."""
+    n = np.linalg.norm(raw)
+    if n == 0.0:
+        return np.zeros(3)
+    return raw * (np.tanh(n) * (1.0 - fl.OMEGA_MARGIN) / n)
+
+
 def test_constrain_omega_in_ball(rng):
     for scale in (0.1, 1.0, 100.0):
-        v = fl.constrain_omega(rng.normal(scale=scale, size=3))
-        assert np.linalg.norm(v) <= 1.0 - 1e-3 + 1e-12
-    assert np.allclose(fl.constrain_omega(np.zeros(3)), 0.0)
+        raw = rng.normal(scale=scale, size=(5, 3))
+        v = np.concatenate(fl._constrain_omega_batch(raw, 1), axis=1)
+        assert (np.linalg.norm(v, axis=1) <= 1.0 - 1e-3 + 1e-12).all()
+    assert not np.concatenate(fl._constrain_omega_batch(np.zeros((1, 3)), 1)).any()
 
 
 def test_mobius_forward_inverse_roundtrip(rng):
     for _ in range(50):
         held, moving = _orthonormal_pair(rng)
-        omegas = np.array([fl.constrain_omega(rng.normal(scale=0.5, size=3))
+        omegas = np.array([constrain_omega(rng.normal(scale=0.5, size=3))
                            for _ in range(8)])
         w = rng.dirichlet(np.ones(8))
         moved, logdet = fl.mobius_forward(held, moving, omegas, w)
@@ -113,7 +122,7 @@ def test_logdet_tape_gradients(rng):
     raw_w = ag.leaf(rng.normal(size=(1, 6)))
 
     def f():
-        cx, cy, cz = fl._constrain_omega_batch(ox, oy, oz)
+        cx, cy, cz = fl._constrain_omega_batch(ag.concat([ox, oy, oz], axis=1), 6)
         w = ag.softmax(raw_w)
         _, logdet = fl._mobius_fwd_batch(held[None, :], moving[None, :],
                                          cx, cy, cz, w)
@@ -146,7 +155,8 @@ def _roundtrip_rows(seed, omega_scale, n=10_000, k=16):
     rng = np.random.default_rng(seed)
     u1, u2 = _orthonormal_pairs(rng, n)
     raw = rng.normal(scale=omega_scale, size=(3, n, k))
-    ox, oy, oz = (np.asarray(ag.as_array(o)) for o in fl._constrain_omega_batch(*raw))
+    ox, oy, oz = (np.asarray(ag.as_array(o))
+                  for o in fl._constrain_omega_batch(np.concatenate(raw, axis=1), k))
     return u1, u2, ox, oy, oz, rng.dirichlet(np.ones(k), size=n)
 
 
@@ -187,7 +197,8 @@ def _criterion_1_rows(n=10_000, k=16):
     u2 = t - np.sum(t * u1, axis=1, keepdims=True) * u1
     u2 /= np.linalg.norm(u2, axis=1, keepdims=True)
     raw = rng.normal(scale=0.3, size=(3, n, k))
-    ox, oy, oz = (np.asarray(ag.as_array(o)) for o in fl._constrain_omega_batch(*raw))
+    ox, oy, oz = (np.asarray(ag.as_array(o))
+                  for o in fl._constrain_omega_batch(np.concatenate(raw, axis=1), k))
     w = np.exp(rng.normal(size=(n, k)))
     return u1, u2, ox, oy, oz, w / w.sum(axis=1, keepdims=True)
 
@@ -202,6 +213,21 @@ def test_inverse_log_slope_is_forward_logdet(rows):
     rec, _, log_slope = fl._mobius_inv_batch(moved, u1, ox, oy, oz, w)
     _, logdet = fl._mobius_fwd_batch(u1, rec, ox, oy, oz, w)
     np.testing.assert_allclose(log_slope, logdet, rtol=0, atol=1e-12)
+
+
+def test_inverse_batch_matches_rows_solved_alone():
+    # rows leave the working set as they converge; each row's result must
+    # not depend on the others in its batch
+    u1, u2, ox, oy, oz, w = _roundtrip_rows(1, 2.0, n=300)
+    moved, _ = fl._mobius_fwd_batch(u1, u2, ox, oy, oz, w)
+    rec, iters, log_slope = fl._mobius_inv_batch(moved, u1, ox, oy, oz, w)
+    assert len(set(iters.tolist())) > 2
+    for i in range(len(moved)):
+        one = slice(i, i + 1)
+        r, it, ls = fl._mobius_inv_batch(moved[one], u1[one], ox[one], oy[one], oz[one], w[one])
+        np.testing.assert_array_equal(r, rec[one])
+        np.testing.assert_array_equal(it, iters[one])
+        np.testing.assert_array_equal(ls, log_slope[one])
 
 
 def test_flow_sample_makes_one_pass(rng, monkeypatch):
@@ -320,11 +346,13 @@ def test_ctx_constant_fast_path_matches(rng):
 
 
 def test_rotation_layer_is_rotation(rng):
+    # the conditioner's Q is in SO(3): Q r is a rotation, and the rigid
+    # layer does not change volume
     model = _perturbed_model(rng)
-    r = dist.uniform_sample(rng)
-    out, logdet = model.rotation_layer(r, rng.normal(size=3))
-    assert isinstance(out, Rotation)
-    assert abs(logdet) < 1e-12  # rigid layers do not change volume
+    pv = model.param_values()
+    q = model._rotation_q(pv, 0, model._ctx_row(pv, rng.normal(size=3)))[0].reshape(3, 3)
+    np.testing.assert_allclose(q @ q.T, np.eye(3), atol=1e-12)
+    assert abs(np.linalg.det(q) - 1.0) < 1e-12
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -362,13 +390,14 @@ def test_mobius_node_grads(rng):
 def test_constrain_omega_node_grads(rng):
     raw = [ag.leaf(rng.normal(scale=0.8, size=(3, 5))) for _ in range(3)]
     ws = rng.normal(size=(3, 3, 5))
-    ref = np.array([fl.constrain_omega(v) for v in
+    ref = np.array([constrain_omega(v) for v in
                     np.stack([r.value for r in raw], axis=-1).reshape(-1, 3)])
-    got = np.stack([ag.as_array(c) for c in fl._constrain_omega_batch(*raw)], axis=-1)
+    got = np.stack([ag.as_array(c) for c in fl._constrain_omega_batch(ag.concat(raw, axis=1), 5)],
+                   axis=-1)
     np.testing.assert_allclose(got.reshape(-1, 3), ref, atol=1e-15)
     assert ag.finite_diff_check(
         lambda: sum(ag.reduce_sum(c * wi) for c, wi in
-                    zip(fl._constrain_omega_batch(*raw), ws)), raw) < 1e-6
+                    zip(fl._constrain_omega_batch(ag.concat(raw, axis=1), 5), ws)), raw) < 1e-6
 
 
 @pytest.mark.parametrize("rows, transpose", [(5, False), (5, True), (1, True)])

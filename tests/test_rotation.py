@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation as ScipyRot
 
+from flowpose.flow import _frame_matrices
 from flowpose.rotation import (DegenerateMeanError, DegenerateProjectionError,
-                               InvalidRotationError, Rotation, TwoVectorFrame,
-                               as_matrices, axis_angle_exp, axis_angle_log, exp_matrices,
-                               frame_complete, geodesic_distance, matrix_to_quat,
-                               matrix_to_quat_batch, quat_multiply, quat_to_matrices,
-                               quat_to_matrix, rotation_mean, special_orthogonalize,
-                               special_orthogonalize_matrices, svd3)
+                               InvalidRotationError, Rotation, as_matrices, axis_angle_exp,
+                               axis_angle_log, cross3, exp_matrices, geodesic_distance,
+                               matrix_to_quat, matrix_to_quat_batch, quat_multiply,
+                               quat_to_matrices, quat_to_matrix, rotation_mean,
+                               special_orthogonalize, special_orthogonalize_matrices)
 
 unit_vec3 = st.lists(st.floats(-1, 1), min_size=3, max_size=3).filter(
     lambda v: 0.1 < np.linalg.norm(v) < 3.0)
@@ -232,6 +232,18 @@ def test_as_matrices_returns_an_array_as_is(rng):
     assert np.array_equal(mats, np.stack([r.matrix() for r in rots]))
 
 
+def svd3(m):
+    """Reference SVD of one 3x3 matrix: descending singular values, and the
+    largest-|entry| of each U column positive."""
+    u, s, vt = np.linalg.svd(np.asarray(m, dtype=np.float64))
+    for i in range(3):
+        k = np.argmax(np.abs(u[:, i]))
+        if u[k, i] < 0:
+            u[:, i] = -u[:, i]
+            vt[i, :] = -vt[i, :]
+    return u, s, vt.T
+
+
 def test_svd3_reconstruction(rng):
     m = rng.normal(size=(3, 3))
     u, s, v = svd3(m)
@@ -269,8 +281,7 @@ def test_frame_complete_orthonormal(rng):
     t = rng.normal(size=3)
     u2 = t - (t @ u1) * u1
     u2 /= np.linalg.norm(u2)
-    r = frame_complete(TwoVectorFrame(u1, u2))
-    m = r.matrix()
+    m = _frame_matrices(u1, u2)
     np.testing.assert_allclose(m[:, 0], u1, atol=1e-12)
     np.testing.assert_allclose(m[:, 1], u2, atol=1e-12)
     assert abs(np.linalg.det(m) - 1) < 1e-12
@@ -294,3 +305,11 @@ def test_rotation_mean_degenerate():
     b = axis_angle_exp([np.pi, 0.0, 0.0])
     with pytest.raises(DegenerateMeanError):
         rotation_mean([a, b], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("shapes", [((128, 3), (128, 3)), ((100_000, 3), (100_000, 3)),
+                                    ((1, 3), (5, 3)), ((4, 2, 3), (4, 2, 3))])
+def test_cross3_equals_np_cross(shapes):
+    rng = np.random.default_rng(0)
+    a, b = (rng.normal(size=s) for s in shapes)
+    np.testing.assert_array_equal(cross3(a, b), np.cross(a, b))

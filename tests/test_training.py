@@ -273,7 +273,8 @@ def test_optimizer_skips_leaves_without_gradient(opt_cls):
         np.testing.assert_array_equal(got.value, want.value)
     assert not np.array_equal(with_dead[0].value, vals[0])
     if opt_cls is nets.Adam:
-        assert not opt.m[1].any() and not opt.v[1].any()
+        seg = slice(6, 10)      # leaf 1's moments follow leaf 0's six entries
+        assert not opt.m[seg].any() and not opt.v[seg].any()
 
 
 def test_adam_leaf_stays_put_once_its_gradient_stops():
@@ -282,9 +283,99 @@ def test_adam_leaf_stays_put_once_its_gradient_stops():
     opt = nets.Adam([x], lr=0.1)
     x.grad = np.array([1.0, -2.0, 0.5])
     opt.step()
-    after_one, m, v = x.value.copy(), opt.m[0].copy(), opt.v[0].copy()
+    after_one, m, v = x.value.copy(), opt.m[0:3].copy(), opt.v[0:3].copy()
     x.grad = None
     opt.step()
     np.testing.assert_array_equal(x.value, after_one)
-    np.testing.assert_array_equal(opt.m[0], m)
-    np.testing.assert_array_equal(opt.v[0], v)
+    np.testing.assert_array_equal(opt.m[0:3], m)
+    np.testing.assert_array_equal(opt.v[0:3], v)
+
+
+class _PerLeafGradientDescent:
+    """Reference: gradient descent stepping one leaf array at a time."""
+
+    def __init__(self, leaves, lr, clip_norm=1.0):
+        self.leaves = leaves
+        self.lr = lr
+        self.clip_norm = clip_norm
+
+    def step(self):
+        live = [l for l in self.leaves if l.grad is not None]
+        total = np.sqrt(sum(float(np.sum(l.grad * l.grad)) for l in live))
+        scale = 1.0 if total <= self.clip_norm else self.clip_norm / total
+        for l in live:
+            l.value = l.value - self.lr * scale * l.grad
+
+
+class _PerLeafAdam:
+    """Reference: Adam keeping one moment array per leaf."""
+
+    def __init__(self, leaves, lr, beta1=0.9, beta2=0.999, eps=1e-8, clip_norm=1.0):
+        self.leaves = leaves
+        self.lr = lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.clip_norm = clip_norm
+        self.m = [np.zeros_like(l.value) for l in leaves]
+        self.v = [np.zeros_like(l.value) for l in leaves]
+        self.t = 0
+
+    def step(self):
+        self.t += 1
+        live = [i for i, l in enumerate(self.leaves) if l.grad is not None]
+        grads = [self.leaves[i].grad for i in live]
+        total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+        if self.clip_norm and total > self.clip_norm:
+            grads = [g * (self.clip_norm / total) for g in grads]
+        b1t = 1.0 - self.beta1 ** self.t
+        b2t = 1.0 - self.beta2 ** self.t
+        for i, g in zip(live, grads):
+            l = self.leaves[i]
+            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
+            mhat = self.m[i] / b1t
+            vhat = self.v[i] / b2t
+            l.value = l.value - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+@pytest.mark.parametrize("grad_scale", [1e-4, 10.0], ids=["unclipped", "clipped"])
+@pytest.mark.parametrize("opt_cls, ref_cls", [(nets.Adam, _PerLeafAdam),
+                                              (nets.GradientDescent, _PerLeafGradientDescent)])
+def test_flat_optimizer_matches_per_leaf_reference(opt_cls, ref_cls, grad_scale):
+    """The packed optimizers do the per-leaf arithmetic bit for bit: mixed
+    shapes, a leaf longer than one block, a leaf that never gets a gradient
+    and one that misses a step."""
+    rng = np.random.default_rng(1)
+    shapes = [(3, 2), (70, 64), (4,), (1,), (2, 3, 2), (nets._BLOCK + 37,)]
+    vals = [rng.normal(size=s) for s in shapes]
+    flat_leaves = [ag.leaf(v) for v in vals]
+    ref_leaves = [ag.leaf(v) for v in vals]
+    opt, ref = opt_cls(flat_leaves, lr=0.01), ref_cls(ref_leaves, lr=0.01)
+    for step in range(6):
+        grads = [grad_scale * rng.normal(size=s) for s in shapes]
+        grads[2] = None                     # never live
+        if step == 3:
+            grads[0] = grads[4] = None      # splits the live runs for one step
+        for a, b, g in zip(flat_leaves, ref_leaves, grads):
+            a.grad = b.grad = g
+        opt.step()
+        ref.step()
+        for a, b in zip(flat_leaves, ref_leaves):
+            np.testing.assert_array_equal(a.value, b.value)
+        if opt_cls is nets.Adam:
+            bounds = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
+            for i, s in enumerate(shapes):
+                seg = slice(bounds[i], bounds[i + 1])
+                np.testing.assert_array_equal(opt.m[seg].reshape(s), ref.m[i])
+                np.testing.assert_array_equal(opt.v[seg].reshape(s), ref.v[i])
+    np.testing.assert_array_equal(flat_leaves[2].value, vals[2])
+
+
+@pytest.mark.parametrize("opt_cls", [nets.Adam, nets.GradientDescent])
+def test_rebinding_a_packed_leaf_raises_at_the_next_step(opt_cls):
+    x, y = ag.leaf(np.ones(3)), ag.leaf(np.zeros(2))
+    opt = opt_cls([x, y], lr=0.1)
+    x.grad, y.grad = np.ones(3), np.ones(2)
+    opt.step()
+    x.value = x.value + 1.0       # no longer a view into the optimizer's vector
+    with pytest.raises(RuntimeError, match="rebound"):
+        opt.step()
