@@ -62,13 +62,13 @@ class BodyModelDef:
 
     @cached_property
     def anchor_levers(self):
-        """(c (1+S,A,3), L (K,1+S,A,3)): posed under world rotations R (K,3,3),
+        """(c (1+S,A,3), L (1+S,A,K,3)): posed under world rotations R (K,3,3),
         the anchors of the rest stack [template; shape basis] are
-        c + sum_k R_k L_k.  Posed once, at the zero and the K unit stacks."""
+        c + sum_k R_k L[:, :, k].  Posed once, at the zero and the K unit stacks."""
         stacks = np.eye(self.n_joints + 1)[:, 1:, None, None] * np.eye(3)
         rest = np.concatenate([self.template[None], self.shape_basis.reshape(self.n_shape, -1, 3)])
-        posed = pose_points(self, stacks[:, None], rest, self.anchor_indices)
-        c, levers = posed[0], posed[1:] - posed[0]
+        posed = pose_points(self, stacks[:, None], rest)[..., self.anchor_indices, :]
+        c, levers = posed[0], np.ascontiguousarray(np.moveaxis(posed[1:] - posed[0], 0, 2))
         c.flags.writeable = levers.flags.writeable = False      # shared by every caller
         return c, levers
 
@@ -191,24 +191,35 @@ def _chain_positions(model: BodyModelDef, world_rot, rest_joints) -> np.ndarray:
     return wp
 
 
-def pose_points(model: BodyModelDef, world_rot, rest_verts, idx=None) -> np.ndarray:
-    """Linear-blend-skinned positions (...,A,3) of vertices idx (all when
-    None) of rest_verts (...,N,3) under world rotations (...,K,3,3), before
-    translation; the leading axes of the two broadcast.
+def pose_points(model: BodyModelDef, world_rot, rest_verts) -> np.ndarray:
+    """Linear-blend-skinned positions (...,N,3) of rest_verts (...,N,3) under
+    world rotations (...,K,3,3), before translation; the leading axes of the
+    two broadcast.
 
     Each vertex is sum_k W[k,v] (R_k (v - j_k) + j_k^world) with the rest
-    joints regressed from rest_verts; the map is linear in rest_verts, so
-    one call on [rest vertices; shape directions] also gives the shape
-    Jacobian.
+    joints regressed from rest_verts; the map is linear in rest_verts.
     """
     rest_verts = np.asarray(rest_verts, float)
     jr = model.joint_regressor @ rest_verts
     wp = _chain_positions(model, world_rot, jr)
-    w = model.blend_weights if idx is None else model.blend_weights[:, idx]
-    verts = rest_verts if idx is None else rest_verts[..., idx, :]
-    local = verts[..., None, :, :] - jr[..., :, None, :]          # (...,K,A,3)
+    local = rest_verts[..., None, :, :] - jr[..., :, None, :]     # (...,K,N,3)
     moved = local @ np.swapaxes(world_rot, -1, -2) + wp[..., :, None, :]
-    return np.einsum("ka,...kai->...ai", w, moved)
+    return np.einsum("kn,...kni->...ni", model.blend_weights, moved)
+
+
+def pose_anchors(model: BodyModelDef, world_rot, coef) -> np.ndarray:
+    """Anchors (...,A,3) of the rest vertices coef . [template; shape basis]
+    under world rotations (...,K,3,3), before translation; the leading axes
+    broadcast.  coef [1, beta] poses shape beta, the identity (1+S,1+S) the
+    stack itself.  One ((1+S)A, 3K) x (3K, 3) product contracts the lever
+    table L of `anchor_levers` for every rest row: c + sum_k R_k L_k."""
+    c, levers = model.anchor_levers
+    n_rest, n_a = c.shape[:2]
+    rt = np.swapaxes(world_rot, -1, -2)
+    rt = rt.reshape(*rt.shape[:-3], -1, 3)                        # row 3k + j is R_k[:, j]
+    posed = (levers.reshape(n_rest * n_a, -1) @ rt).reshape(*rt.shape[:-2], n_rest, -1)
+    out = np.asarray(coef, float)[..., None, :] @ (posed + c.reshape(n_rest, -1))
+    return out.reshape(*out.shape[:-2], n_a, 3)
 
 
 def forward_kinematics(model: BodyModelDef, state: BodyState):

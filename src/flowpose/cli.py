@@ -23,8 +23,7 @@ from . import autodiff as ag
 from . import body, checkpoint, metrics, selftest as selftest_mod, synth, training
 from .flow import FlowConfig, NonConvergenceError
 from .rotation import Rotation, matrix_to_quat_batch
-from .solver import (Observation, SolveConfig, SolverFailure, solve_multi_view,
-                     solve_single_view)
+from .solver import Observation, SolveConfig, SolverFailure, solve, solve_multi_view
 
 FORMAT_VERSIONS = {"model": 1, "checkpoint": checkpoint.FORMAT_VERSION}
 
@@ -47,6 +46,7 @@ def _schema_epilog():
         "  sample   : checkpoint, n, context | (dataset, scene)",
         "  solve    : model, pose_init, observations, solve {"
         + ", ".join(_config_keys(SolveConfig)) + "}",
+        "             pose_init: K quaternions (world-frame root) or a list per view (camera root)",
         "  eval     : model, dataset, checkpoint, n_samples, views, "
         "use_solver, experiment",
         "  toy-fit  : n_modes | targets, steps, batch, lr, noise_kappa, "
@@ -196,13 +196,10 @@ def cmd_solve(args):
         raise ValidationError(f"bad solve config: {e}")
     pose_cfg = cfg["pose_init"]
     if isinstance(pose_cfg[0][0], list):
-        poses = [[Rotation(np.asarray(q, float)) for q in view] for view in pose_cfg]
+        res = solve_multi_view(m, [[Rotation(np.asarray(q, float)) for q in view]
+                                   for view in pose_cfg], obs, scfg)
     else:
-        poses = [[Rotation(np.asarray(q, float)) for q in pose_cfg]] * len(obs)
-    if len(obs) == 1:
-        res = solve_single_view(m, poses[0], obs[0], scfg)
-    else:
-        res = solve_multi_view(m, poses, obs, scfg)
+        res = solve(m, [Rotation(np.asarray(q, float)) for q in pose_cfg], obs, scfg)
     doc = {"pose": [r.to_json() for r in matrix_to_quat_batch(res.pose)],
            "delta_vectors": res.delta_vectors.tolist(),
            "beta": res.beta.tolist(),

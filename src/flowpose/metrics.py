@@ -11,10 +11,9 @@ import dataclasses
 
 import numpy as np
 
-from .body import (BodyModelDef, _chain_positions, _world_rotations, pose_points,
-                   rest_joints, shape_blend)
+from .body import BodyModelDef, _chain_positions, _world_rotations, pose_anchors, rest_joints
 from .rotation import as_matrices, exp_matrices
-from .solver import SolveConfig, SolverFailure, solve_multi_view, solve_single_view
+from .solver import SolveConfig, SolverFailure, solve, solve_multi_view
 from .synth import project
 
 
@@ -82,24 +81,14 @@ def _refine(model, batch, views, solve_cfg, translation):
     trans = np.tile(np.asarray(translation, float), (len(batch), 1))
     failures = 0
     for i, pose in enumerate(batch.rotations):
-        # solve_multi_view reads each view's root in that camera's frame
-        per_view = [pose] if len(views) == 1 else [
-            _to_view_frame(pose, v.extrinsics_r) for v in views]
         try:
-            res = solve_multi_view(model, per_view, views,
-                                   dataclasses.replace(solve_cfg, beta_prior=batch.shapes[i]))
+            res = solve(model, pose, views,
+                        dataclasses.replace(solve_cfg, beta_prior=batch.shapes[i]))
         except SolverFailure:
             failures += 1
             continue
         rel[i], shapes[i], trans[i] = res.pose, res.beta, res.translation
     return rel, shapes, trans, failures
-
-
-def _to_view_frame(pose, r):
-    """A copy of the relative rotations (K,3,3) with the root carried by r."""
-    out = np.array(pose)
-    out[0] = r @ pose[0]
-    return out
 
 
 def evaluate(flow, encode, model: BodyModelDef, dataset, n_samples=100,
@@ -144,7 +133,7 @@ def evaluate(flow, encode, model: BodyModelDef, dataset, n_samples=100,
             per[f"{key}_min"].append(mn)
         per["abs_mpjpe_mode"].append(float(mpjpe(pj[0], gt_j, root_align=False)))
         obs0 = rec.views[0]
-        pts = pose_points(model, world[0], shape_blend(model, shapes[0]), model.anchor_indices)
+        pts = pose_anchors(model, world[0], np.concatenate([[1.0], shapes[0]]))
         px = project(obs0.intrinsics, obs0.extrinsics_r, obs0.extrinsics_t, pts + trans[0])
         per["kp2d_mode"].append(kp2d_error(px, rec.gt_anchors[0]))
     summary = {k: float(np.mean(v)) for k, v in per.items()}
@@ -180,9 +169,10 @@ def multi_view_trend(model, dataset, init_sigma_deg=8.0, seed=0,
         for v in rec.views:
             axes = rng.normal(size=(model.n_joints, 3))
             noise = exp_matrices(sig * axes / np.linalg.norm(axes, axis=-1, keepdims=True))
-            per_view.append(_to_view_frame(pose, v.extrinsics_r) @ noise)
-        r1 = solve_single_view(model, _to_view_frame(per_view[0], rec.views[0].extrinsics_r.T),
-                               rec.views[0], cfg)
+            in_view = pose.copy()
+            in_view[0] = v.extrinsics_r @ pose[0]          # the root in camera v's frame
+            per_view.append(in_view @ noise)
+        r1 = solve_multi_view(model, per_view[:1], rec.views[:1], cfg)
         r2 = solve_multi_view(model, per_view, rec.views, cfg)
         for tag, res in (("1v", r1), ("2v", r2)):
             pj = joints_3d(model, res.pose, res.beta, res.translation)

@@ -6,10 +6,10 @@ cross-product rows, each joint's world rotation is corrected by
 I + [delta]x about the current estimate, and the resulting linear
 system is solved by Cholesky on the normal equations, optionally
 relinearizing; each step applies exp(delta) to all joints at once.
-A linearization poses nothing: it contracts the model's cached
-`anchor_levers` table, and only the residual poses exactly.
-Multi-view simply stacks rows with per-view extrinsics and initializes
-from the chordal mean of the per-view poses.
+The linearization and the residual both pose the anchors with
+`body.pose_anchors`.  `solve` stacks every view's rows from one initial
+pose in the world frame; `solve_multi_view` starts instead from the
+chordal mean of per-view poses whose root is in each camera's frame.
 
 Rotations are matrices throughout: a pose may come in as K Rotations or
 as an array (K,3,3), and a SolveResult holds (K,3,3) arrays.
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ag
-from .body import _world_rotations, pose_points, shape_blend
+from .body import _world_rotations, pose_anchors
 from .rotation import (DegenerateMeanError, DegenerateProjectionError, as_matrices,
                        exp_matrices, special_orthogonalize_matrices)
 
@@ -134,21 +134,19 @@ def _linearized_anchors(model, world_rot, beta_lin):
 
     Returns (p0 (A,3), d_delta (A,K,3,3), d_beta (A,S,3)) so that
         P = p0 + sum_k d_delta[:,k] @ delta_k + d_beta . (beta - beta_lin) + t
-    for anchors A = model.anchor_indices, contracted from the model's
-    `anchor_levers` table (c, L): the anchors pose to c + sum_k R_k L_k.
+    for anchors A = model.anchor_indices: p0 and d_beta pose them at beta_lin
+    and along each shape direction, d_delta reads the levers L_k of c + sum_k R_k L_k.
     """
-    c, levers = model.anchor_levers                # (1+S,A,3), (K,1+S,A,3)
-    k, n_rest, n_a = levers.shape[:3]
+    levers = model.anchor_levers[1]                # (1+S,A,K,3)
+    n_rest, n_a, k = levers.shape[:3]
     coef = np.concatenate([[1.0], beta_lin])
-    # y_k = R_k L_k(beta_lin), joint k's share of the posed anchors
-    y = np.einsum("s,ksaj->kaj", coef, levers) @ np.swapaxes(world_rot, -1, -2)
-    p0 = (coef @ c.reshape(n_rest, -1)).reshape(n_a, 3) + y.sum(axis=0)
-    # shape direction s poses to c_s + sum_k R_k L_k(basis_s): one product over (k, j)
-    moved = (np.swapaxes(world_rot, 0, 1).reshape(3, 3 * k)
-             @ np.moveaxis(levers[:, 1:], 3, 1).reshape(3 * k, -1))
-    d_beta = np.transpose(c[1:], (1, 0, 2)) + moved.reshape(3, n_rest - 1, n_a).T
+    posed = pose_anchors(model, world_rot, np.concatenate([coef[None], np.eye(n_rest)[1:]]))
+    p0, d_beta = posed[0], np.swapaxes(posed[1:], 0, 1)
+    # y_k = R_k L_k(beta_lin), joint k's share of the posed anchors (A,K,3)
+    y = np.swapaxes(np.swapaxes((coef @ levers.reshape(n_rest, -1)).reshape(n_a, k, 3), 0, 1)
+                    @ np.swapaxes(world_rot, -1, -2), 0, 1)
     # d/d delta of (I + [delta]x) R_k L_k is delta x y_k = -[y_k]x delta
-    d_delta = (np.swapaxes(y, 0, 1) @ -_SO3_GENERATORS.reshape(3, 9)).reshape(n_a, k, 3, 3)
+    d_delta = (y @ -_SO3_GENERATORS.reshape(3, 9)).reshape(n_a, k, 3, 3)
     return p0, d_delta, d_beta
 
 
@@ -232,9 +230,8 @@ def _chol_solve(a, b):
 
 
 def reproject(model, world_rot, beta, translation, obs: Observation):
-    """Pixel positions of the anchors under the given state (exact FK)."""
-    pts = pose_points(model, world_rot, shape_blend(model, beta),
-                      model.anchor_indices) + translation
+    """Pixel positions of the anchors under the given state."""
+    pts = pose_anchors(model, world_rot, np.concatenate([[1.0], beta])) + translation
     cam = pts @ obs.extrinsics_r.T + obs.extrinsics_t
     hom = np.concatenate([cam, np.ones((len(cam), 1))], axis=1)
     proj = hom @ obs.intrinsics.T
@@ -264,7 +261,8 @@ def _pose_matrices(model, pose):
     return mats
 
 
-def _solve(model, pose_init, observations, cfg):
+def solve(model, pose_init, observations, cfg: SolveConfig) -> SolveResult:
+    """Shared (delta, beta, t) over the stacked views from a world-frame pose."""
     k, s = model.n_joints, model.n_shape
     beta_lin = (np.zeros(s) if cfg.beta_prior is None
                 else np.asarray(cfg.beta_prior, float))
@@ -307,30 +305,29 @@ def _solve(model, pose_init, observations, cfg):
 
 
 def solve_single_view(model, pose_init, obs: Observation, cfg: SolveConfig) -> SolveResult:
-    return _solve(model, pose_init, [obs], cfg)
+    return solve(model, pose_init, [obs], cfg)
 
 
 def solve_multi_view(model, per_view_poses, views, cfg: SolveConfig) -> SolveResult:
-    """Shared (delta, beta, t) over stacked views.
+    """Shared (delta, beta, t) over stacked views from per-view poses.
 
-    The initial pose is the per-joint chordal mean of the per-view
-    estimates after each view's root rotation is carried into the common
-    frame by the transposed extrinsic rotation; non-root joints are
-    parent-relative and need no mapping.
+    Each pose's root rotation is in its view's camera frame: the transposed
+    extrinsic rotation carries it into the world frame (non-root joints are
+    parent-relative), and the solve starts from the per-joint chordal mean.
     """
     if not views:
         raise ValueError("need at least one view")
     if len(per_view_poses) != len(views):
         raise ValueError("one pose set per view required")
-    if len(views) == 1:
-        return _solve(model, per_view_poses[0], views, cfg)
     mats = np.stack([_pose_matrices(model, p) for p in per_view_poses])    # (V,K,3,3)
     mats[:, 0] = np.swapaxes(np.stack([v.extrinsics_r for v in views]), -1, -2) @ mats[:, 0]
+    if len(views) == 1:
+        return solve(model, mats[0], views, cfg)
     try:
         pose_init = special_orthogonalize_matrices(mats.sum(axis=0))
     except DegenerateProjectionError as e:
         raise DegenerateMeanError("summed rotations of a joint are rank deficient") from e
-    return _solve(model, pose_init, views, cfg)
+    return solve(model, pose_init, views, cfg)
 
 
 def laplacian_nll(pred, scale, gt):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ag
-from .body import BodyModelDef, _chain_positions, _world_rotations, pose_points, rest_joints
+from .body import BodyModelDef, _chain_positions, _world_rotations, pose_anchors, rest_joints
 from .distributions import ProjectedIsoGaussian, pig_sample_batch
 from .flow import FlowConfig, FlowModel, joint_context_rows
 from .nets import Adam, GradientDescent, ParamStore, mlp_apply, mlp_init
@@ -137,7 +137,7 @@ def _mode_shape_losses(flow, model, tensors, idx, ctx_rows, mu):
 
     # the camera is affine, so it maps the template's anchors with its
     # translation and the shape directions' without
-    anchors = pose_points(model, world, rest, model.anchor_indices)
+    anchors = pose_anchors(model, world, np.eye(s + 1))
     cam = anchors @ np.swapaxes(tensors["cam_r"][idx], -1, -2)[:, None]
     cam[:, 0] += tensors["cam_t"][idx][:, None]
     cam = ag.reshape(_mu_combination(mu, cam), (b, -1, 3))

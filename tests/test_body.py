@@ -45,40 +45,44 @@ def test_fk_matches_naive(toy_model, rng):
         v_ref, j_ref = _naive_fk(toy_model, state)
         np.testing.assert_allclose(v, v_ref, atol=1e-10)
         np.testing.assert_allclose(j, j_ref, atol=1e-10)
-        # the anchor subset the solver and metrics pose
-        idx = toy_model.anchor_indices
-        anchors = body.pose_points(
+        # the anchors the solver, training and metrics pose
+        anchors = body.pose_anchors(
             toy_model, body._world_rotations(toy_model, as_matrices(state.pose)),
-            body.shape_blend(toy_model, state.shape), idx)
-        np.testing.assert_allclose(anchors + state.translation, v_ref[idx], atol=1e-10)
-
-
-def _levered_anchors(model, world, beta):
-    """Anchors posed from the model's table: c(beta) + sum_k R_k L_k(beta)."""
-    c, levers = model.anchor_levers
-    coef = np.concatenate([[1.0], beta])
-    return (np.tensordot(coef, c, axes=1)
-            + np.einsum("kij,kaj->ai", world, np.tensordot(coef, levers, axes=(0, 1))))
+            np.concatenate([[1.0], state.shape]))
+        np.testing.assert_allclose(anchors + state.translation,
+                                   v_ref[toy_model.anchor_indices], atol=1e-10)
 
 
 def test_anchor_levers_reproduce_pose_points(toy_model, rng):
-    """The table is exact: random world rotations, a third of them within
-    1e-6 rad of a half turn, and random betas."""
+    """`pose_anchors` contracts the table exactly: random world rotations,
+    a third of the joints within 1e-6 rad of a half turn, for one pose with
+    a random beta, a (B,K,3,3) stack with one beta per pose, and a stack
+    under the identity coefficients, which poses [template; shape basis]."""
     k, s = toy_model.n_joints, toy_model.n_shape
+    idx = toy_model.anchor_indices
     c, levers = toy_model.anchor_levers
-    assert c.shape == (1 + s, len(toy_model.anchor_indices), 3)
-    assert levers.shape == (k,) + c.shape
-    for trial in range(30):
-        axes = rng.normal(size=(k, 3))
-        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-        angles = (np.pi - rng.uniform(0, 1e-6, (k, 1)) if trial % 3 == 0
-                  else rng.uniform(0, np.pi, (k, 1)))
-        world = exp_matrices(angles * axes)
-        beta = rng.normal(scale=1.5, size=s)
-        posed = body.pose_points(toy_model, world, body.shape_blend(toy_model, beta),
-                                 toy_model.anchor_indices)
-        err = np.abs(_levered_anchors(toy_model, world, beta) - posed).max()
-        assert err <= 1e-12 * np.abs(posed).max()
+    assert c.shape == (1 + s, len(idx), 3)
+    assert levers.shape == (1 + s, len(idx), k, 3)
+    rest = np.concatenate([toy_model.template[None], toy_model.shape_basis.reshape(s, -1, 3)])
+
+    def check(got, want):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    for trial in range(10):
+        axes = rng.normal(size=(6, k, 3))
+        axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+        angles = rng.uniform(0, np.pi, (6, k, 1))
+        angles[:, trial % 3::3] = np.pi - rng.uniform(0, 1e-6, angles[:, trial % 3::3].shape)
+        worlds = exp_matrices(angles * axes)
+        betas = rng.normal(scale=1.5, size=(6, s))
+        coefs = np.concatenate([np.ones((6, 1)), betas], axis=1)
+        check(body.pose_anchors(toy_model, worlds[0], coefs[0]),
+              body.pose_points(toy_model, worlds[0], body.shape_blend(toy_model, betas[0]))[idx])
+        check(body.pose_anchors(toy_model, worlds, coefs),
+              body.pose_points(toy_model, worlds, body.shape_blend(toy_model, betas))[:, idx])
+        check(body.pose_anchors(toy_model, worlds[:, None], np.eye(1 + s)),
+              body.pose_points(toy_model, worlds[:, None], rest)[..., idx, :])
 
 
 def test_anchor_levers_follow_the_anchor_set(toy_model, rng):
@@ -88,8 +92,9 @@ def test_anchor_levers_follow_the_anchor_set(toy_model, rng):
     assert toy_model.anchor_levers[0].shape[1] == len(toy_model.anchor_indices)
     world = exp_matrices(rng.normal(size=(toy_model.n_joints, 3)))
     beta = rng.normal(size=toy_model.n_shape)
-    posed = body.pose_points(toy_model, world, body.shape_blend(toy_model, beta), sub)
-    np.testing.assert_allclose(_levered_anchors(other, world, beta), posed, rtol=0, atol=1e-12)
+    posed = body.pose_points(toy_model, world, body.shape_blend(toy_model, beta))[sub]
+    np.testing.assert_allclose(body.pose_anchors(other, world, np.concatenate([[1.0], beta])),
+                               posed, rtol=0, atol=1e-12)
     for table in other.anchor_levers:
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0.0
@@ -101,12 +106,10 @@ def test_posing_batches_over_leading_axes(toy_model, rng):
                                 for _ in range(toy_model.n_joints)]))
     verts = toy_model.template + rng.normal(scale=0.05, size=(3,) + toy_model.template.shape)
     joints = rng.normal(size=(3, toy_model.n_joints, 3))
-    idx = toy_model.anchor_indices
-    for sub in (None, idx):
-        stacked = body.pose_points(toy_model, world, verts, sub)
-        for m in range(len(verts)):
-            np.testing.assert_allclose(
-                stacked[m], body.pose_points(toy_model, world, verts[m], sub), atol=1e-14)
+    stacked = body.pose_points(toy_model, world, verts)
+    for m in range(len(verts)):
+        np.testing.assert_allclose(
+            stacked[m], body.pose_points(toy_model, world, verts[m]), atol=1e-14)
     stacked = body._chain_positions(toy_model, world, joints)
     for m in range(len(joints)):
         np.testing.assert_allclose(
@@ -118,16 +121,14 @@ def test_posing_batches_over_leading_axes(toy_model, rng):
     worlds = body._world_rotations(toy_model, rel)
     for m in range(len(rel)):
         np.testing.assert_array_equal(worlds[m], body._world_rotations(toy_model, rel[m]))
-    for sub in (None, idx):
-        paired = body.pose_points(toy_model, worlds, verts, sub)
-        crossed = body.pose_points(toy_model, worlds[:, None], verts, sub)
-        for m in range(len(rel)):
+    paired = body.pose_points(toy_model, worlds, verts)
+    crossed = body.pose_points(toy_model, worlds[:, None], verts)
+    for m in range(len(rel)):
+        np.testing.assert_allclose(
+            paired[m], body.pose_points(toy_model, worlds[m], verts[m]), atol=1e-14)
+        for n in range(len(verts)):
             np.testing.assert_allclose(
-                paired[m], body.pose_points(toy_model, worlds[m], verts[m], sub), atol=1e-14)
-            for n in range(len(verts)):
-                np.testing.assert_allclose(
-                    crossed[m, n], body.pose_points(toy_model, worlds[m], verts[n], sub),
-                    atol=1e-14)
+                crossed[m, n], body.pose_points(toy_model, worlds[m], verts[n]), atol=1e-14)
     paired = body._chain_positions(toy_model, worlds, joints)
     crossed = body._chain_positions(toy_model, worlds[:, None], joints)
     for m in range(len(rel)):

@@ -142,6 +142,28 @@ def test_solve_command(workspace, tmp_path):
     assert len(doc["pose"]) == 8
 
 
+@pytest.mark.parametrize("seed", [3, 4])
+def test_solve_two_views_from_a_flat_world_pose(workspace, tmp_path, seed):
+    # a flat pose_init is one pose in the world frame for every view: from
+    # the GT pose, noiseless anchors on a rig whose second camera is
+    # rotated are matched exactly
+    from flowpose import body, synth
+    model = body.load_model(workspace / "model.json")
+    rec = synth.make_scene(model, synth.standard_rig(2), synth.NoiseSpec(0.0), seed)
+    assert not np.allclose(rec.views[1].extrinsics_r, np.eye(3))
+    cfg = _write(tmp_path / "p.json", {
+        "model": str(workspace / "model.json"),
+        "pose_init": [r.to_json() for r in rec.gt_state.pose],
+        "observations": [{"anchors": v.anchors_2d.tolist(),
+                          "scale": v.laplace_scale.tolist(),
+                          "intrinsics": v.intrinsics.tolist(),
+                          "extr_r": v.extrinsics_r.tolist(),
+                          "extr_t": v.extrinsics_t.tolist()} for v in rec.views]})
+    assert _run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "solve_result.json").read_text())
+    assert doc["weighted_rms_residual"] < 1e-6
+
+
 def test_solve_rejects_a_pose_with_a_joint_missing(workspace, tmp_path, capsys):
     from flowpose import synth
     rec = synth.load_dataset(workspace / "dataset.jsonl")[0]

@@ -275,39 +275,6 @@ def test_chol_solve_jitters_a_singular_system_and_names_a_non_spd_one():
                                rtol=1e-14, atol=0)
 
 
-def test_solve_poses_anchors_only_to_reproject(toy_model, rng, monkeypatch):
-    """Once the model's anchor table exists, linearizing poses nothing:
-    every `pose_points` call of a 3-linearization solve comes from
-    `reproject`, which measures the residual with exact posing."""
-    init, obs, cfg = _perturbed_solve_inputs(toy_model, rng)
-    toy_model.anchor_levers
-    depth, posed, assembled = [0], [], []
-    real_pose, real_reproject = solver.pose_points, solver.reproject
-    real_assemble = solver.assemble_system
-
-    def counting_pose(*args, **kwargs):
-        posed.append(depth[0])
-        return real_pose(*args, **kwargs)
-
-    def nested_reproject(*args, **kwargs):
-        depth[0] += 1
-        try:
-            return real_reproject(*args, **kwargs)
-        finally:
-            depth[0] -= 1
-
-    def counting_assemble(*args, **kwargs):
-        assembled.append(1)
-        return real_assemble(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "pose_points", counting_pose)
-    monkeypatch.setattr(solver, "reproject", nested_reproject)
-    monkeypatch.setattr(solver, "assemble_system", counting_assemble)
-    res = solver.solve_single_view(toy_model, init, obs, cfg)
-    assert res.n_relinearizations == 2 and len(assembled) == 3
-    assert len(posed) == 3 and all(posed)
-
-
 def test_anchor_weights_floor_and_scaling():
     w = solver.anchor_weights(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
     assert abs(w[0] / w[1] - (2.0 + 1e-6) / (1.0 + 1e-6)) < 1e-9
@@ -365,6 +332,19 @@ def test_multi_view_consistent_solution(toy_model, rng):
                                   solver.SolveConfig())
     assert np.linalg.norm(res.translation - t) < 1e-6
     assert res.weighted_rms_residual < 1e-6
+
+
+def test_multi_view_reads_a_single_view_root_in_its_camera_frame(toy_model, rng):
+    pose, beta, t = _random_scene(toy_model, rng)
+    r = axis_angle_exp(np.array([0.2, 1.1, -0.3])).matrix()
+    obs = _exact_obs(toy_model, pose, beta, t, extr_r=r, extr_t=np.array([0.5, 0.0, 1.0]))
+    in_camera = as_matrices(pose)
+    in_camera[0] = r @ in_camera[0]
+    cfg = solver.SolveConfig()
+    res = solver.solve_multi_view(toy_model, [in_camera], [obs], cfg)
+    ref = solver.solve(toy_model, pose, [obs], cfg)
+    np.testing.assert_allclose(res.pose, ref.pose, rtol=0, atol=1e-12)
+    assert res.weighted_rms_residual < 1e-8
 
 
 def test_beta_prior_pulls_shape(toy_model, rng):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from flowpose import autodiff as ag
-from flowpose import body, checkpoint, nets, synth, training
+from flowpose import body, checkpoint, metrics, nets, solver, synth, training
 from flowpose.flow import FlowConfig, PoseSample
 from flowpose.rotation import Rotation, as_matrices, axis_angle_exp, geodesic_distance
 from flowpose.distributions import uniform_sample
@@ -95,7 +95,7 @@ def _per_scene_mode_losses(flow, model, dataset, idx, ctx, mu):
             body.rest_joints(model, rec.gt_state.shape))
         l3d = l3d + ag.mean(ag.absolute(joints[:1] + ag.matmul(mu_i, joints[1:])
                                         - gt_j.reshape(1, -1)))
-        anchors = body.pose_points(model, world, rest, model.anchor_indices).reshape(1 + s, -1)
+        anchors = body.pose_points(model, world, rest)[:, model.anchor_indices].reshape(1 + s, -1)
         pts = ag.reshape(anchors[:1] + ag.matmul(mu_i, anchors[1:]), (-1, 3))
         world_pts = pts + rec.gt_state.translation
         cam = ag.matmul(world_pts, obs.extrinsics_r.T) + obs.extrinsics_t
@@ -379,3 +379,40 @@ def test_rebinding_a_packed_leaf_raises_at_the_next_step(opt_cls):
     x.value = x.value + 1.0       # no longer a view into the optimizer's vector
     with pytest.raises(RuntimeError, match="rebound"):
         opt.step()
+
+
+def test_anchors_are_posed_only_from_the_lever_table(small_run, monkeypatch):
+    """Once the model's anchor table exists, a 3-linearization solve, a
+    phase-2 loss call and a solver-refined evaluation pose no vertices:
+    every anchor comes from `body.pose_anchors`, which contracts the table."""
+    model, dataset, cfg, flow, extra, _ = small_run
+    model.anchor_levers
+    for module in (solver, synth, training, metrics):
+        assert not hasattr(module, "pose_points"), module.__name__
+    posed, assembled = [], []
+    real_pose, real_assemble = body.pose_points, solver.assemble_system
+
+    def counting_pose(*args, **kwargs):
+        posed.append(1)
+        return real_pose(*args, **kwargs)
+
+    def counting_assemble(*args, **kwargs):
+        assembled.append(1)
+        return real_assemble(*args, **kwargs)
+
+    monkeypatch.setattr(body, "pose_points", counting_pose)
+    monkeypatch.setattr(solver, "assemble_system", counting_assemble)
+    rng = np.random.default_rng(0)
+    init = [p.compose(axis_angle_exp(np.radians(5.0) * rng.normal(size=3)))
+            for p in dataset[0].gt_state.pose]
+    res = solver.solve_single_view(model, init, dataset[0].views[0],
+                                   solver.SolveConfig(gamma=1e-4, max_relinearizations=2))
+    assert res.n_relinearizations == 2 and len(assembled) == 3
+
+    idx = np.arange(4)
+    _, tensors, _, ctx_rows, mu = _phase2_step(small_run, idx)
+    training._mode_shape_losses(flow, model, tensors, idx, ctx_rows, mu)
+    rep = metrics.evaluate(flow, training.make_encoder(extra, cfg.blocks), model,
+                           dataset[:2], n_samples=3, use_solver=True)
+    assert len(assembled) > 3 and rep["summary"]["use_solver"]
+    assert posed == []
