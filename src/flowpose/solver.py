@@ -143,8 +143,8 @@ def _linearized_anchors(model, world_rot, beta_lin):
     posed = pose_anchors(model, world_rot, np.concatenate([coef[None], np.eye(n_rest)[1:]]))
     p0, d_beta = posed[0], np.swapaxes(posed[1:], 0, 1)
     # y_k = R_k L_k(beta_lin), joint k's share of the posed anchors (A,K,3)
-    y = np.swapaxes(np.swapaxes((coef @ levers.reshape(n_rest, -1)).reshape(n_a, k, 3), 0, 1)
-                    @ np.swapaxes(world_rot, -1, -2), 0, 1)
+    lev = (coef @ levers.reshape(n_rest, -1)).reshape(n_a, k, 3)
+    y = np.swapaxes(np.swapaxes(lev, 0, 1) @ np.swapaxes(world_rot, -1, -2), 0, 1)
     # d/d delta of (I + [delta]x) R_k L_k is delta x y_k = -[y_k]x delta
     d_delta = (y @ -_SO3_GENERATORS.reshape(3, 9)).reshape(n_a, k, 3, 3)
     return p0, d_delta, d_beta
