@@ -23,7 +23,7 @@ from . import autodiff as ag
 from . import body, checkpoint, metrics, selftest as selftest_mod, synth, training
 from .flow import FlowConfig, NonConvergenceError
 from .rotation import Rotation, matrix_to_quat_batch
-from .solver import Observation, SolveConfig, SolverFailure, solve, solve_multi_view
+from .solver import SolveConfig, SolverFailure, solve, solve_multi_view
 
 FORMAT_VERSIONS = {"model": 1, "checkpoint": checkpoint.FORMAT_VERSION}
 
@@ -32,27 +32,36 @@ class ValidationError(ValueError):
     pass
 
 
-def _config_keys(cls):
-    return [f.name for f in dataclasses.fields(cls)]
+def _fields(cls):
+    return "{" + ", ".join(f.name for f in dataclasses.fields(cls)) + "}"
+
+
+# the config keys each subcommand accepts; --help also shows the nested keys
+# or the forms of the structured ones
+CONFIG_KEYS = {
+    "gen-model": ["n_per_joint", "n_shape", "seed"],
+    "gen-data": ["model", "n_scenes", "rig", "views", "noise"],
+    "train": ["model", "dataset", "train"],
+    "sample": ["checkpoint", "n", "context", "dataset", "scene"],
+    "solve": ["model", "pose_init", "observations", "solve"],
+    "eval": ["model", "dataset", "checkpoint", "n_samples", "views", "use_solver",
+             "experiment", "init_sigma_deg"],
+    "toy-fit": ["n_modes", "targets", "steps", "batch", "lr", "noise_kappa", "flow",
+                "report_samples"],
+    "selftest": [],
+}
+_KEY_FORMS = {"rig": "(standard|depth_ambiguous|{...})", "noise": _fields(synth.NoiseSpec),
+              "train": _fields(training.TrainConfig), "solve": _fields(SolveConfig),
+              "flow": _fields(FlowConfig)}
 
 
 def _schema_epilog():
-    parts = [
-        "config keys by subcommand (JSON file passed with --config):",
-        "  gen-model: n_per_joint, n_shape, seed",
-        "  gen-data : model, n_scenes, rig (standard|depth_ambiguous|{...}), "
-        "views, noise {" + ", ".join(_config_keys(synth.NoiseSpec)) + "}",
-        "  train    : model, dataset, train {" + ", ".join(_config_keys(training.TrainConfig)) + "}",
-        "  sample   : checkpoint, n, context | (dataset, scene)",
-        "  solve    : model, pose_init, observations, solve {"
-        + ", ".join(_config_keys(SolveConfig)) + "}",
-        "             pose_init: K quaternions (world-frame root) or a list per view (camera root)",
-        "  eval     : model, dataset, checkpoint, n_samples, views, "
-        "use_solver, experiment",
-        "  toy-fit  : n_modes | targets, steps, batch, lr, noise_kappa, "
-        "flow {" + ", ".join(_config_keys(FlowConfig)) + "}",
-        "  selftest : (none)",
-    ]
+    parts = ["config keys by subcommand (JSON file passed with --config):"]
+    for command, keys in CONFIG_KEYS.items():
+        listed = ", ".join(f"{k} {_KEY_FORMS.get(k, '')}".rstrip() for k in keys)
+        parts.append(f"  {command:<9}: {listed or '(none)'}")
+    parts.append("  solve's pose_init: K quaternions (world-frame root) or a list per view "
+                 "(camera root); sample takes context or (dataset, scene)")
     return "\n".join(parts)
 
 
@@ -96,7 +105,7 @@ def _rig_from_config(cfg, views):
 
 
 def cmd_gen_model(args):
-    cfg = _load_config(args.config, ["n_per_joint", "n_shape", "seed"])
+    cfg = _load_config(args.config, CONFIG_KEYS["gen-model"])
     seed = args.seed if args.seed is not None else cfg.get("seed", 20240214)
     m = body.make_toy_model(cfg.get("n_per_joint", 12), cfg.get("n_shape", 4), seed)
     path = os.path.join(_outdir(args), "model.json")
@@ -106,7 +115,7 @@ def cmd_gen_model(args):
 
 
 def cmd_gen_data(args):
-    cfg = _load_config(args.config, ["model", "n_scenes", "rig", "views", "noise"])
+    cfg = _load_config(args.config, CONFIG_KEYS["gen-data"])
     m = body.load_model(cfg.get("model") or _default_model(args))
     views = int(cfg.get("views", 1))
     rig = _rig_from_config(cfg, views)
@@ -127,7 +136,7 @@ def _default_model(args):
 
 
 def cmd_train(args):
-    cfg = _load_config(args.config, ["model", "dataset", "train"])
+    cfg = _load_config(args.config, CONFIG_KEYS["train"])
     m = body.load_model(cfg.get("model") or _default_model(args))
     if "dataset" not in cfg:
         raise ValidationError("train config needs a dataset path")
@@ -153,7 +162,7 @@ def cmd_train(args):
 
 
 def cmd_sample(args):
-    cfg = _load_config(args.config, ["checkpoint", "n", "context", "dataset", "scene"])
+    cfg = _load_config(args.config, CONFIG_KEYS["sample"])
     if "checkpoint" not in cfg:
         raise ValidationError("sample config needs a checkpoint path")
     flow, extra, tcfg = checkpoint.load_checkpoint(cfg["checkpoint"])
@@ -161,7 +170,11 @@ def cmd_sample(args):
         ctx = np.asarray(cfg["context"], float)
     elif "dataset" in cfg:
         dataset = synth.load_dataset(cfg["dataset"])
-        rec = dataset[int(cfg.get("scene", 0))]
+        scene = cfg.get("scene", 0)
+        if not isinstance(scene, int) or not 0 <= scene < len(dataset):
+            raise ValidationError(
+                f"scene must be an index below {len(dataset)}, got {scene!r}")
+        rec = dataset[scene]
         blocks = (tcfg or {}).get("blocks", 2)
         ctx = training.make_encoder(extra, blocks)(rec.context_features)
     else:
@@ -178,23 +191,19 @@ def cmd_sample(args):
 
 
 def cmd_solve(args):
-    cfg = _load_config(args.config, ["model", "pose_init", "observations", "solve"])
+    cfg = _load_config(args.config, CONFIG_KEYS["solve"])
     m = body.load_model(cfg.get("model") or _default_model(args))
     if "observations" not in cfg or "pose_init" not in cfg:
         raise ValidationError("solve config needs pose_init and observations")
-    obs = [Observation(np.asarray(o["anchors"], float),
-                       np.asarray(o["scale"], float),
-                       np.asarray(o.get("aux", np.ones(len(o["anchors"])).tolist()), float),
-                       np.asarray(o["intrinsics"], float),
-                       np.asarray(o.get("extr_r", np.eye(3).tolist()), float),
-                       np.asarray(o.get("extr_t", [0, 0, 0]), float))
-           for o in cfg["observations"]]
+    obs = [synth.observation_from_json(o) for o in cfg["observations"]]
     sdict = dict(cfg.get("solve", {}))
     try:
         scfg = SolveConfig(**sdict)
     except TypeError as e:
         raise ValidationError(f"bad solve config: {e}")
     pose_cfg = cfg["pose_init"]
+    if not pose_cfg or not pose_cfg[0]:
+        raise ValidationError("solve config's pose_init is empty")
     if isinstance(pose_cfg[0][0], list):
         res = solve_multi_view(m, [[Rotation(np.asarray(q, float)) for q in view]
                                    for view in pose_cfg], obs, scfg)
@@ -213,9 +222,7 @@ def cmd_solve(args):
 
 
 def cmd_eval(args):
-    cfg = _load_config(args.config, ["model", "dataset", "checkpoint",
-                                     "n_samples", "views", "use_solver",
-                                     "experiment", "init_sigma_deg"])
+    cfg = _load_config(args.config, CONFIG_KEYS["eval"])
     m = body.load_model(cfg.get("model") or _default_model(args))
     if "dataset" not in cfg:
         raise ValidationError("eval config needs a dataset path")
@@ -245,9 +252,7 @@ def cmd_eval(args):
 
 
 def cmd_toy_fit(args):
-    cfg = _load_config(args.config, ["n_modes", "targets", "steps", "batch",
-                                     "lr", "noise_kappa", "flow",
-                                     "report_samples"])
+    cfg = _load_config(args.config, CONFIG_KEYS["toy-fit"])
     seed = args.seed if args.seed is not None else 0
     rng = np.random.default_rng(seed)
     if "targets" in cfg:

@@ -7,6 +7,10 @@ runs base -> pose by numerically inverting each coupling with Newton steps
 safeguarded by bisection; no gradient flows through the inverse. The Newton
 slope at each root is the coupling's forward Jacobian factor, so `flow_sample`
 scores its draws in the same pass and returns them as one `PoseBatch` of arrays.
+
+A pass over N pose rows takes the P rows `joint_context_rows` built (P divides
+N), and pose row r reads context row r mod P: the couplings see the rows
+repeated to N, the rotation layers the P rows themselves.
 """
 
 from __future__ import annotations
@@ -340,57 +344,53 @@ class FlowModel:
 
         return ag.fused(out.reshape(-1, 3), (q9, u), vjp)
 
-    def _to_base(self, p, u1, u2, ctx, ctx_constant=False):
+    def _to_base(self, p, u1, u2, ctx):
         """Analytic normalizing pass over all layers; returns (u1, u2, logdet)."""
+        rows = ag.gather_rows(ctx, np.arange(len(u1)) % len(ag.as_array(ctx)))
         logdet = None
         for i in range(self.cfg.n_sets):
-            u1, u2, ld = self._coupling_forward(p, i, u1, u2, ctx)
+            u1, u2, ld = self._coupling_forward(p, i, u1, u2, rows)
             logdet = ld if logdet is None else logdet + ld
-            # a context shared by every sample repeats the same K joint rows
-            q9 = self._rotation_q(p, i, ctx[:self.cfg.n_joints] if ctx_constant else ctx)
+            # ctx sliced back from rows, so all its gradient flows through one gather
+            q9 = self._rotation_q(p, i, rows[:len(ag.as_array(ctx))])
             u1 = self._apply_q(q9, u1)
             u2 = self._apply_q(q9, u2)
         return u1, u2, logdet
 
-    def _from_base(self, pv, u1, u2, ctx, ctx_constant=False):
+    def _from_base(self, pv, u1, u2, ctx):
         """Numeric generative pass (safeguarded Newton); returns (u1, u2, max iterations,
         logdet), the pose -> base log-determinant summed from each coupling's root slope."""
+        rows = ag.gather_rows(ctx, np.arange(len(u1)) % len(ctx))
         worst = np.zeros(u1.shape[0], dtype=int)
         logdet = np.zeros(u1.shape[0])
         for i in reversed(range(self.cfg.n_sets)):
-            q9 = self._rotation_q(pv, i, ctx[:self.cfg.n_joints] if ctx_constant else ctx)
+            q9 = self._rotation_q(pv, i, ctx)
             u1 = self._apply_q(q9, u1, transpose=True)
             u2 = self._apply_q(q9, u2, transpose=True)
-            u1, u2, its, ld = self._coupling_inverse(pv, i, u1, u2, ctx)
+            u1, u2, its, ld = self._coupling_inverse(pv, i, u1, u2, rows)
             worst = np.maximum(worst, its)
             logdet += ld
         return u1, u2, worst, logdet
 
     # ---- public spec operations --------------------------------------------
-    def _ctx_row(self, pv, context, joint=0):
-        ctx = np.asarray(context, float)
-        return np.concatenate([ctx, pv["embed"][joint]])[None, :]
-
-    def coupling_block(self, r: Rotation, context, set_index=0, joint=0):
-        """(r_out, logdet) for one coupling set, single sample, numpy path."""
+    def coupling_block(self, r: Rotation, context):
+        """(r_out, logdet) of joint 0 through coupling set 0, one sample, numpy path."""
         pv = self.param_values()
         m = r.matrix()
-        u1, u2, ld = self._coupling_forward(
-            pv, set_index, m[:, 0][None, :], m[:, 1][None, :],
-            self._ctx_row(pv, context, joint))
+        row = joint_context_rows(self, pv, np.asarray(context, float)[None])[:1]
+        u1, u2, ld = self._coupling_forward(pv, 0, m[:, 0][None, :], m[:, 1][None, :], row)
         return matrix_to_quat(_frame_matrices(u1[0], u2[0])), float(ld[0])
 
-    def coupling_block_inverse(self, r: Rotation, context, set_index=0, joint=0):
+    def coupling_block_inverse(self, r: Rotation, context):
         pv = self.param_values()
         m = r.matrix()
-        u1, u2, _, _ = self._coupling_inverse(
-            pv, set_index, m[:, 0][None, :], m[:, 1][None, :],
-            self._ctx_row(pv, context, joint))
+        row = joint_context_rows(self, pv, np.asarray(context, float)[None])[:1]
+        u1, u2, _, _ = self._coupling_inverse(pv, 0, m[:, 0][None, :], m[:, 1][None, :], row)
         return matrix_to_quat(_frame_matrices(u1[0], u2[0]))
 
-    def log_prob_rows(self, p, u1, u2, ctx_rows, ctx_constant=False):
+    def log_prob_rows(self, p, u1, u2, ctx_rows):
         """Per-row joint log-density: base log-pdf at the image plus logdet."""
-        u1b, u2b, logdet = self._to_base(p, u1, u2, ctx_rows, ctx_constant)
+        u1b, u2b, logdet = self._to_base(p, u1, u2, ctx_rows)
         u3b = ag.cross(u1b, u2b)
         tr = u1b[:, 0:1] + u2b[:, 1:2] + u3b[:, 2:3]
         qdot2 = ag.clip((tr + 1.0) * 0.25, 0.0, 1.0)
@@ -403,7 +403,7 @@ class FlowModel:
         pv = self.param_values()
         u1, u2 = _pose_cols(pose_rotations)
         ctx = joint_context_rows(self, pv, np.asarray(context, float)[None, :])
-        lp = self.log_prob_rows(pv, u1, u2, ctx, ctx_constant=True)
+        lp = self.log_prob_rows(pv, u1, u2, ctx)
         return float(np.sum(lp))
 
     def flow_sample(self, context, n, rng, include_mode=False) -> PoseBatch:
@@ -419,8 +419,8 @@ class FlowModel:
         total = quats.shape[0] // K
         mats = quat_to_matrices(quats)
         u1, u2 = mats[:, :, 0], mats[:, :, 1]
-        ctx = joint_context_rows(self, pv, np.tile(np.asarray(context, float), (total, 1)))
-        u1, u2, _, logdet = self._from_base(pv, u1, u2, ctx, ctx_constant=True)
+        ctx = joint_context_rows(self, pv, np.asarray(context, float)[None])
+        u1, u2, _, logdet = self._from_base(pv, u1, u2, ctx)
         lp_rows = pig_logpdf_batch(self.base, quats) + logdet
         shape_dist = self.shape_head(context)
         shapes = shape_dist.mean + np.exp(shape_dist.log_std) * rng.normal(

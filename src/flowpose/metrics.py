@@ -17,6 +17,11 @@ from .solver import SolveConfig, SolverFailure, solve, solve_multi_view
 from .synth import project
 
 
+# solver settings of evaluate's refinements and of the multi-view experiment
+EVAL_SOLVE = SolveConfig(omega_beta=1e-3, gamma=1e-4, max_relinearizations=2)
+TREND_SOLVE = SolveConfig(omega_beta=1e-2, gamma=1e-2, max_relinearizations=2)
+
+
 class DegenerateAlignmentError(ValueError):
     pass
 
@@ -72,7 +77,7 @@ def _min_and_mode(values):
     return float(values[0]), float(np.min(values))
 
 
-def _refine(model, batch, views, solve_cfg, translation):
+def _refine(model, batch, views, translation):
     """Solver-refined (rotations, shapes, translations) of every draw of a
     PoseBatch over the given views, and the number of refinements that
     raised SolverFailure; such a draw keeps its sampled pose and shape and
@@ -83,7 +88,7 @@ def _refine(model, batch, views, solve_cfg, translation):
     for i, pose in enumerate(batch.rotations):
         try:
             res = solve(model, pose, views,
-                        dataclasses.replace(solve_cfg, beta_prior=batch.shapes[i]))
+                        dataclasses.replace(EVAL_SOLVE, beta_prior=batch.shapes[i]))
         except SolverFailure:
             failures += 1
             continue
@@ -92,16 +97,17 @@ def _refine(model, batch, views, solve_cfg, translation):
 
 
 def evaluate(flow, encode, model: BodyModelDef, dataset, n_samples=100,
-             use_solver=False, views=1, solve_cfg=None, rng_seed=0):
+             use_solver=False, views=1, rng_seed=0):
     """Metrics JSON for the dataset.
 
     encode: callable mapping context_features -> flow context vector.
     Per scene the mode plus n_samples flow draws are scored in one pass
     over the arrays of their PoseBatch; solver mode (optional) refits
-    (delta, beta, t) per sample over the first `views` views, starting
-    from the sampled pose and shape, and reports absolute errors from the
-    recovered translation, otherwise the GT translation is used
-    (root-aligned and PA metrics are translation-free either way).
+    (delta, beta, t) per sample over the first `views` views with
+    EVAL_SOLVE, starting from the sampled pose and shape, and reports
+    absolute errors from the recovered translation, otherwise the GT
+    translation is used (root-aligned and PA metrics are translation-free
+    either way).
     A draw whose refinement raises SolverFailure is scored unrefined, as
     without the solver, and counted in summary["solver_failures"].
     Raises ValueError unless every scene has at least `views` views.
@@ -109,8 +115,6 @@ def evaluate(flow, encode, model: BodyModelDef, dataset, n_samples=100,
     if not all(1 <= views <= len(rec.views) for rec in dataset):
         raise ValueError(f"views must be between 1 and each scene's view count, got {views}")
     rng = np.random.default_rng(rng_seed)
-    solve_cfg = solve_cfg or SolveConfig(omega_beta=1e-3, gamma=1e-4,
-                                         max_relinearizations=2)
     per = {k: [] for k in ["mpjpe_mode", "mpjpe_min", "pa_mpjpe_mode",
                            "pa_mpjpe_min", "abs_mpjpe_mode", "kp2d_mode"]}
     failures = 0
@@ -120,8 +124,7 @@ def evaluate(flow, encode, model: BodyModelDef, dataset, n_samples=100,
         gt = rec.gt_state
         gt_j = joints_3d(model, gt.pose, gt.shape, gt.translation)
         if use_solver:
-            rel, shapes, trans, failed = _refine(model, batch, rec.views[:views], solve_cfg,
-                                                 gt.translation)
+            rel, shapes, trans, failed = _refine(model, batch, rec.views[:views], gt.translation)
             failures += failed
         else:
             rel, shapes, trans = batch.rotations, batch.shapes, gt.translation[None]
@@ -145,18 +148,16 @@ def evaluate(flow, encode, model: BodyModelDef, dataset, n_samples=100,
     return {"summary": summary, "per_scene": per}
 
 
-def multi_view_trend(model, dataset, init_sigma_deg=8.0, seed=0,
-                     solve_cfg=None):
+def multi_view_trend(model, dataset, init_sigma_deg=8.0, seed=0):
     """Absolute and root-aligned MPJPE of 1-view vs 2-view solves.
 
     Stands in for a full trained pipeline: the per-view pose estimates
     are the GT perturbed per joint by init_sigma_deg (playing the role
     of network predictions), and the solver recovers (delta, beta, t)
-    from the noisy anchors.  Returns mean metrics for both view counts.
+    from the noisy anchors with TREND_SOLVE.  Returns mean metrics for
+    both view counts.
     """
     rng = np.random.default_rng(seed)
-    cfg = solve_cfg or SolveConfig(omega_beta=1e-2, gamma=1e-2,
-                                   max_relinearizations=2)
     out = {"abs_1v": [], "abs_2v": [], "rel_1v": [], "rel_2v": []}
     sig = np.deg2rad(init_sigma_deg)
     for rec in dataset:
@@ -172,8 +173,8 @@ def multi_view_trend(model, dataset, init_sigma_deg=8.0, seed=0,
             in_view = pose.copy()
             in_view[0] = v.extrinsics_r @ pose[0]          # the root in camera v's frame
             per_view.append(in_view @ noise)
-        r1 = solve_multi_view(model, per_view[:1], rec.views[:1], cfg)
-        r2 = solve_multi_view(model, per_view, rec.views, cfg)
+        r1 = solve_multi_view(model, per_view[:1], rec.views[:1], TREND_SOLVE)
+        r2 = solve_multi_view(model, per_view, rec.views, TREND_SOLVE)
         for tag, res in (("1v", r1), ("2v", r2)):
             pj = joints_3d(model, res.pose, res.beta, res.translation)
             out[f"abs_{tag}"].append(mpjpe(pj, gt_j, root_align=False))

@@ -211,6 +211,17 @@ def _obs_to_json(obs: Observation, gt):
             "extr_t": obs.extrinsics_t.tolist()}
 
 
+def observation_from_json(d) -> Observation:
+    """An Observation from its JSON keys: anchors, scale and intrinsics are
+    required; aux defaults to ones and extr_r/extr_t to the identity camera.
+    Raises ValueError naming a missing required key."""
+    for key in ("anchors", "scale", "intrinsics"):
+        if key not in d:
+            raise ValueError(f"observation is missing {key!r}")
+    return Observation(d["anchors"], d["scale"], d.get("aux", np.ones(len(d["anchors"]))),
+                       d["intrinsics"], d.get("extr_r", np.eye(3)), d.get("extr_t", np.zeros(3)))
+
+
 def scene_to_json(rec: SceneRecord):
     return {"seed": rec.rng_seed,
             "gt": {"pose": [r.to_json() for r in rec.gt_state.pose],
@@ -225,12 +236,7 @@ def scene_from_json(d) -> SceneRecord:
     state = BodyState(pose, d["gt"]["shape"], d["gt"]["translation"])
     views, gts = [], []
     for v in d["views"]:
-        views.append(Observation(np.asarray(v["anchors"], float),
-                                 np.asarray(v["scale"], float),
-                                 np.asarray(v["aux"], float),
-                                 np.asarray(v["intrinsics"], float),
-                                 np.asarray(v["extr_r"], float),
-                                 np.asarray(v["extr_t"], float)))
+        views.append(observation_from_json(v))
         gts.append(np.asarray(v["gt_anchors"], float))
     return SceneRecord(state, views, gts, np.asarray(d["context"], float),
                        int(d["seed"]))

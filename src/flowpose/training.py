@@ -58,6 +58,14 @@ class TrainConfig:
                 raise ValueError(f"{name} must be nonnegative")
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
+        if self.optimizer not in ("sgd", "adam"):
+            raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
+        if min(self.phase1_epochs, self.phase2_epochs) < 0:
+            raise ValueError("phase1_epochs and phase2_epochs must be nonnegative")
+        if self.phase1_epochs + self.phase2_epochs == 0:
+            raise ValueError("phase1_epochs + phase2_epochs must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
 
     def to_json(self):
         return dict(self.__dict__)
@@ -250,6 +258,8 @@ def make_encoder(extra: ParamStore, blocks):
 # ---------------------------------------------------------------------------
 # fixed-context toy distribution fit
 
+CAPTURE_DEG = 20.0   # geodesic radius of a mode's capture region
+
 def sample_targets(targets, n, noise_kappa, rng):
     """Rotations near the target modes: mode composed with pig noise."""
     base = ProjectedIsoGaussian(Rotation.identity(), noise_kappa)
@@ -259,15 +269,14 @@ def sample_targets(targets, n, noise_kappa, rng):
     return quat_multiply(modes, noise)
 
 
-def fit_toy_distribution(targets, flow_cfg=None, steps=4000, batch=128,
+def fit_toy_distribution(targets, flow_cfg=None, steps=3000, batch=128,
                          lr=1e-3, noise_kappa=24.0, seed=0,
-                         report_samples=10000, capture_deg=20.0,
-                         callback=None):
+                         report_samples=10000):
     """Fit a fixed-context flow to a small multimodal rotation mixture.
 
     Returns (flow, report) where the report carries per-mode captured
-    mass among report_samples draws, the fraction near any mode, and
-    mean NLL before/after.
+    mass among report_samples draws (a draw within CAPTURE_DEG of a mode
+    is captured), the fraction near any mode, and mean NLL before/after.
     """
     rng = np.random.default_rng(seed)
     cfg = flow_cfg or FlowConfig(n_joints=1, context_dim=1, shape_dim=1,
@@ -281,12 +290,9 @@ def fit_toy_distribution(targets, flow_cfg=None, steps=4000, batch=128,
 
     def nll_of(quats, p):
         mats = quat_to_matrices(quats)
-        rows = joint_context_rows(flow, p, np.tile(context, (len(quats), 1)))
-        # the context is one fixed vector, so the rotation layers need a
-        # single conditioner row rather than one SVD per sample
-        lp = flow.log_prob_rows(p, mats[:, :, 0], mats[:, :, 1], rows,
-                                ctx_constant=True)
-        return -ag.mean(lp)
+        # one fixed context: its K joint rows condition every sample
+        rows = joint_context_rows(flow, p, context[None])
+        return -ag.mean(flow.log_prob_rows(p, mats[:, :, 0], mats[:, :, 1], rows))
 
     probe = sample_targets(targets, 1024, noise_kappa, np.random.default_rng(seed + 1))
     nll_before = float(ag.as_array(nll_of(probe, flow.param_values())))
@@ -300,8 +306,6 @@ def fit_toy_distribution(targets, flow_cfg=None, steps=4000, batch=128,
             raise TrainingAborted(f"non-finite toy-fit loss at step {step}")
         ag.backward(loss)
         opt.step()
-        if callback is not None and step % 200 == 0:
-            callback(step, lv)
     nll_after = float(ag.as_array(nll_of(probe, flow.param_values())))
 
     draws = flow.flow_sample(context, report_samples, rng)
@@ -309,7 +313,7 @@ def fit_toy_distribution(targets, flow_cfg=None, steps=4000, batch=128,
     # geodesic distance of every draw to every target, from canonical quaternions
     dist = 2.0 * np.arccos(np.minimum(np.abs(quats @ np.stack([t.q for t in targets]).T), 1.0))
     nearest = dist.argmin(axis=1)
-    captured = dist[np.arange(len(quats)), nearest] <= np.deg2rad(capture_deg)
+    captured = dist[np.arange(len(quats)), nearest] <= np.deg2rad(CAPTURE_DEG)
     counts = np.bincount(nearest[captured], minlength=len(targets))
     report = {
         "nll_before": nll_before,
@@ -317,7 +321,7 @@ def fit_toy_distribution(targets, flow_cfg=None, steps=4000, batch=128,
         "captured_fraction": 1.0 - np.count_nonzero(~captured) / len(quats),
         "per_mode_mass": (counts / len(quats)).tolist(),
         "n_samples": len(quats),
-        "capture_deg": capture_deg,
+        "capture_deg": CAPTURE_DEG,
         "steps": steps,
     }
     return flow, report

@@ -126,14 +126,12 @@ def test_criterion_3_exact_density():
     p = model.param_values()
     for c in range(5):
         ctx = rng.normal(size=3)
-        rows = model._ctx_row(p, ctx)
+        rows = fl.joint_context_rows(model, p, ctx[None])
         acc = 0.0
         for _ in range(n // chunk):
             q = dist.uniform_quaternions(chunk, rng)
             m = quat_to_matrices(q)
-            lp = model.log_prob_rows(p, m[:, :, 0], m[:, :, 1],
-                                     np.repeat(rows, chunk, axis=0),
-                                     ctx_constant=True)
+            lp = model.log_prob_rows(p, m[:, :, 0], m[:, :, 1], rows)
             acc += np.exp(np.asarray(ag.as_array(lp))).sum()
         zs.append(acc / n)
     dt = time.time() - t0

@@ -258,3 +258,89 @@ def test_checkpoint_timestamp_only_difference(workspace, tmp_path):
     db = json.loads((b / "checkpoint.json").read_text())
     da.pop("meta"), db.pop("meta")
     assert json.dumps(da) == json.dumps(db)
+
+
+@pytest.mark.parametrize("bad", [{"optimizer": "adma"},
+                                 {"phase1_epochs": 0, "phase2_epochs": 0},
+                                 {"phase1_epochs": -1},
+                                 {"batch_size": 0}])
+def test_train_rejects_a_bad_train_config(workspace, tmp_path, capsys, bad):
+    tcfg = _write(tmp_path / "t.json",
+                  {"model": str(workspace / "model.json"),
+                   "dataset": str(workspace / "dataset.jsonl"),
+                   "train": {"phase1_epochs": 1, "phase2_epochs": 0, **bad}})
+    capsys.readouterr()
+    assert _run(["train", "--config", tcfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "checkpoint.json").exists()
+
+
+def _solve_config(workspace, tmp_path, pose_init=None, drop=()):
+    from flowpose import synth
+    rec = synth.load_dataset(workspace / "dataset.jsonl")[0]
+    v = rec.views[0]
+    obs = {"anchors": v.anchors_2d.tolist(), "scale": v.laplace_scale.tolist(),
+           "intrinsics": v.intrinsics.tolist()}
+    return _write(tmp_path / "p.json", {
+        "model": str(workspace / "model.json"),
+        "pose_init": ([r.to_json() for r in rec.gt_state.pose]
+                      if pose_init is None else pose_init),
+        "observations": [{k: x for k, x in obs.items() if k not in drop}]})
+
+
+def test_solve_observation_without_scale_exit_1(workspace, tmp_path, capsys):
+    cfg = _solve_config(workspace, tmp_path, drop=("scale",))
+    capsys.readouterr()
+    assert _run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: observation is missing 'scale'\n"
+
+
+@pytest.mark.parametrize("pose_init", [[], [[]]])
+def test_solve_empty_pose_init_exit_1(workspace, tmp_path, capsys, pose_init):
+    cfg = _solve_config(workspace, tmp_path, pose_init=pose_init)
+    capsys.readouterr()
+    assert _run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "pose_init" in capsys.readouterr().err
+    assert not (tmp_path / "solve_result.json").exists()
+
+
+def test_dataset_line_without_scale_exit_1(workspace, tmp_path, capsys):
+    doc = json.loads((workspace / "dataset.jsonl").read_text().splitlines()[0])
+    del doc["views"][0]["scale"]
+    (tmp_path / "d.jsonl").write_text(json.dumps(doc) + "\n")
+    cfg = _write(tmp_path / "s.json", {"checkpoint": str(workspace / "checkpoint.json"),
+                                       "dataset": str(tmp_path / "d.jsonl")})
+    capsys.readouterr()
+    assert _run(["sample", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: observation is missing 'scale'\n"
+
+
+@pytest.mark.parametrize("scene", [12, -1, 1.5])
+def test_sample_scene_out_of_range_exit_1(workspace, tmp_path, capsys, scene):
+    # the workspace dataset has 12 scenes
+    cfg = _write(tmp_path / "s.json", {"checkpoint": str(workspace / "checkpoint.json"),
+                                       "dataset": str(workspace / "dataset.jsonl"),
+                                       "scene": scene})
+    capsys.readouterr()
+    assert _run(["sample", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: scene must be")
+    assert not (tmp_path / "samples.json").exists()
+
+
+@pytest.mark.parametrize("command", sorted(set(cli.COMMANDS) - {"selftest"}))
+def test_help_lists_every_accepted_config_key(monkeypatch, capsys, command):
+    # record the keys the command hands to the config loader
+    accepted = []
+
+    def record(path, allowed):
+        accepted.extend(allowed)
+        raise cli.ValidationError("recorded")
+
+    monkeypatch.setattr(cli, "_load_config", record)
+    assert _run([command]) == 1
+    assert _run(["--help"]) == 0
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith(f"  {command:<9}:"))
+    assert accepted
+    for key in accepted:
+        assert re.search(rf"[:,] {key}\b", line), key

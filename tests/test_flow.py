@@ -319,30 +319,22 @@ def test_mode_sample_is_first_and_most_likely(rng):
     assert samples[0].log_prob >= np.median(others)
 
 
-def test_ctx_constant_fast_path_matches(rng):
-    model = _perturbed_model(rng)
-    ctx = rng.normal(size=3)
-    quats = dist.uniform_quaternions(16, rng)
-    u1, u2 = fl._pose_cols([Rotation(q) for q in quats])
-    rows = model._ctx_row(model.param_values(), ctx)
-    ctx_rows = np.repeat(rows, 16, axis=0)
-    lp_a = model.log_prob_rows(model.param_values(), u1, u2, ctx_rows)
-    lp_b = model.log_prob_rows(model.param_values(), u1, u2, ctx_rows,
-                               ctx_constant=True)
-    np.testing.assert_allclose(np.asarray(ag.as_array(lp_a)),
-                               np.asarray(ag.as_array(lp_b)), atol=1e-10)
-    # K joints: one shared context repeats the same K joint rows, and the
-    # fast path must give each joint its own rotation layers
+def test_context_rows_repeat_mod_p(rng):
+    # pose row r reads context row r mod P: the P joint rows of one context
+    # and the same rows repeated once per draw give equal log-probs, up to
+    # the last bits BLAS changes when the rotation conditioners run on 12
+    # rows instead of 3
     model = _perturbed_model(rng, n_joints=3)
     for k, node in zip(model.params.names(), model.params.leaves()):
         if k.startswith("rot"):
             node.value = node.value + 0.3 * rng.normal(size=node.value.shape)
     pv = model.param_values()
+    ctx = rng.normal(size=3)
     u1, u2 = fl._pose_cols([Rotation(q) for q in dist.uniform_quaternions(12, rng)])
-    ctx_rows = fl.joint_context_rows(model, pv, np.tile(ctx, (4, 1)))
-    lp_a = model.log_prob_rows(pv, u1, u2, ctx_rows)
-    lp_b = model.log_prob_rows(pv, u1, u2, ctx_rows, ctx_constant=True)
-    np.testing.assert_allclose(lp_a, lp_b, atol=1e-10)
+    rows = fl.joint_context_rows(model, pv, ctx[None])
+    np.testing.assert_allclose(
+        model.log_prob_rows(pv, u1, u2, rows),
+        model.log_prob_rows(pv, u1, u2, np.tile(rows, (4, 1))), rtol=0, atol=1e-13)
 
 
 def test_rotation_layer_is_rotation(rng):
@@ -350,7 +342,8 @@ def test_rotation_layer_is_rotation(rng):
     # layer does not change volume
     model = _perturbed_model(rng)
     pv = model.param_values()
-    q = model._rotation_q(pv, 0, model._ctx_row(pv, rng.normal(size=3)))[0].reshape(3, 3)
+    rows = fl.joint_context_rows(model, pv, rng.normal(size=(1, 3)))
+    q = model._rotation_q(pv, 0, rows)[0].reshape(3, 3)
     np.testing.assert_allclose(q @ q.T, np.eye(3), atol=1e-12)
     assert abs(np.linalg.det(q) - 1.0) < 1e-12
 
@@ -424,9 +417,8 @@ def test_toy_fit_step_tape_size():
     model = fl.FlowModel(cfg, rng)
     p = dict(zip(model.params.names(), model.params.leaves()))
     m = quat_to_matrices(dist.uniform_quaternions(128, rng))
-    rows = training.joint_context_rows(model, p, np.zeros((128, 1)))
-    loss = -ag.mean(model.log_prob_rows(p, m[:, :, 0], m[:, :, 1], rows,
-                                        ctx_constant=True))
+    rows = training.joint_context_rows(model, p, np.zeros((1, 1)))
+    loss = -ag.mean(model.log_prob_rows(p, m[:, :, 0], m[:, :, 1], rows))
     seen, stack = set(), [loss]
     while stack:
         node = stack.pop()
