@@ -2,13 +2,14 @@
 
 Every function here accepts either plain numpy arrays or ``Node`` objects and
 returns the matching kind, so numerical code can be written once and run both
-with and without gradient tracking. Rank is limited to <= 2 for matmul; the
-elementwise ops follow numpy broadcasting and un-broadcast their adjoints.
+with and without gradient tracking. The elementwise ops follow numpy
+broadcasting and un-broadcast their adjoints.
 
-Each node has one VJP returning every parent's gradient; ``fused`` records a
-whole kernel (a Möbius step, a residual MLP) as one such node. A kernel with
-several outputs gives one Node per output; they share one kernel record whose
-VJP runs once, with one gradient per output.
+Every op records through ``fused``: each node has one VJP returning every
+parent's gradient, and a whole kernel (a Möbius step, a residual MLP) is one
+such node, the same as an elementwise op. A kernel with several outputs gives
+one Node per output; they share one kernel record whose VJP runs once, with
+one gradient per output.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from .rotation import cross3
 
 __all__ = [
     "Node", "as_array", "leaf", "backward",
-    "add", "sub", "mul", "div", "neg", "matmul", "tanh", "exp", "log",
+    "add", "sub", "mul", "div", "neg", "exp", "log", "clip",
     "softmax", "reduce_sum", "mean", "cross", "concat", "take", "reshape", "absolute",
     "sqrt", "normal_cdf", "normal_pdf", "special_orthogonalize_op",
-    "solve_node", "fused", "gather_rows", "finite_diff_check",
-    "NotSPDError", "ShapeError", "DomainError",
+    "fused", "gather_rows", "finite_diff_check",
+    "ShapeError", "DomainError",
 ]
 
 
@@ -36,13 +37,9 @@ class DomainError(ValueError):
     pass
 
 
-class NotSPDError(ValueError):
-    pass
-
-
 class Node:
     """One tape entry: a value, its parent Nodes, and one vector-Jacobian
-    closure mapping the output gradient to a tuple with one gradient (or
+    closure mapping the output gradient to a sequence with one gradient (or
     None) per parent."""
 
     __slots__ = ("value", "parents", "vjp", "grad")
@@ -117,24 +114,16 @@ def _unbroadcast(grad, shape):
 
 
 def _binary(x, y, fwd, vjp_x, vjp_y):
-    if not (isinstance(x, Node) or isinstance(y, Node)):
-        return fwd(np.asarray(x, float), np.asarray(y, float))
     a, b = as_array(x), as_array(y)
     out = fwd(a, b)
-    if not isinstance(y, Node):
-        return Node(out, (x,), lambda g: (_unbroadcast(vjp_x(g, a, b, out), a.shape),))
-    if not isinstance(x, Node):
-        return Node(out, (y,), lambda g: (_unbroadcast(vjp_y(g, a, b, out), b.shape),))
-    return Node(out, (x, y), lambda g: (_unbroadcast(vjp_x(g, a, b, out), a.shape),
-                                        _unbroadcast(vjp_y(g, a, b, out), b.shape)))
+    return fused(out, (x, y), lambda g: (_unbroadcast(vjp_x(g, a, b, out), a.shape),
+                                         _unbroadcast(vjp_y(g, a, b, out), b.shape)))
 
 
 def _unary(x, fwd, vjp):
-    if not isinstance(x, Node):
-        return fwd(np.asarray(x, float))
-    a = x.value
+    a = as_array(x)
     out = fwd(a)
-    return Node(out, (x,), lambda g: (vjp(g, a, out),))
+    return fused(out, (x,), lambda g: (vjp(g, a, out),))
 
 
 class _Kernel:
@@ -170,20 +159,23 @@ def fused(values, parents, vjp):
     A multi-output kernel returns one Node per output, all children of one
     kernel record; ``backward`` runs the VJP once, after every output.
     """
-    keep = [i for i, p in enumerate(parents) if isinstance(p, Node)]
-    if not keep:
+    nodes = tuple([p for p in parents if isinstance(p, Node)])
+    if not nodes:
         return values
+    node_vjp = vjp
+    if len(nodes) < len(parents):
+        # the Node keeps the gradients of its Node parents only
+        keep = [i for i, p in enumerate(parents) if isinstance(p, Node)]
 
-    def parent_grads(grads):
-        gs = vjp(*grads)
-        return tuple(gs[i] for i in keep)
+        def node_vjp(*grads):
+            gs = vjp(*grads)
+            return [gs[i] for i in keep]
 
-    nodes = tuple(parents[i] for i in keep)
     if not isinstance(values, tuple):
-        return Node(values, nodes, lambda g: parent_grads((g,)))
+        return Node(values, nodes, node_vjp)
     shapes = [np.shape(v) for v in values]
-    kernel = _Kernel(nodes, lambda gs: parent_grads(
-        [gs[i] if i in gs else np.zeros(s) for i, s in enumerate(shapes)]))
+    kernel = _Kernel(nodes, lambda gs: node_vjp(
+        *[gs[i] if i in gs else np.zeros(s) for i, s in enumerate(shapes)]))
     return tuple(_Output(v, kernel, i) for i, v in enumerate(values))
 
 
@@ -209,29 +201,6 @@ def div(x, y):
 
 def neg(x):
     return _unary(x, np.negative, lambda g, a, o: -g)
-
-
-def matmul(x, y):
-    def fwd(a, b):
-        if a.ndim > 2 or b.ndim > 2:
-            raise ShapeError("matmul supports rank <= 2 only")
-        return a @ b
-
-    def vjp_x(g, a, b, o):
-        if b.ndim == 1:
-            return np.outer(g, b) if a.ndim == 2 else g * b
-        return (g @ b.T) if a.ndim == 2 else b @ g
-
-    def vjp_y(g, a, b, o):
-        if a.ndim == 1:
-            return np.outer(a, g) if b.ndim == 2 else g * a
-        return a.T @ g
-
-    return _binary(x, y, fwd, vjp_x, vjp_y)
-
-
-def tanh(x):
-    return _unary(x, np.tanh, lambda g, a, o: g * (1.0 - o * o))
 
 
 def exp(x):
@@ -392,25 +361,6 @@ def special_orthogonalize_op(x):
         return ((q @ v @ (y - y.transpose(0, 2, 1)) @ vt).reshape(a.shape),)
 
     return fused(q.reshape(a.shape), (x,), vjp)
-
-
-def solve_node(a, b):
-    """Solve A x = b for SPD A, with the standard closed-form adjoint."""
-
-    av, bv = as_array(a), as_array(b)
-    if not np.allclose(av, av.T, atol=1e-10):
-        raise NotSPDError("matrix is not symmetric")
-    try:
-        np.linalg.cholesky(av)
-    except np.linalg.LinAlgError as e:
-        raise NotSPDError("matrix is not positive definite") from e
-    x = np.linalg.solve(av, bv)
-
-    def vjp(g):
-        gb = np.linalg.solve(av.T, g)
-        return -np.outer(gb, x), gb
-
-    return fused(x, (a, b), vjp)
 
 
 def backward(output):

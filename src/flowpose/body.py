@@ -308,7 +308,6 @@ def select_anchors(model: BodyModelDef, per_segment_min=2, total=48) -> np.ndarr
 # toy fixture generator
 
 _TOY_PARENTS = np.array([-1, 0, 1, 1, 1, 0, 0, 1])
-_TOY_NAMES = ["pelvis", "spine", "head", "l_arm", "r_arm", "l_leg", "r_leg", "chest"]
 # bone direction and length per joint in the rest pose, meters
 _TOY_OFFSETS = np.array([
     [0.00, 0.00, 0.00],

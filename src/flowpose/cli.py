@@ -326,9 +326,9 @@ def main(argv=None):
         return 0 if e.code in (0, None) else 1
     try:
         return COMMANDS[args.command](args)
-    # DomainError and NotSPDError subclass ValueError: test them first
+    # DomainError subclasses ValueError: test it first
     except (SolverFailure, NonConvergenceError, training.TrainingAborted,
-            ag.DomainError, ag.NotSPDError, np.linalg.LinAlgError,
+            ag.DomainError, np.linalg.LinAlgError,
             FloatingPointError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 2

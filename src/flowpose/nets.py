@@ -100,8 +100,7 @@ def mlp_apply(params, prefix, x, blocks):
             gh = gh + z1 @ w1.T
         z0 = gh * (1.0 - hs[0] * hs[0])
         grads[0], grads[1] = xv.T @ z0, z0.sum(axis=0)
-        gx = z0 @ w[0].T if isinstance(x, ag.Node) else None
-        return [gx] + grads
+        return [z0 @ w[0].T] + grads
 
     return ag.fused(out, [x] + nodes, vjp)
 

@@ -19,8 +19,6 @@ __all__ = [
     "rotation_mean", "as_matrices", "cross3",
 ]
 
-_UNIT_TOL = 1e-12
-
 
 class InvalidRotationError(ValueError):
     pass

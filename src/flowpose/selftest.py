@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ag
-from . import body, distributions as dist, flow as fl, metrics, solver, synth
+from . import body, distributions as dist, flow as fl, metrics, nets, solver, synth
 from .rotation import (Rotation, as_matrices, axis_angle_exp, axis_angle_log,
                        geodesic_distance, matrix_to_quat, rotation_mean,
                        special_orthogonalize)
@@ -46,10 +46,10 @@ def _suite_rotations(rng):
 def _suite_autodiff(rng):
     checks = []
     x = ag.leaf(rng.normal(size=(4, 3)))
-    y = ag.leaf(rng.normal(size=(3, 2)))
+    y = ag.leaf(rng.normal(size=3))
 
     def f():
-        return ag.reduce_sum(ag.tanh(ag.matmul(x, y)) * ag.tanh(ag.matmul(x, y)))
+        return ag.reduce_sum(ag.log(1.0 + ag.absolute(x)) * ag.exp(0.5 * y))
 
     checks.append(("composite_grad_fd", ag.finite_diff_check(f, [x, y]) < 1e-6))
     m = ag.leaf(np.eye(3) + 0.1 * rng.normal(size=(3, 3)))
@@ -58,14 +58,14 @@ def _suite_autodiff(rng):
                    ag.finite_diff_check(
                        lambda: ag.reduce_sum(ag.special_orthogonalize_op(m)
                                              * proj), [m]) < 1e-5))
-    a_np = rng.normal(size=(4, 4))
-    a_np = a_np @ a_np.T + 4 * np.eye(4)
-    a = ag.leaf(a_np)
-    b = ag.leaf(rng.normal(size=4))
-    checks.append(("solve_grad_fd",
+    store = nets.ParamStore()
+    nets.mlp_init(store, "m", 3, 2, 4, 1, rng, zero_final=False)
+    z = ag.leaf(rng.normal(size=(2, 3)))
+    w = rng.normal(size=(2, 2))
+    checks.append(("mlp_grad_fd",
                    ag.finite_diff_check(
-                       lambda: ag.reduce_sum(ag.solve_node(a, b)
-                                             * np.arange(1.0, 5.0)), [b]) < 1e-6))
+                       lambda: ag.reduce_sum(nets.mlp_apply(store, "m", z, 1) * w),
+                       [z] + store.leaves()) < 1e-6))
     return checks
 
 

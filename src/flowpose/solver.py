@@ -74,6 +74,8 @@ class Observation:
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, "
                                  f"got {getattr(self, name).shape}")
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if not np.allclose(self.intrinsics[2], [0.0, 0.0, 1.0, 0.0]):
             raise ValueError("intrinsics row 3 must be (0,0,1,0)")
         if (self.laplace_scale <= 0).any():

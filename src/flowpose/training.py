@@ -64,8 +64,13 @@ class TrainConfig:
             raise ValueError("phase1_epochs and phase2_epochs must be nonnegative")
         if self.phase1_epochs + self.phase2_epochs == 0:
             raise ValueError("phase1_epochs + phase2_epochs must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        for name, least in (("batch_size", 1), ("flow_sets", 1), ("k_transforms", 1),
+                            ("flow_channels", 1), ("enc_channels", 1), ("blocks", 0),
+                            ("context_dim", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
 
     def to_json(self):
         return dict(self.__dict__)

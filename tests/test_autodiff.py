@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowpose import autodiff as ag
-from flowpose import nets
+from flowpose import metrics, nets, synth, training
+from flowpose import distributions as dist
 
 small_arrays = st.lists(st.floats(-2, 2), min_size=4, max_size=4).map(
     lambda v: np.array(v).reshape(2, 2))
@@ -14,8 +15,8 @@ small_arrays = st.lists(st.floats(-2, 2), min_size=4, max_size=4).map(
 def test_values_match_numpy(rng):
     x = rng.normal(size=(3, 4))
     n = ag.leaf(x)
-    np.testing.assert_allclose(ag.as_array(ag.tanh(n)), np.tanh(x))
     np.testing.assert_allclose(ag.as_array(ag.exp(n)), np.exp(x))
+    np.testing.assert_allclose(ag.as_array(ag.log(ag.exp(n))), x, atol=1e-12)
     np.testing.assert_allclose(ag.as_array(ag.softmax(n)),
                                np.exp(x) / np.exp(x).sum(-1, keepdims=True),
                                atol=1e-12)
@@ -23,7 +24,7 @@ def test_values_match_numpy(rng):
 
 @pytest.mark.parametrize("op", [
     lambda x, y: x * y + x - y,
-    lambda x, y: ag.tanh(x) * ag.exp(-0.1 * y),
+    lambda x, y: ag.log(1.0 + ag.exp(x)) * ag.exp(-0.1 * y),
     lambda x, y: x / (2.0 + y * y),
     lambda x, y: ag.sqrt(x * x + y * y + 1.0),
 ])
@@ -33,19 +34,11 @@ def test_elementwise_grads(op, rng):
     assert ag.finite_diff_check(lambda: ag.reduce_sum(op(x, y)), [x, y]) < 1e-6
 
 
-def test_matmul_grad(rng):
-    x = ag.leaf(rng.normal(size=(4, 3)))
-    y = ag.leaf(rng.normal(size=(3, 5)))
-    w = rng.normal(size=(4, 5))
-    assert ag.finite_diff_check(
-        lambda: ag.reduce_sum(ag.matmul(x, y) * w), [x, y]) < 1e-6
-
-
 def test_broadcasting_grad(rng):
     x = ag.leaf(rng.normal(size=(4, 3)))
     b = ag.leaf(rng.normal(size=(3,)))
     assert ag.finite_diff_check(
-        lambda: ag.reduce_sum(ag.tanh(x + b)), [x, b]) < 1e-6
+        lambda: ag.reduce_sum(ag.exp(0.5 * (x + b))), [x, b]) < 1e-6
 
 
 def test_softmax_concat_take_grads(rng):
@@ -69,25 +62,6 @@ def test_l2norm_cross_dot_grads(rng):
     assert ag.finite_diff_check(
         lambda: ag.reduce_sum(ag.cross(a, b) * np.array([1.0, -2.0, 0.5])),
         [a, b]) < 1e-6
-
-
-def test_solve_node_matches_numpy_and_grads(rng):
-    a_np = rng.normal(size=(4, 4))
-    a_np = a_np @ a_np.T + 4 * np.eye(4)
-    b_np = rng.normal(size=4)
-    a, b = ag.leaf(a_np), ag.leaf(b_np)
-    x = ag.solve_node(a, b)
-    np.testing.assert_allclose(ag.as_array(x), np.linalg.solve(a_np, b_np),
-                               atol=1e-10)
-    w = rng.normal(size=4)
-    assert ag.finite_diff_check(
-        lambda: ag.reduce_sum(ag.solve_node(a, b) * w), [b]) < 1e-6
-
-
-def test_solve_node_rejects_non_spd():
-    with pytest.raises(ag.NotSPDError):
-        ag.solve_node(ag.leaf(np.array([[1.0, 2.0], [2.0, 1.0]])),
-                      ag.leaf(np.ones(2)))
 
 
 def test_special_orthogonalize_grad(rng):
@@ -215,3 +189,26 @@ def test_mlp_node_grads(rng):
     assert ag.finite_diff_check(
         lambda: ag.reduce_sum(nets.mlp_apply(params, "m", x, 2) * w),
         [x] + store.leaves()) < 1e-6
+
+
+def test_every_op_is_reached_by_training_and_evaluation(monkeypatch, toy_model):
+    # an op that no toy fit, two-phase training or solver-refined evaluation
+    # records is code nothing needs
+    untracked = {"Node", "as_array", "leaf", "backward", "finite_diff_check"}
+    ops = [n for n in ag.__all__
+           if n not in untracked and not isinstance(getattr(ag, n), type)]
+    reached = set()
+    for name in ops:
+        def wrapped(*args, _op=getattr(ag, name), _name=name, **kwargs):
+            reached.add(_name)
+            return _op(*args, **kwargs)
+        monkeypatch.setattr(ag, name, wrapped)
+    rng = np.random.default_rng(3)
+    training.fit_toy_distribution([dist.uniform_sample(rng) for _ in range(2)],
+                                  steps=2, batch=16, seed=3, report_samples=4)
+    data = synth.gen_dataset(toy_model, 4, synth.standard_rig(1), synth.NoiseSpec(1.0), seed=3)
+    cfg = training.TrainConfig(phase1_epochs=1, phase2_epochs=1, seed=3)
+    flow, extra, _ = training.train(toy_model, data, cfg)
+    metrics.evaluate(flow, training.make_encoder(extra, cfg.blocks), toy_model, data[:2],
+                     n_samples=3, use_solver=True)
+    assert sorted(set(ops) - reached) == []

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowpose import autodiff as ag
 from flowpose import cli, training
@@ -74,7 +75,7 @@ def _raising(exc):
     (_raising(cli.ValidationError("bad config")), 1),
     (_raising(ValueError("bad value")), 1),
     (_raising(ag.DomainError("log of non-positive value")), 2),
-    (_raising(ag.NotSPDError("matrix is not positive definite")), 2),
+    (_raising(np.linalg.LinAlgError("Matrix is not positive definite")), 2),
     (_raising(training.TrainingAborted("non-finite loss")), 2),
 ])
 def test_exit_code_contract(monkeypatch, command, code):
@@ -263,7 +264,12 @@ def test_checkpoint_timestamp_only_difference(workspace, tmp_path):
 @pytest.mark.parametrize("bad", [{"optimizer": "adma"},
                                  {"phase1_epochs": 0, "phase2_epochs": 0},
                                  {"phase1_epochs": -1},
-                                 {"batch_size": 0}])
+                                 {"batch_size": 0},
+                                 {"flow_sets": 0}, {"k_transforms": 0},
+                                 {"flow_channels": 0}, {"enc_channels": 0},
+                                 {"blocks": -1}, {"context_dim": -1},
+                                 {"lr": -1.0}, {"lr": 0.0},
+                                 {"lr": float("nan")}, {"lr": float("inf")}])
 def test_train_rejects_a_bad_train_config(workspace, tmp_path, capsys, bad):
     tcfg = _write(tmp_path / "t.json",
                   {"model": str(workspace / "model.json"),
@@ -271,8 +277,27 @@ def test_train_rejects_a_bad_train_config(workspace, tmp_path, capsys, bad):
                    "train": {"phase1_epochs": 1, "phase2_epochs": 0, **bad}})
     capsys.readouterr()
     assert _run(["train", "--config", tcfg, "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and next(iter(bad)) in err
     assert not (tmp_path / "checkpoint.json").exists()
+
+
+_sizes = st.integers(0, 3)
+_depths = st.integers(-1, 2)
+
+
+@given(flow_sets=_sizes, k_transforms=_sizes, flow_channels=_sizes, enc_channels=_sizes,
+       blocks=_depths, context_dim=_depths,
+       lr=st.one_of(st.floats(1e-6, 0.1), st.sampled_from([0.0, -1.0, np.nan, np.inf])))
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_train_sizes_and_rates_exit_0_or_1(workspace, **train):
+    # a train config is either rejected up front or trains: nothing escapes main
+    tcfg = _write(workspace / "t.json",
+                  {"model": str(workspace / "model.json"),
+                   "dataset": str(workspace / "dataset.jsonl"),
+                   "train": {"phase1_epochs": 1, "phase2_epochs": 1, **train}})
+    assert _run(["train", "--config", tcfg, "--out", str(workspace / "sizes"),
+                 "--no-timestamp"]) in (0, 1)
 
 
 def _solve_config(workspace, tmp_path, pose_init=None, drop=()):
@@ -293,6 +318,17 @@ def test_solve_observation_without_scale_exit_1(workspace, tmp_path, capsys):
     capsys.readouterr()
     assert _run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "error: observation is missing 'scale'\n"
+
+
+def test_solve_nan_anchor_exit_1(workspace, tmp_path, capsys):
+    cfg = _solve_config(workspace, tmp_path)
+    doc = json.loads(open(cfg).read())
+    doc["observations"][0]["anchors"][3][0] = float("nan")
+    _write(cfg, doc)
+    capsys.readouterr()
+    assert _run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: anchors_2d must be finite\n"
+    assert not (tmp_path / "solve_result.json").exists()
 
 
 @pytest.mark.parametrize("pose_init", [[], [[]]])

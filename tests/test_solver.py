@@ -212,6 +212,19 @@ def test_observation_checks_shapes(field, bad):
         solver.Observation(**args)
 
 
+@pytest.mark.parametrize("field, index, bad", [
+    ("anchors_2d", (1, 0), np.nan), ("laplace_scale", 2, np.nan), ("aux_weight", 0, np.inf),
+    ("intrinsics", (0, 0), np.inf), ("extrinsics_r", (1, 1), np.nan),
+    ("extrinsics_t", 2, -np.inf)])
+def test_observation_rejects_non_finite_values(field, index, bad):
+    args = {"anchors_2d": np.zeros((5, 2)), "laplace_scale": np.ones(5),
+            "aux_weight": np.ones(5), "intrinsics": K_MAT.copy(),
+            "extrinsics_r": np.eye(3), "extrinsics_t": np.zeros(3)}
+    args[field][index] = bad
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        solver.Observation(**args)
+
+
 def test_assemble_rejects_anchor_count_mismatch(toy_model, rng):
     pose, beta, t = _random_scene(toy_model, rng)
     n = len(toy_model.anchor_indices) - 1

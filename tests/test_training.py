@@ -87,19 +87,22 @@ def _per_scene_mode_losses(flow, model, dataset, idx, ctx, mu):
         rec, obs = dataset[i], dataset[i].views[0]
         mode = flow.mode_sample(ag.as_array(ctx)[row])
         world = body._world_rotations(model, as_matrices(mode.joint_rotations))
-        mu_i = mu[row:row + 1]
+        mu_i = ag.reshape(mu[row], (-1, 1))
         joints = body._chain_positions(model, world, model.joint_regressor @ rest)
         joints = joints.reshape(1 + s, -1)
         gt_j = body._chain_positions(
             model, body._world_rotations(model, as_matrices(rec.gt_state.pose)),
             body.rest_joints(model, rec.gt_state.shape))
-        l3d = l3d + ag.mean(ag.absolute(joints[:1] + ag.matmul(mu_i, joints[1:])
+        l3d = l3d + ag.mean(ag.absolute(joints[:1] + ag.reduce_sum(mu_i * joints[1:], axis=0)
                                         - gt_j.reshape(1, -1)))
         anchors = body.pose_points(model, world, rest)[:, model.anchor_indices].reshape(1 + s, -1)
-        pts = ag.reshape(anchors[:1] + ag.matmul(mu_i, anchors[1:]), (-1, 3))
+        pts = ag.reshape(anchors[:1] + ag.reduce_sum(mu_i * anchors[1:], axis=0), (-1, 3))
         world_pts = pts + rec.gt_state.translation
-        cam = ag.matmul(world_pts, obs.extrinsics_r.T) + obs.extrinsics_t
-        proj = ag.matmul(cam, obs.intrinsics[:, :3].T) + obs.intrinsics[:, 3]
+        # x @ M as a broadcast product summed over the shared axis
+        cam = (ag.reduce_sum(ag.reshape(world_pts, (-1, 3, 1)) * obs.extrinsics_r.T, axis=1)
+               + obs.extrinsics_t)
+        proj = (ag.reduce_sum(ag.reshape(cam, (-1, 3, 1)) * obs.intrinsics[:, :3].T, axis=1)
+                + obs.intrinsics[:, 3])
         px = proj[:, 0:2] / proj[:, 2:3]
         l2d = l2d + ag.mean(ag.absolute(px - rec.gt_anchors[0]))
     return l2d / len(idx), l3d / len(idx)
