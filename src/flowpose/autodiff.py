@@ -116,6 +116,11 @@ def _unbroadcast(grad, shape):
 def _binary(x, y, fwd, vjp_x, vjp_y):
     a, b = as_array(x), as_array(y)
     out = fwd(a, b)
+    # adjoints of the Node operands only: fused records no constant parent
+    if not isinstance(y, Node):
+        return fused(out, (x,), lambda g: (_unbroadcast(vjp_x(g, a, b, out), a.shape),))
+    if not isinstance(x, Node):
+        return fused(out, (y,), lambda g: (_unbroadcast(vjp_y(g, a, b, out), b.shape),))
     return fused(out, (x, y), lambda g: (_unbroadcast(vjp_x(g, a, b, out), a.shape),
                                          _unbroadcast(vjp_y(g, a, b, out), b.shape)))
 

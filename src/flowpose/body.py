@@ -10,11 +10,12 @@ licensed assets involved.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
+from .checks import check_fields
 from .rotation import as_matrices
 
 
@@ -119,33 +120,21 @@ def load_model(path) -> BodyModelDef:
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise ModelLoadError(f"malformed model file: {e}")
-    if doc.get("format_version") != 1:
+    if not isinstance(doc, dict) or doc.get("format_version") != 1:
         raise ModelLoadError("unsupported or missing format_version")
     try:
-        template = np.asarray(doc["template"], float)
-        shape_basis = np.asarray(doc["shape_basis"], float)
-        joint_regressor = np.asarray(doc["joint_regressor"], float)
-        blend_weights = np.asarray(doc["blend_weights"], float)
-        parents = np.asarray(doc["parents"], int)
-        anchor_indices = np.asarray(doc["anchor_indices"], int)
+        arrays = [np.asarray(doc[f.name], int if f.name in ("parents", "anchor_indices") else float)
+                  for f in fields(BodyModelDef)]
     except KeyError as e:
         raise ModelLoadError(f"missing model key {e}")
-    _validate(template, shape_basis, joint_regressor, blend_weights,
-              parents, anchor_indices)
-    return BodyModelDef(template, shape_basis, joint_regressor,
-                        blend_weights, parents, anchor_indices)
+    except (TypeError, ValueError) as e:
+        raise ModelLoadError(f"malformed model array: {e}")
+    _validate(*arrays)
+    return BodyModelDef(*arrays)
 
 
 def save_model(model: BodyModelDef, path):
-    doc = {
-        "format_version": 1,
-        "template": model.template.tolist(),
-        "shape_basis": model.shape_basis.tolist(),
-        "joint_regressor": model.joint_regressor.tolist(),
-        "blend_weights": model.blend_weights.tolist(),
-        "parents": model.parents.tolist(),
-        "anchor_indices": model.anchor_indices.tolist(),
-    }
+    doc = {"format_version": 1, **{f.name: getattr(model, f.name).tolist() for f in fields(model)}}
     with open(path, "w") as f:
         json.dump(doc, f)
 
@@ -330,6 +319,8 @@ def make_toy_model(n_per_joint=12, n_shape=4, seed=20240214) -> BodyModelDef:
     smooth.  The shape basis mixes global scale, height, limb length
     and girth directions.
     """
+    check_fields({"n_per_joint": n_per_joint}, int, least=6)    # 48 anchors
+    check_fields({"n_shape": n_shape}, int, least=4)            # 4 shape directions
     rng = np.random.default_rng(seed)
     k = len(_TOY_PARENTS)
     joints = np.zeros((k, 3))

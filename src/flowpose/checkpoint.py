@@ -9,6 +9,7 @@ fields (timestamps) and is ignored on load.
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 import time
 
@@ -39,11 +40,10 @@ def save_checkpoint(path, flow: FlowModel, extra: ParamStore | None = None,
                     train_config=None, with_timestamp=True):
     doc = {
         "format_version": FORMAT_VERSION,
-        "flow_config": flow.cfg.to_json(),
+        "flow_config": dataclasses.asdict(flow.cfg),
         "params": {k: _encode(v) for k, v in flow.param_values().items()},
         "extra": {k: _encode(v) for k, v in (extra.values() if extra else {}).items()},
-        "train_config": train_config if train_config is None or isinstance(train_config, dict)
-        else train_config.to_json(),
+        "train_config": None if train_config is None else dataclasses.asdict(train_config),
         "meta": {"written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
                  if with_timestamp else None},
     }
@@ -55,15 +55,14 @@ def load_checkpoint(path):
     """Returns (flow, extra ParamStore, train_config dict or None)."""
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("format_version") != FORMAT_VERSION:
+    if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
         raise CheckpointError("unsupported checkpoint format_version")
-    cfg = FlowConfig.from_json(doc["flow_config"])
-    flow = FlowModel(cfg, np.random.default_rng(0))
     try:
+        flow = FlowModel(FlowConfig(**doc["flow_config"]), np.random.default_rng(0))
         flow.params.load_values({k: _decode(v) for k, v in doc["params"].items()})
-    except KeyError as e:
-        raise CheckpointError(f"checkpoint incompatible with flow config: {e}")
-    extra = ParamStore()
-    for k, v in doc.get("extra", {}).items():
-        extra.add(k, _decode(v))
+        extra = ParamStore()
+        for k, v in doc.get("extra", {}).items():
+            extra.add(k, _decode(v))
+    except (KeyError, TypeError) as e:
+        raise CheckpointError(f"checkpoint incomplete or incompatible with its flow config: {e}")
     return flow, extra, doc.get("train_config")

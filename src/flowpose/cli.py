@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import os
+import reprlib
 import sys
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy as np
 from . import __version__
 from . import autodiff as ag
 from . import body, checkpoint, metrics, selftest as selftest_mod, synth, training
+from .distributions import uniform_sample
 from .flow import FlowConfig, NonConvergenceError
 from .rotation import Rotation, matrix_to_quat_batch
 from .solver import SolveConfig, SolverFailure, solve, solve_multi_view
@@ -32,37 +34,54 @@ class ValidationError(ValueError):
     pass
 
 
-def _fields(cls):
-    return "{" + ", ".join(f.name for f in dataclasses.fields(cls)) + "}"
-
-
-# the config keys each subcommand accepts; --help also shows the nested keys
-# or the forms of the structured ones
+# every config key of each subcommand and its JSON form: a type, or the
+# dataclass a JSON object builds (cls(**object)); --help lists the same forms
 CONFIG_KEYS = {
-    "gen-model": ["n_per_joint", "n_shape", "seed"],
-    "gen-data": ["model", "n_scenes", "rig", "views", "noise"],
-    "train": ["model", "dataset", "train"],
-    "sample": ["checkpoint", "n", "context", "dataset", "scene"],
-    "solve": ["model", "pose_init", "observations", "solve"],
-    "eval": ["model", "dataset", "checkpoint", "n_samples", "views", "use_solver",
-             "experiment", "init_sigma_deg"],
-    "toy-fit": ["n_modes", "targets", "steps", "batch", "lr", "noise_kappa", "flow",
-                "report_samples"],
-    "selftest": [],
+    "gen-model": {"n_per_joint": int, "n_shape": int, "seed": int},
+    "gen-data": {"model": str, "n_scenes": int, "rig": (str, synth.RigSpec), "views": int,
+                 "noise": synth.NoiseSpec},
+    "train": {"model": str, "dataset": str, "train": training.TrainConfig},
+    "sample": {"checkpoint": str, "n": int, "context": list, "dataset": str, "scene": int},
+    "solve": {"model": str, "pose_init": list, "observations": list, "solve": SolveConfig},
+    "eval": {"model": str, "dataset": str, "checkpoint": str, "n_samples": int, "views": int,
+             "use_solver": bool, "experiment": str, "init_sigma_deg": float},
+    "toy-fit": {"n_modes": int, "targets": list, "steps": int, "batch": int, "lr": float,
+                "noise_kappa": float, "flow": FlowConfig, "report_samples": int},
+    "selftest": {},
 }
-_KEY_FORMS = {"rig": "(standard|depth_ambiguous|{...})", "noise": _fields(synth.NoiseSpec),
-              "train": _fields(training.TrainConfig), "solve": _fields(SolveConfig),
-              "flow": _fields(FlowConfig)}
+_RIGS = {"standard": synth.standard_rig, "depth_ambiguous": synth.depth_ambiguous_rig}
+
+
+def _form_text(form):
+    return "|".join("{" + ", ".join(f.name for f in dataclasses.fields(t)) + "}"
+                    if dataclasses.is_dataclass(t) else t.__name__
+                    for t in (form if isinstance(form, tuple) else (form,)))
 
 
 def _schema_epilog():
     parts = ["config keys by subcommand (JSON file passed with --config):"]
     for command, keys in CONFIG_KEYS.items():
-        listed = ", ".join(f"{k} {_KEY_FORMS.get(k, '')}".rstrip() for k in keys)
+        listed = ", ".join(f"{k} {_form_text(form)}" for k, form in keys.items())
         parts.append(f"  {command:<9}: {listed or '(none)'}")
-    parts.append("  solve's pose_init: K quaternions (world-frame root) or a list per view "
-                 "(camera root); sample takes context or (dataset, scene)")
+    parts.append(f"  a str rig is {' or '.join(_RIGS)}; solve's pose_init: K quaternions "
+                 "(world-frame root) or a list per view (camera root); sample takes context "
+                 "or (dataset, scene)")
     return "\n".join(parts)
+
+
+def _typed(key, value, form):
+    """value if its JSON type fits form (an int fits float; a bool fits only
+    bool), a JSON object fitting a dataclass built into it."""
+    for t in form if isinstance(form, tuple) else (form,):
+        if dataclasses.is_dataclass(t) and isinstance(value, dict):
+            try:
+                return t(**value)
+            except (TypeError, ValueError) as e:
+                raise ValidationError(f"bad {key} config: {e}")
+        if (isinstance(value, (int, float) if t is float else t)
+                and (t is bool or not isinstance(value, bool))):
+            return value
+    raise ValidationError(f"{key} must be {_form_text(form)}, got {reprlib.repr(value)}")
 
 
 def _load_config(path, allowed):
@@ -75,10 +94,30 @@ def _load_config(path, allowed):
         raise ValidationError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise ValidationError(f"config is not valid JSON: {e}")
+    if not isinstance(cfg, dict):
+        raise ValidationError("config must be a JSON object")
     unknown = set(cfg) - set(allowed)
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    return cfg
+    return {k: _typed(k, v, allowed[k]) for k, v in cfg.items()}
+
+
+def _given(cfg, *keys):
+    """The keys present in cfg, as keyword arguments: absent ones keep the library's defaults."""
+    return {k: cfg[k] for k in keys if k in cfg}
+
+
+def _floats(key, value, *shapes):
+    """value as a float array of one of shapes, None matching any length."""
+    try:
+        a = np.asarray(value, float)
+    except (TypeError, ValueError):
+        a = np.empty(())
+    if not any(a.ndim == len(s) and all(n in (None, m) for n, m in zip(s, a.shape))
+               for s in shapes):
+        raise ValidationError(f"{key} must be numbers of shape "
+                              f"{' or '.join(str(s) for s in shapes)}, got {reprlib.repr(value)}")
+    return a
 
 
 def _outdir(args):
@@ -93,21 +132,26 @@ def _write_json(path, doc):
     return path
 
 
-def _rig_from_config(cfg, views):
-    rig = cfg.get("rig", "standard")
-    if rig == "standard":
-        return synth.standard_rig(views)
-    if rig == "depth_ambiguous":
-        return synth.depth_ambiguous_rig(views)
-    if isinstance(rig, dict):
-        return synth.RigSpec.from_json(rig)
-    raise ValidationError(f"unknown rig {rig!r}")
+def _default_model(args):
+    p = os.path.join(_outdir(args), "model.json")
+    if not os.path.exists(p):
+        raise ValidationError("no model path in config and no model.json in --out")
+    return p
+
+
+def _encoder(extra, tcfg):
+    """The context encoder of a `train` checkpoint."""
+    if tcfg is None or "enc/w_in" not in extra.names():
+        raise ValidationError("checkpoint has no context encoder (a toy-fit checkpoint): "
+                              "sample it from a context")
+    return training.make_encoder(extra, tcfg["blocks"])
 
 
 def cmd_gen_model(args):
     cfg = _load_config(args.config, CONFIG_KEYS["gen-model"])
-    seed = args.seed if args.seed is not None else cfg.get("seed", 20240214)
-    m = body.make_toy_model(cfg.get("n_per_joint", 12), cfg.get("n_shape", 4), seed)
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+    m = body.make_toy_model(**cfg)
     path = os.path.join(_outdir(args), "model.json")
     body.save_model(m, path)
     print(f"wrote {path} (K={m.n_joints}, N={m.n_vertices}, S={m.n_shape})")
@@ -117,22 +161,17 @@ def cmd_gen_model(args):
 def cmd_gen_data(args):
     cfg = _load_config(args.config, CONFIG_KEYS["gen-data"])
     m = body.load_model(cfg.get("model") or _default_model(args))
-    views = int(cfg.get("views", 1))
-    rig = _rig_from_config(cfg, views)
-    noise = synth.NoiseSpec.from_json(cfg.get("noise", {}))
-    seed = args.seed if args.seed is not None else 0
+    rig = cfg.get("rig", "standard")
+    if isinstance(rig, str):
+        if rig not in _RIGS:
+            raise ValidationError(f"unknown rig {rig!r}")
+        rig = _RIGS[rig](cfg.get("views", 1))
     path = os.path.join(_outdir(args), "dataset.jsonl")
-    recs = synth.gen_dataset(m, int(cfg.get("n_scenes", 100)), rig, noise,
-                             seed, path)
-    print(f"wrote {path} ({len(recs)} scenes, {views} view(s))")
+    recs = synth.gen_dataset(m, cfg.get("n_scenes", 100), rig,
+                             cfg.get("noise", synth.NoiseSpec()),
+                             args.seed if args.seed is not None else 0, path)
+    print(f"wrote {path} ({len(recs)} scenes, {len(rig.cameras)} view(s))")
     return 0
-
-
-def _default_model(args):
-    p = os.path.join(_outdir(args), "model.json")
-    if not os.path.exists(p):
-        raise ValidationError("no model path in config and no model.json in --out")
-    return p
 
 
 def cmd_train(args):
@@ -141,13 +180,9 @@ def cmd_train(args):
     if "dataset" not in cfg:
         raise ValidationError("train config needs a dataset path")
     dataset = synth.load_dataset(cfg["dataset"])
-    tdict = dict(cfg.get("train", {}))
+    tcfg = cfg.get("train", training.TrainConfig())
     if args.seed is not None:
-        tdict["seed"] = args.seed
-    try:
-        tcfg = training.TrainConfig(**tdict)
-    except TypeError as e:
-        raise ValidationError(f"bad train config: {e}")
+        tcfg = dataclasses.replace(tcfg, seed=args.seed)
     flow, extra, log = training.train(m, dataset, tcfg)
     out = _outdir(args)
     ck = os.path.join(out, "checkpoint.json")
@@ -167,16 +202,14 @@ def cmd_sample(args):
         raise ValidationError("sample config needs a checkpoint path")
     flow, extra, tcfg = checkpoint.load_checkpoint(cfg["checkpoint"])
     if "context" in cfg:
-        ctx = np.asarray(cfg["context"], float)
+        ctx = _floats("context", cfg["context"], (flow.cfg.context_dim,))
     elif "dataset" in cfg:
         dataset = synth.load_dataset(cfg["dataset"])
         scene = cfg.get("scene", 0)
-        if not isinstance(scene, int) or not 0 <= scene < len(dataset):
+        if not 0 <= scene < len(dataset):
             raise ValidationError(
                 f"scene must be an index below {len(dataset)}, got {scene!r}")
-        rec = dataset[scene]
-        blocks = (tcfg or {}).get("blocks", 2)
-        ctx = training.make_encoder(extra, blocks)(rec.context_features)
+        ctx = _encoder(extra, tcfg)(dataset[scene].context_features)
     else:
         raise ValidationError("sample config needs either context or dataset")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
@@ -196,19 +229,12 @@ def cmd_solve(args):
     if "observations" not in cfg or "pose_init" not in cfg:
         raise ValidationError("solve config needs pose_init and observations")
     obs = [synth.observation_from_json(o) for o in cfg["observations"]]
-    sdict = dict(cfg.get("solve", {}))
-    try:
-        scfg = SolveConfig(**sdict)
-    except TypeError as e:
-        raise ValidationError(f"bad solve config: {e}")
-    pose_cfg = cfg["pose_init"]
-    if not pose_cfg or not pose_cfg[0]:
-        raise ValidationError("solve config's pose_init is empty")
-    if isinstance(pose_cfg[0][0], list):
-        res = solve_multi_view(m, [[Rotation(np.asarray(q, float)) for q in view]
-                                   for view in pose_cfg], obs, scfg)
+    scfg = cfg.get("solve", SolveConfig())
+    pose = _floats("pose_init", cfg["pose_init"], (None, 4), (None, None, 4))
+    if pose.ndim == 3:
+        res = solve_multi_view(m, [[Rotation(q) for q in view] for view in pose], obs, scfg)
     else:
-        res = solve(m, [Rotation(np.asarray(q, float)) for q in pose_cfg], obs, scfg)
+        res = solve(m, [Rotation(q) for q in pose], obs, scfg)
     doc = {"pose": [r.to_json() for r in matrix_to_quat_batch(res.pose)],
            "delta_vectors": res.delta_vectors.tolist(),
            "beta": res.beta.tolist(),
@@ -226,28 +252,23 @@ def cmd_eval(args):
     m = body.load_model(cfg.get("model") or _default_model(args))
     if "dataset" not in cfg:
         raise ValidationError("eval config needs a dataset path")
+    if cfg.get("experiment", "multi_view") != "multi_view":
+        raise ValidationError(f"experiment must be multi_view, got {cfg['experiment']!r}")
+    if "experiment" not in cfg and "checkpoint" not in cfg:
+        raise ValidationError("eval config needs a checkpoint path")
     dataset = synth.load_dataset(cfg["dataset"])
-    views = args.views if args.views is not None else int(cfg.get("views", 1))
     seed = args.seed if args.seed is not None else 0
-    if cfg.get("experiment") == "multi_view":
-        doc = metrics.multi_view_trend(m, dataset,
-                                       cfg.get("init_sigma_deg", 8.0), seed)
+    if args.views is not None:
+        cfg["views"] = args.views
+    if "experiment" in cfg:
+        doc = metrics.multi_view_trend(m, dataset, seed=seed, **_given(cfg, "init_sigma_deg"))
     else:
-        if "checkpoint" not in cfg:
-            raise ValidationError("eval config needs a checkpoint path")
         flow, extra, tcfg = checkpoint.load_checkpoint(cfg["checkpoint"])
-        blocks = (tcfg or {}).get("blocks", 2)
-        encode = training.make_encoder(extra, blocks)
-        doc = metrics.evaluate(flow, encode, m, dataset,
-                               n_samples=int(cfg.get("n_samples", 100)),
-                               use_solver=bool(cfg.get("use_solver", False)),
-                               views=views, rng_seed=seed)
+        doc = metrics.evaluate(flow, _encoder(extra, tcfg), m, dataset, rng_seed=seed,
+                               **_given(cfg, "n_samples", "use_solver", "views"))
     path = _write_json(os.path.join(_outdir(args), "metrics.json"), doc)
     print(f"wrote {path}")
-    if "summary" in doc:
-        print(json.dumps(doc["summary"], indent=1))
-    else:
-        print(json.dumps(doc, indent=1))
+    print(json.dumps(doc.get("summary", doc), indent=1))
     return 0
 
 
@@ -256,16 +277,12 @@ def cmd_toy_fit(args):
     seed = args.seed if args.seed is not None else 0
     rng = np.random.default_rng(seed)
     if "targets" in cfg:
-        targets = [Rotation(np.asarray(q, float)) for q in cfg["targets"]]
+        targets = [Rotation(q) for q in _floats("targets", cfg["targets"], (None, 4))]
     else:
-        from .distributions import uniform_sample
-        targets = [uniform_sample(rng) for _ in range(int(cfg.get("n_modes", 4)))]
-    fcfg = FlowConfig(**cfg["flow"]) if "flow" in cfg else None
+        targets = [uniform_sample(rng) for _ in range(cfg.get("n_modes", 4))]
     flow, report = training.fit_toy_distribution(
-        targets, fcfg, steps=int(cfg.get("steps", 3000)),
-        batch=int(cfg.get("batch", 128)), lr=float(cfg.get("lr", 1e-3)),
-        noise_kappa=float(cfg.get("noise_kappa", 24.0)), seed=seed,
-        report_samples=int(cfg.get("report_samples", 10000)))
+        targets, cfg.get("flow"), seed=seed,
+        **_given(cfg, "steps", "batch", "lr", "noise_kappa", "report_samples"))
     report["targets"] = [t.to_json() for t in targets]
     out = _outdir(args)
     checkpoint.save_checkpoint(os.path.join(out, "toy_checkpoint.json"), flow,

@@ -22,6 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import autodiff as ag
+from .checks import check_fields
 from .distributions import (DiagGaussian, ProjectedIsoGaussian, pig_logpdf_batch,
                             pig_logpdf_from_qdot, pig_sample_batch)
 from .nets import ParamStore, mlp_apply, mlp_init
@@ -174,6 +175,12 @@ def joint_context_rows(flow, pdict, ctx):
                       ag.gather_rows(pdict["embed"], np.tile(np.arange(k), b))], axis=1)
 
 
+def _context_rows(ctx, n):
+    """n conditioner rows, row r being row r mod P of ctx (P,C); ctx itself when P = n."""
+    p = len(ag.as_array(ctx))
+    return ctx if p == n else ag.gather_rows(ctx, np.arange(n) % p)
+
+
 def _check_frame(held, moving):
     held = np.asarray(held, float)
     moving = np.asarray(moving, float)
@@ -216,12 +223,9 @@ class FlowConfig:
     embed_dim: int = 8
     kappa: float = 2.0
 
-    def to_json(self):
-        return dict(self.__dict__)
-
-    @staticmethod
-    def from_json(d):
-        return FlowConfig(**d)
+    def __post_init__(self):
+        check_fields(vars(self), int, ("n_joints", "k_transforms", "n_sets", "channels"), 1)
+        check_fields(vars(self), int, ("context_dim", "shape_dim", "blocks", "embed_dim"))
 
 
 @dataclass(eq=False)
@@ -320,10 +324,10 @@ class FlowModel:
 
     def _coupling_inverse(self, p, i, u1, u2, ctx):
         ox, oy, oz, w = self._coupling_cond(p, f"cpl{i}b", u2, ctx)
-        u1p, it1, ld_b = _mobius_inv_batch(u1, u2, ox, oy, oz, w)
+        u1p, _, ld_b = _mobius_inv_batch(u1, u2, ox, oy, oz, w)
         ox, oy, oz, w = self._coupling_cond(p, f"cpl{i}a", u1p, ctx)
-        u2p, it2, ld_a = _mobius_inv_batch(u2, u1p, ox, oy, oz, w)
-        return u1p, u2p, np.maximum(it1, it2), ld_a + ld_b
+        u2p, _, ld_a = _mobius_inv_batch(u2, u1p, ox, oy, oz, w)
+        return u1p, u2p, ld_a + ld_b
 
     @staticmethod
     def _apply_q(q9, u, transpose=False):
@@ -346,31 +350,29 @@ class FlowModel:
 
     def _to_base(self, p, u1, u2, ctx):
         """Analytic normalizing pass over all layers; returns (u1, u2, logdet)."""
-        rows = ag.gather_rows(ctx, np.arange(len(u1)) % len(ag.as_array(ctx)))
+        rows = _context_rows(ctx, len(u1))
         logdet = None
         for i in range(self.cfg.n_sets):
             u1, u2, ld = self._coupling_forward(p, i, u1, u2, rows)
             logdet = ld if logdet is None else logdet + ld
-            # ctx sliced back from rows, so all its gradient flows through one gather
-            q9 = self._rotation_q(p, i, rows[:len(ag.as_array(ctx))])
+            # after a gather, ctx is sliced back from rows so all its gradient flows through it
+            q9 = self._rotation_q(p, i, ctx if rows is ctx else rows[:len(ag.as_array(ctx))])
             u1 = self._apply_q(q9, u1)
             u2 = self._apply_q(q9, u2)
         return u1, u2, logdet
 
     def _from_base(self, pv, u1, u2, ctx):
-        """Numeric generative pass (safeguarded Newton); returns (u1, u2, max iterations,
-        logdet), the pose -> base log-determinant summed from each coupling's root slope."""
-        rows = ag.gather_rows(ctx, np.arange(len(u1)) % len(ctx))
-        worst = np.zeros(u1.shape[0], dtype=int)
+        """Numeric generative pass (safeguarded Newton); returns (u1, u2, logdet), the
+        pose -> base log-determinant summed from each coupling's root slope."""
+        rows = _context_rows(ctx, len(u1))
         logdet = np.zeros(u1.shape[0])
         for i in reversed(range(self.cfg.n_sets)):
             q9 = self._rotation_q(pv, i, ctx)
             u1 = self._apply_q(q9, u1, transpose=True)
             u2 = self._apply_q(q9, u2, transpose=True)
-            u1, u2, its, ld = self._coupling_inverse(pv, i, u1, u2, rows)
-            worst = np.maximum(worst, its)
+            u1, u2, ld = self._coupling_inverse(pv, i, u1, u2, rows)
             logdet += ld
-        return u1, u2, worst, logdet
+        return u1, u2, logdet
 
     # ---- public spec operations --------------------------------------------
     def coupling_block(self, r: Rotation, context):
@@ -385,7 +387,7 @@ class FlowModel:
         pv = self.param_values()
         m = r.matrix()
         row = joint_context_rows(self, pv, np.asarray(context, float)[None])[:1]
-        u1, u2, _, _ = self._coupling_inverse(pv, 0, m[:, 0][None, :], m[:, 1][None, :], row)
+        u1, u2, _ = self._coupling_inverse(pv, 0, m[:, 0][None, :], m[:, 1][None, :], row)
         return matrix_to_quat(_frame_matrices(u1[0], u2[0]))
 
     def log_prob_rows(self, p, u1, u2, ctx_rows):
@@ -420,7 +422,7 @@ class FlowModel:
         mats = quat_to_matrices(quats)
         u1, u2 = mats[:, :, 0], mats[:, :, 1]
         ctx = joint_context_rows(self, pv, np.asarray(context, float)[None])
-        u1, u2, _, logdet = self._from_base(pv, u1, u2, ctx)
+        u1, u2, logdet = self._from_base(pv, u1, u2, ctx)
         lp_rows = pig_logpdf_batch(self.base, quats) + logdet
         shape_dist = self.shape_head(context)
         shapes = shape_dist.mean + np.exp(shape_dist.log_std) * rng.normal(
@@ -437,8 +439,8 @@ class FlowModel:
         """Relative rotation matrices (N,3,3) of the mode, the base identity
         pushed through the flow, for N conditioner rows (numpy, no tape)."""
         n = ctx_rows.shape[0]
-        u1, u2, _, _ = self._from_base(pv, np.tile([1.0, 0.0, 0.0], (n, 1)),
-                                       np.tile([0.0, 1.0, 0.0], (n, 1)), ctx_rows)
+        u1, u2, _ = self._from_base(pv, np.tile([1.0, 0.0, 0.0], (n, 1)),
+                                    np.tile([0.0, 1.0, 0.0], (n, 1)), ctx_rows)
         return _frame_matrices(u1, u2)
 
     def shape_head(self, context):

@@ -17,12 +17,13 @@ as an array (K,3,3), and a SolveResult holds (K,3,3) arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ag
 from .body import _world_rotations, pose_anchors
+from .checks import check_fields
 from .rotation import (DegenerateMeanError, DegenerateProjectionError, as_matrices,
                        exp_matrices, special_orthogonalize_matrices)
 
@@ -61,12 +62,11 @@ class Observation:
     extrinsics_t: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        self.anchors_2d = np.asarray(self.anchors_2d, float)
-        self.laplace_scale = np.asarray(self.laplace_scale, float)
-        self.aux_weight = np.asarray(self.aux_weight, float)
-        self.intrinsics = np.asarray(self.intrinsics, float)
-        self.extrinsics_r = np.asarray(self.extrinsics_r, float)
-        self.extrinsics_t = np.asarray(self.extrinsics_t, float)
+        for f in fields(self):
+            try:
+                setattr(self, f.name, np.asarray(getattr(self, f.name), float))
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"{f.name} must hold numbers: {e}")
         n = len(self.anchors_2d) if self.anchors_2d.ndim else 0
         for name, shape in (("anchors_2d", (n, 2)), ("laplace_scale", (n,)),
                             ("aux_weight", (n,)), ("intrinsics", (3, 4)),
@@ -92,8 +92,10 @@ class SolveConfig:
     max_relinearizations: int = 0
 
     def __post_init__(self):
-        if self.omega_beta < 0 or self.gamma < 0:
-            raise ValueError("regularizer weights must be nonnegative")
+        check_fields(vars(self), float, ("omega_beta", "gamma"))
+        check_fields(vars(self), int, ("max_relinearizations",))
+        if self.beta_prior is not None:
+            self.beta_prior = np.asarray(self.beta_prior, float)
 
 
 @dataclass
@@ -209,7 +211,7 @@ def assemble_system(model, world, beta_lin_point, observations, cfg: SolveConfig
     a, b = jmat.T @ jmat, jmat.T @ np.concatenate(blocks_r)
     # each regularizer's rows are a scaled identity: its weight adds to a diagonal
     if cfg.omega_beta > 0:
-        prior = np.zeros(s) if cfg.beta_prior is None else np.asarray(cfg.beta_prior, float)
+        prior = np.zeros(s) if cfg.beta_prior is None else cfg.beta_prior
         diag = np.arange(3 * k, 3 * k + s)
         a[diag, diag] += cfg.omega_beta
         b[diag] += cfg.omega_beta * prior
@@ -266,8 +268,9 @@ def _pose_matrices(model, pose):
 def solve(model, pose_init, observations, cfg: SolveConfig) -> SolveResult:
     """Shared (delta, beta, t) over the stacked views from a world-frame pose."""
     k, s = model.n_joints, model.n_shape
-    beta_lin = (np.zeros(s) if cfg.beta_prior is None
-                else np.asarray(cfg.beta_prior, float))
+    beta_lin = np.zeros(s) if cfg.beta_prior is None else cfg.beta_prior
+    if beta_lin.shape != (s,):
+        raise ValueError(f"beta_prior must have shape ({s},), got {beta_lin.shape}")
     world = _world_rotations(model, _pose_matrices(model, pose_init))
     prev_rms = np.inf
     increases = 0

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .body import BodyModelDef, BodyState, _world_rotations
+from .checks import check_fields
 from .rotation import Rotation, as_matrices, axis_angle_exp
 from .solver import Observation, reproject
 
@@ -54,25 +55,20 @@ class Camera:
     rot: np.ndarray = field(default_factory=lambda: np.eye(3))
     t: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
+    def __post_init__(self):
+        self.rot = np.asarray(self.rot, float)
+        self.t = np.asarray(self.t, float)
+
     def intrinsics(self):
         return np.array([[self.fx, 0.0, self.cx, 0.0],
                          [0.0, self.fy, self.cy, 0.0],
                          [0.0, 0.0, 1.0, 0.0]])
 
-    def to_json(self):
-        return {"fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy,
-                "rot": np.asarray(self.rot).tolist(),
-                "t": np.asarray(self.t).tolist()}
-
-    @staticmethod
-    def from_json(d):
-        return Camera(d["fx"], d["fy"], d["cx"], d["cy"],
-                      np.asarray(d["rot"], float), np.asarray(d["t"], float))
-
 
 @dataclass
 class RigSpec:
-    """Camera rig plus the scene prior it observes."""
+    """Camera rig plus the scene prior it observes; cameras may be given as
+    Camera fields (JSON objects)."""
 
     cameras: list
     translation_lo: np.ndarray
@@ -81,25 +77,15 @@ class RigSpec:
     shape_sigma: float = 0.5
 
     def __post_init__(self):
+        self.cameras = [c if isinstance(c, Camera) else Camera(**c) for c in self.cameras]
         if not self.cameras:
             raise RigError("rig needs at least one camera")
         self.translation_lo = np.asarray(self.translation_lo, float)
         self.translation_hi = np.asarray(self.translation_hi, float)
-        if (self.translation_hi < self.translation_lo).any():
-            raise RigError("translation box is inverted")
-
-    def to_json(self):
-        return {"cameras": [c.to_json() for c in self.cameras],
-                "translation_lo": self.translation_lo.tolist(),
-                "translation_hi": self.translation_hi.tolist(),
-                "pose_sigma": self.pose_sigma, "shape_sigma": self.shape_sigma}
-
-    @staticmethod
-    def from_json(d):
-        return RigSpec([Camera.from_json(c) for c in d["cameras"]],
-                       np.asarray(d["translation_lo"], float),
-                       np.asarray(d["translation_hi"], float),
-                       d.get("pose_sigma", 0.3), d.get("shape_sigma", 0.5))
+        if (self.translation_lo.shape != (3,) or self.translation_hi.shape != (3,)
+                or (self.translation_hi < self.translation_lo).any()):
+            raise RigError("translation_lo and translation_hi must be 3-vectors, lo <= hi")
+        check_fields(vars(self), float, ("pose_sigma", "shape_sigma"))
 
 
 @dataclass
@@ -107,13 +93,10 @@ class NoiseSpec:
     pixel_scale: float = 1.0     # Laplace scale, pixels
     occlusion_prob: float = 0.0  # chance an anchor's aux weight is zeroed
 
-    def to_json(self):
-        return {"pixel_scale": self.pixel_scale,
-                "occlusion_prob": self.occlusion_prob}
-
-    @staticmethod
-    def from_json(d):
-        return NoiseSpec(d.get("pixel_scale", 1.0), d.get("occlusion_prob", 0.0))
+    def __post_init__(self):
+        check_fields(vars(self), float, ("pixel_scale", "occlusion_prob"))
+        if self.occlusion_prob > 1:
+            raise ValueError(f"occlusion_prob must be at most 1, got {self.occlusion_prob!r}")
 
 
 def standard_rig(n_views=1):
@@ -215,11 +198,14 @@ def observation_from_json(d) -> Observation:
     """An Observation from its JSON keys: anchors, scale and intrinsics are
     required; aux defaults to ones and extr_r/extr_t to the identity camera.
     Raises ValueError naming a missing required key."""
+    if not isinstance(d, dict):
+        raise ValueError(f"an observation must be a JSON object, got {type(d).__name__}")
     for key in ("anchors", "scale", "intrinsics"):
         if key not in d:
             raise ValueError(f"observation is missing {key!r}")
-    return Observation(d["anchors"], d["scale"], d.get("aux", np.ones(len(d["anchors"]))),
-                       d["intrinsics"], d.get("extr_r", np.eye(3)), d.get("extr_t", np.zeros(3)))
+    aux = d.get("aux", np.ones(np.shape(d["anchors"])[:1]))
+    return Observation(d["anchors"], d["scale"], aux, d["intrinsics"],
+                       d.get("extr_r", np.eye(3)), d.get("extr_t", np.zeros(3)))
 
 
 def scene_to_json(rec: SceneRecord):
@@ -256,4 +242,7 @@ def gen_dataset(model, n_scenes, rig: RigSpec, noise: NoiseSpec, seed,
 
 def load_dataset(path):
     with open(path) as f:
-        return [scene_from_json(json.loads(line)) for line in f if line.strip()]
+        try:
+            return [scene_from_json(json.loads(line)) for line in f if line.strip()]
+        except (KeyError, TypeError) as e:
+            raise ValueError(f"{path} holds a line that is not a scene record: {e!r}")

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import autodiff as ag
 from .body import BodyModelDef, _chain_positions, _world_rotations, pose_anchors, rest_joints
+from .checks import check_fields
 from .distributions import ProjectedIsoGaussian, pig_sample_batch
 from .flow import FlowConfig, FlowModel, joint_context_rows
 from .nets import Adam, GradientDescent, ParamStore, mlp_apply, mlp_init
@@ -53,31 +54,16 @@ class TrainConfig:
     blocks: int = 2
 
     def __post_init__(self):
-        for name in ("lambda1", "lambda2", "lambda3", "lambda5", "lambda6"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+        check_fields(vars(self), float, ("lambda1", "lambda2", "lambda3", "lambda5", "lambda6"))
+        check_fields(vars(self), float, ("kappa", "lr"), above=True)
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
-        if min(self.phase1_epochs, self.phase2_epochs) < 0:
-            raise ValueError("phase1_epochs and phase2_epochs must be nonnegative")
+        check_fields(vars(self), int,
+                     ("phase1_epochs", "phase2_epochs", "blocks", "context_dim", "seed"))
+        check_fields(vars(self), int, ("batch_size", "flow_sets", "k_transforms",
+                                       "flow_channels", "enc_channels"), 1)
         if self.phase1_epochs + self.phase2_epochs == 0:
             raise ValueError("phase1_epochs + phase2_epochs must be positive")
-        for name, least in (("batch_size", 1), ("flow_sets", 1), ("k_transforms", 1),
-                            ("flow_channels", 1), ("enc_channels", 1), ("blocks", 0),
-                            ("context_dim", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}")
-        if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be finite and positive, got {self.lr}")
-
-    def to_json(self):
-        return dict(self.__dict__)
-
-    @staticmethod
-    def from_json(d):
-        return TrainConfig(**d)
 
 
 def _gauss_nll(out, beta_gt, s):
@@ -283,6 +269,9 @@ def fit_toy_distribution(targets, flow_cfg=None, steps=3000, batch=128,
     mass among report_samples draws (a draw within CAPTURE_DEG of a mode
     is captured), the fraction near any mode, and mean NLL before/after.
     """
+    check_fields({"steps": steps}, int)
+    check_fields({"batch": batch, "report_samples": report_samples}, int, least=1)
+    check_fields({"lr": lr, "noise_kappa": noise_kappa}, float, above=True)
     rng = np.random.default_rng(seed)
     cfg = flow_cfg or FlowConfig(n_joints=1, context_dim=1, shape_dim=1,
                                  k_transforms=16, n_sets=4, channels=64,

@@ -34,6 +34,19 @@ def test_elementwise_grads(op, rng):
     assert ag.finite_diff_check(lambda: ag.reduce_sum(op(x, y)), [x, y]) < 1e-6
 
 
+@pytest.mark.parametrize("node_first", [True, False])
+def test_binary_op_takes_no_adjoint_of_a_constant(rng, node_first):
+    def unused(*args):
+        raise AssertionError("adjoint of a constant operand computed")
+
+    x, c = ag.leaf(rng.normal(size=(2, 3))), rng.normal(size=3)
+    vjps = (lambda g, a, b, o: g * b, unused) if node_first else (unused, lambda g, a, b, o: g * a)
+    out = ag._binary(*((x, c) if node_first else (c, x)), np.multiply, *vjps)
+    assert out.parents == (x,)
+    ag.backward(ag.reduce_sum(out))
+    np.testing.assert_array_equal(x.grad, np.broadcast_to(c, (2, 3)))
+
+
 def test_broadcasting_grad(rng):
     x = ag.leaf(rng.normal(size=(4, 3)))
     b = ag.leaf(rng.normal(size=(3,)))

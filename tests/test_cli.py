@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
+import dataclasses
 import json
 import os
 import re
@@ -269,7 +270,12 @@ def test_checkpoint_timestamp_only_difference(workspace, tmp_path):
                                  {"flow_channels": 0}, {"enc_channels": 0},
                                  {"blocks": -1}, {"context_dim": -1},
                                  {"lr": -1.0}, {"lr": 0.0},
-                                 {"lr": float("nan")}, {"lr": float("inf")}])
+                                 {"lr": float("nan")}, {"lr": float("inf")},
+                                 {"batch_size": 2.5}, {"batch_size": True},
+                                 {"flow_sets": 1.5}, {"phase1_epochs": 1.0},
+                                 {"lambda1": float("nan")}, {"lambda6": float("inf")},
+                                 {"lambda2": -1.0}, {"kappa": float("nan")},
+                                 {"kappa": float("inf")}, {"kappa": 0.0}, {"seed": 0.5}])
 def test_train_rejects_a_bad_train_config(workspace, tmp_path, capsys, bad):
     tcfg = _write(tmp_path / "t.json",
                   {"model": str(workspace / "model.json"),
@@ -380,3 +386,144 @@ def test_help_lists_every_accepted_config_key(monkeypatch, capsys, command):
     assert accepted
     for key in accepted:
         assert re.search(rf"[:,] {key}\b", line), key
+
+
+# JSON values of each kind, and the kinds each CONFIG_KEYS form accepts
+_JSON = {"bool": True, "int": 3, "float": 2.5, "str": "x", "list": [1], "object": {}}
+_KINDS = {int: {"int"}, float: {"int", "float"}, bool: {"bool"}, str: {"str"}, list: {"list"}}
+
+
+def _accepted(form):
+    return set().union(*(_KINDS.get(t, {"object"})
+                         for t in (form if isinstance(form, tuple) else (form,))))
+
+
+@pytest.mark.parametrize("command, key, kind", [
+    (command, key, kind) for command, keys in cli.CONFIG_KEYS.items()
+    for key, form in keys.items() for kind in sorted(set(_JSON) - _accepted(form))])
+def test_a_wrong_typed_config_key_exits_1(tmp_path, capsys, command, key, kind):
+    cfg = _write(tmp_path / "c.json", {key: _JSON[kind]})
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert _run([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ")
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.fixture(scope="module")
+def toy_checkpoint(tmp_path_factory):
+    out = tmp_path_factory.mktemp("toy")
+    cfg = _write(out / "t.json", {"steps": 2, "batch": 4, "report_samples": 10})
+    assert _run(["toy-fit", "--config", cfg, "--out", str(out), "--no-timestamp"]) == 0
+    return str(out / "toy_checkpoint.json")
+
+
+def test_misread_configs_exit_1_naming_the_key(workspace, toy_checkpoint, tmp_path, capsys):
+    model, dataset = str(workspace / "model.json"), str(workspace / "dataset.jsonl")
+    flow = {"n_joints": 1, "context_dim": 1, "shape_dim": 1}
+    cases = [
+        ("toy-fit", {"steps": 1, "flow": {**flow, "k_transform": 4}}, "k_transform"),
+        ("toy-fit", {"steps": 1, "flow": {**flow, "k_transforms": 0}}, "k_transforms"),
+        ("toy-fit", {"steps": 1, "batch": 0}, "batch"),
+        ("toy-fit", {"steps": 1, "lr": 10 ** 400}, "lr"),
+        ("gen-model", {"n_per_joint": 3}, "n_per_joint"),
+        ("gen-data", {"model": model, "n_scenes": 1,
+                      "rig": {"translation_lo": [0, 0, 2], "translation_hi": [0, 0, 3]}},
+         "cameras"),
+        ("gen-data", {"model": model, "n_scenes": 1, "noise": {"pixel_scle": 2.0}},
+         "pixel_scle"),
+        ("gen-data", {"model": model, "n_scenes": 1, "noise": {"pixel_scale": -1.0}},
+         "pixel_scale"),
+        ("gen-data", {"model": model, "n_scenes": 1, "noise": {"occlusion_prob": 1.5}},
+         "occlusion_prob"),
+        ("gen-data", {"model": model, "n_scenes": 2.9}, "n_scenes"),
+        ("eval", {"model": model, "dataset": dataset, "use_solver": "false"}, "use_solver"),
+        ("eval", {"model": model, "dataset": dataset, "experiment": "multiview"},
+         "experiment"),
+        ("sample", {"checkpoint": toy_checkpoint, "dataset": dataset}, "context"),
+        ("eval", {"model": model, "dataset": dataset, "checkpoint": toy_checkpoint},
+         "checkpoint"),
+    ]
+    for command, doc, key in cases:
+        out = tmp_path / command
+        capsys.readouterr()
+        assert _run([command, "--config", _write(tmp_path / "c.json", doc),
+                     "--out", str(out)]) == 1, doc
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err, err
+        assert not out.exists() or not any(out.iterdir())
+
+
+def test_toy_checkpoint_samples_from_a_context(toy_checkpoint, tmp_path):
+    cfg = _write(tmp_path / "s.json", {"checkpoint": toy_checkpoint, "context": [0.0], "n": 2})
+    assert _run(["sample", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(json.loads((tmp_path / "samples.json").read_text())["samples"]) == 3
+
+
+# any JSON value, small
+_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.text(max_size=3),
+              st.sampled_from([0.5, -1.0, 1e9, float("nan"), float("inf")])),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+_num = st.one_of(st.integers(-1, 3), st.sampled_from([0.0, 0.5, -0.5, 2.0, float("nan")]),
+                 _json)
+
+
+def _fields_of(cls, **values):
+    # a JSON object holding some of cls's fields, or any JSON value
+    return st.fixed_dictionaries({}, optional={f.name: values.get(f.name, _num)
+                                               for f in dataclasses.fields(cls)}) | _json
+
+
+def _mutated(doc):
+    # doc with any of its values replaced by any JSON value
+    return st.fixed_dictionaries({k: st.just(v) | _json for k, v in doc.items()})
+
+
+def _cheap_configs(workspace, toy_checkpoint):
+    from flowpose import solver, synth
+    model, dataset = str(workspace / "model.json"), str(workspace / "dataset.jsonl")
+    rec = synth.load_dataset(dataset)[0]
+    obs = [{"anchors": v.anchors_2d.tolist(), "scale": v.laplace_scale.tolist(),
+            "intrinsics": v.intrinsics.tolist()} for v in rec.views]
+    pose = [r.to_json() for r in rec.gt_state.pose]
+    camera = {"fx": 800.0, "fy": 800.0, "cx": 320.0, "cy": 240.0}
+    paths = st.sampled_from([model, dataset, str(workspace / "missing.json")])
+    return {
+        "gen-model": {"n_per_joint": st.integers(0, 3) | _json,
+                      "n_shape": st.integers(0, 3) | _json, "seed": _num},
+        "gen-data": {"model": st.just(model) | paths, "views": _num,
+                     "rig": st.sampled_from(["standard", "depth_ambiguous", "bogus"])
+                     | _fields_of(synth.RigSpec, cameras=st.lists(
+                         _mutated(camera) | _fields_of(synth.Camera), max_size=2) | _json,
+                         translation_lo=st.just([-0.1, -0.1, 2.8]) | _json,
+                         translation_hi=st.just([0.1, 0.1, 3.2]) | _json),
+                     "noise": _fields_of(synth.NoiseSpec)},
+        "sample": {"checkpoint": st.sampled_from([str(workspace / "checkpoint.json"),
+                                                  toy_checkpoint]) | paths,
+                   "n": _num, "context": st.lists(st.floats(-1, 1), max_size=17) | _json,
+                   "dataset": st.just(dataset) | paths, "scene": st.integers(-1, 13) | _json},
+        "solve": {"model": st.just(model) | paths,
+                  "pose_init": st.sampled_from([pose, [pose], [pose, pose], pose[:3]]) | _json,
+                  "observations": st.just(obs) | st.lists(_mutated(obs[0]) | _json, max_size=2),
+                  "solve": _fields_of(solver.SolveConfig, beta_prior=st.lists(
+                      st.floats(-1, 1), max_size=5) | _json)},
+    }
+
+
+@pytest.mark.parametrize("command", ["gen-model", "gen-data", "sample", "solve"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_generated_configs_exit_0_1_or_2(workspace, toy_checkpoint, command, data):
+    # a config of any key subset and any values is run, rejected (1) or a
+    # numerical failure (2): no exception escapes main
+    keys = _cheap_configs(workspace, toy_checkpoint)[command]
+    doc = data.draw(st.fixed_dictionaries({}, optional=keys))
+    if command == "gen-data":  # at most two scenes
+        doc["n_scenes"] = data.draw(st.integers(-1, 2) | st.sampled_from([1.5, "2", True]))
+    cfg = _write(workspace / "fuzz.json", doc)
+    assert _run([command, "--config", cfg, "--out", str(workspace / "fuzz" / command),
+                 "--no-timestamp"]) in (0, 1, 2)

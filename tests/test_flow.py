@@ -30,6 +30,16 @@ def _orthonormal_pair(rng):
     return u1, u2 / np.linalg.norm(u2)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_joints", 0), ("k_transforms", 0), ("n_sets", 0), ("channels", 0),
+    ("k_transforms", 2.5), ("n_sets", True), ("blocks", -1), ("context_dim", -1),
+    ("embed_dim", 1.0)])
+def test_flow_config_rejects_bad_sizes(field, value):
+    sizes = dict(n_joints=1, context_dim=1, shape_dim=1)
+    with pytest.raises(ValueError, match=field):
+        fl.FlowConfig(**{**sizes, field: value})
+
+
 def test_mobius_map_known_values():
     # omega = 0 is the identity map
     assert fl.mobius_map(0.3 + 0.4j, 0.0) == 0.3 + 0.4j

@@ -1,5 +1,8 @@
 """Synthetic scene harness: cameras, rigs, datasets, serialization."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -29,8 +32,12 @@ def test_project_behind_camera_raises():
 
 
 def test_camera_json_roundtrip(rng):
+    # a camera written as its fields (the JSON form of a gen-data rig) and
+    # read back through RigSpec, which builds Cameras from JSON objects
     cam = synth._orbit_camera(700.0, np.array([0.0, 0.0, 3.0]), 3.0)
-    cam2 = synth.Camera.from_json(cam.to_json())
+    doc = json.loads(json.dumps({k: np.asarray(v).tolist()
+                                 for k, v in dataclasses.asdict(cam).items()}))
+    cam2 = synth.RigSpec([doc], [0, 0, 0], [1, 1, 1]).cameras[0]
     np.testing.assert_array_equal(cam2.intrinsics(), cam.intrinsics())
     np.testing.assert_array_equal(cam2.rot, cam.rot)
     np.testing.assert_array_equal(cam2.t, cam.t)
@@ -41,6 +48,23 @@ def test_rig_validation():
         synth.RigSpec([], [0, 0, 0], [1, 1, 1])
     with pytest.raises(synth.RigError):
         synth.standard_rig(3)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("pixel_scale", -1.0), ("pixel_scale", float("nan")), ("pixel_scale", float("inf")),
+    ("pixel_scale", "1"), ("occlusion_prob", -0.1), ("occlusion_prob", 1.5),
+    ("occlusion_prob", float("nan"))])
+def test_noise_spec_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        synth.NoiseSpec(**{field: value})
+
+
+def test_rig_builds_cameras_from_their_fields():
+    rig = synth.RigSpec([{"fx": 900, "fy": 900, "cx": 320, "cy": 240}], [0, 0, 2], [0, 0, 3])
+    np.testing.assert_array_equal(rig.cameras[0].rot, np.eye(3))
+    for bad in ([0, 0], [0, 0, 4]):
+        with pytest.raises(synth.RigError):
+            synth.RigSpec(rig.cameras, bad, [0, 0, 3])
 
 
 def test_orbit_camera_looks_at_target():
