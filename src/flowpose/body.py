@@ -87,14 +87,15 @@ class BodyState:
 
 def _validate(template, shape_basis, joint_regressor, blend_weights,
               parents, anchor_indices):
-    n = template.shape[0]
-    k = joint_regressor.shape[0]
+    # each rank is checked before a size is read from it
     if template.ndim != 2 or template.shape[1] != 3:
         raise ModelLoadError("template must be (N,3)")
+    n = template.shape[0]
     if shape_basis.ndim != 2 or shape_basis.shape[1] != 3 * n:
         raise ModelLoadError("shape_basis must be (S,3N)")
-    if joint_regressor.shape != (k, n):
-        raise ModelLoadError("joint_regressor must be (K,N)")
+    if joint_regressor.ndim != 2 or joint_regressor.shape[1] != n or not len(joint_regressor):
+        raise ModelLoadError("joint_regressor must be (K,N) with K >= 1")
+    k = joint_regressor.shape[0]
     if blend_weights.shape != (k, n):
         raise ModelLoadError("blend_weights must match joint_regressor")
     rows = joint_regressor.sum(axis=1)
@@ -109,6 +110,8 @@ def _validate(template, shape_basis, joint_regressor, blend_weights,
     # come first; this also rules out cycles
     if ((parents[1:] < 0) | (parents[1:] >= np.arange(1, k))).any():
         raise ModelLoadError("parents must satisfy 0 <= parents[j] < j for every joint j >= 1")
+    if anchor_indices.ndim != 1:
+        raise ModelLoadError("anchor_indices must be a list of vertex indices")
     if anchor_indices.size and (anchor_indices.min() < 0 or anchor_indices.max() >= n):
         raise ModelLoadError("anchor indices out of range")
 

@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from . import autodiff as ag
 from . import body, checkpoint, metrics, selftest as selftest_mod, synth, training
+from .checks import check_fields
 from .distributions import uniform_sample
 from .flow import FlowConfig, NonConvergenceError
 from .rotation import Rotation, matrix_to_quat_batch
@@ -279,7 +280,9 @@ def cmd_toy_fit(args):
     if "targets" in cfg:
         targets = [Rotation(q) for q in _floats("targets", cfg["targets"], (None, 4))]
     else:
-        targets = [uniform_sample(rng) for _ in range(cfg.get("n_modes", 4))]
+        n_modes = cfg.get("n_modes", 4)
+        check_fields({"n_modes": n_modes}, int, least=1)
+        targets = [uniform_sample(rng) for _ in range(n_modes)]
     flow, report = training.fit_toy_distribution(
         targets, cfg.get("flow"), seed=seed,
         **_given(cfg, "steps", "batch", "lr", "noise_kappa", "report_samples"))

@@ -4,12 +4,14 @@ Recovers per-joint rotation corrections, shape coefficients and a
 global translation from pixel anchors.  Depth is eliminated with DLT
 cross-product rows, each joint's world rotation is corrected by
 I + [delta]x about the current estimate, and the resulting linear
-system is solved by Cholesky on the normal equations, optionally
-relinearizing; each step applies exp(delta) to all joints at once.
-The linearization and the residual both pose the anchors with
-`body.pose_anchors`.  `solve` stacks every view's rows from one initial
-pose in the world frame; `solve_multi_view` starts instead from the
-chordal mean of per-view poses whose root is in each camera's frame.
+system is solved by Cholesky (LAPACK potrf/potrs) on the normal
+equations, optionally relinearizing; each step applies exp(delta) to all
+joints at once.  A solve builds each view's weighted DLT rows once
+(`_dlt_constants`) and poses the anchor table c + sum_k R_k L_k of
+`body.pose_anchors` once per state: the residual after a step and the
+next linearization share it.  `solve` stacks every view's rows from one
+initial pose in the world frame; `solve_multi_view` starts instead from
+the chordal mean of per-view poses whose root is in each camera's frame.
 
 Rotations are matrices throughout: a pose may come in as K Rotations or
 as an array (K,3,3), and a SolveResult holds (K,3,3) arrays.
@@ -18,6 +20,7 @@ as an array (K,3,3), and a SolveResult holds (K,3,3) arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +52,8 @@ class Observation:
     """One calibrated view of the anchor set.
 
     anchors_2d: (N_s,2) pixels; laplace_scale: (N_s,) predicted pixel
-    uncertainty; aux_weight: (N_s,) extra factor (0 masks an anchor);
+    uncertainty; aux_weight: (N_s,) extra factor (0 masks an anchor; None
+    gives every anchor 1);
     intrinsics: 3x4; extrinsics_r/t: world-to-camera rigid transform
     (identity / zero for a single uncalibrated view).
     """
@@ -63,6 +67,8 @@ class Observation:
 
     def __post_init__(self):
         for f in fields(self):
+            if f.name == "aux_weight" and self.aux_weight is None:   # anchors_2d comes first
+                self.aux_weight = np.ones(self.anchors_2d.shape[:1])
             try:
                 setattr(self, f.name, np.asarray(getattr(self, f.name), float))
             except (TypeError, ValueError) as e:
@@ -119,12 +125,6 @@ def anchor_weights(laplace_scale, aux_weight):
     return aux_weight / (laplace_scale + WEIGHT_FLOOR)
 
 
-# [e_i]x for i = 0, 1, 2: the generators of so(3)
-_SO3_GENERATORS = np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
-                            [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
-                            [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
-
-
 def _relative_from_world(model, world):
     """Relative rotations (K,3,3) of world rotations (K,3,3): the inverse of
     `body._world_rotations`; the root, joint 0, keeps its world rotation."""
@@ -133,135 +133,135 @@ def _relative_from_world(model, world):
     return rel
 
 
-def _linearized_anchors(model, world_rot, beta_lin):
-    """Anchor positions as an affine map of the unknowns.
-
-    Returns (p0 (A,3), d_delta (A,K,3,3), d_beta (A,S,3)) so that
-        P = p0 + sum_k d_delta[:,k] @ delta_k + d_beta . (beta - beta_lin) + t
-    for anchors A = model.anchor_indices: p0 and d_beta pose them at beta_lin
-    and along each shape direction, d_delta reads the levers L_k of c + sum_k R_k L_k.
-    """
-    levers = model.anchor_levers[1]                # (1+S,A,K,3)
-    n_rest, n_a, k = levers.shape[:3]
-    coef = np.concatenate([[1.0], beta_lin])
-    posed = pose_anchors(model, world_rot, np.concatenate([coef[None], np.eye(n_rest)[1:]]))
-    p0, d_beta = posed[0], np.swapaxes(posed[1:], 0, 1)
-    # y_k = R_k L_k(beta_lin), joint k's share of the posed anchors (A,K,3)
-    lev = (coef @ levers.reshape(n_rest, -1)).reshape(n_a, k, 3)
-    y = np.swapaxes(np.swapaxes(lev, 0, 1) @ np.swapaxes(world_rot, -1, -2), 0, 1)
-    # d/d delta of (I + [delta]x) R_k L_k is delta x y_k = -[y_k]x delta
-    d_delta = (y @ -_SO3_GENERATORS.reshape(3, 9)).reshape(n_a, k, 3, 3)
-    return p0, d_delta, d_beta
+class _DltConstants(NamedTuple):
+    """What a solve holds fixed: every view's kept, weighted DLT rows and the
+    regularizers.  Row r reads anchor `anchor[r]`; at its world point q,
+    m[r] . q + const[r] vanishes on the observed pixel."""
+    anchor: np.ndarray      # (R,) anchor of each kept row
+    m: np.ndarray           # (R,3) weighted row on the world point
+    m_cross: np.ndarray     # (R,3,3) [m]x, so that y @ [m]x = y x m
+    const: np.ndarray       # (R,)
+    reg: np.ndarray         # (D,) regularizer weight on each unknown's diagonal
+    reg_b: np.ndarray       # (D,) omega_beta * prior in the beta slots
+    weights: list           # per view, (A,) anchor weights for the residual
+    weight_sum: float
 
 
-def _dlt_rows(obs: Observation, p0, d_delta, d_beta, beta_lin, weights):
-    """Weighted DLT rows for one view: returns (J (2A,D), r (2A,)).
+def _dlt_constants(model, observations, cfg: SolveConfig) -> _DltConstants:
+    """Each view's DLT rows and the regularizers, built once per solve.
 
     Anchor a at pixel (u,v) gives the rows (u,v) K[2] - K[0:2], which
-    vanish on its homogeneous camera-frame point Q = re P + te.
-    """
-    n_a = len(p0)
-    kk = obs.intrinsics
-    rows = obs.anchors_2d[:, :, None] * kk[2] - kk[:2]              # (A,2,4)
-    m = rows[..., :3] @ obs.extrinsics_r                            # rows on world P
-    j_beta = np.einsum("acj,asj->acs", m, d_beta)
-    jrows = np.concatenate([np.einsum("acj,akjl->ackl", m, d_delta).reshape(n_a, 2, -1),
-                            j_beta, m], axis=2)
-    # residual convention: J x = r at the solution, with beta measured
-    # absolutely (fold the lin point into the rhs)
-    q0 = p0 @ obs.extrinsics_r.T + obs.extrinsics_t
-    rhs = -(np.einsum("aci,ai->ac", rows[..., :3], q0) + rows[..., 3]) + j_beta @ beta_lin
-    return ((weights[:, None, None] * jrows).reshape(2 * n_a, -1),
-            (weights[:, None] * rhs).reshape(-1))
-
-
-def assemble_system(model, world, beta_lin_point, observations, cfg: SolveConfig):
-    """Normal equations for the stacked weighted system, linearized about
-    the world rotations (K,3,3).
-
-    Unknown layout: (delta_1..delta_K, beta, t).  Returns (A, b) with
-    A = J^T J and b = J^T r.
+    vanish on its homogeneous camera-frame point Q = re P + te: on the
+    world point P they read m = rows[:3] re and const = rows[:3] te + rows[3].
+    Rows of anchors with zero weight are dropped.
     """
     if not observations:
         raise ValueError("need at least one observation")
     k, s = model.n_joints, model.n_shape
-    dim = 3 * k + s + 3
-    beta_lin = np.asarray(beta_lin_point, float)
-    p0, d_delta, d_beta = _linearized_anchors(model, world, beta_lin)
-
-    blocks_j, blocks_r = [], []
-    n_data_rows = 0
+    n_a = len(model.anchor_indices)
+    anchor, m, const, weights = [], [], [], []
     for obs in observations:
-        if len(obs.anchors_2d) != len(p0):
-            raise ValueError(f"a view has {len(obs.anchors_2d)} anchors, "
-                             f"the model {len(p0)}")
+        if len(obs.anchors_2d) != n_a:
+            raise ValueError(f"a view has {len(obs.anchors_2d)} anchors, the model {n_a}")
         wts = anchor_weights(obs.laplace_scale, obs.aux_weight)
-        j, r = _dlt_rows(obs, p0, d_delta, d_beta, beta_lin, wts)
-        keep = np.repeat(wts > 0, 2)
-        blocks_j.append(j[keep])
-        blocks_r.append(r[keep])
-        n_data_rows += int(keep.sum())
-
+        keep = np.flatnonzero(wts > 0)
+        kk = obs.intrinsics
+        rows = wts[keep, None, None] * (obs.anchors_2d[keep, :, None] * kk[2] - kk[:2])
+        anchor.append(np.repeat(keep, 2))
+        m.append((rows[..., :3] @ obs.extrinsics_r).reshape(-1, 3))
+        const.append((rows[..., :3] @ obs.extrinsics_t + rows[..., 3]).reshape(-1))
+        weights.append(wts)
+    m, dim = np.concatenate(m), 3 * k + s + 3
     n_reg = (s if cfg.omega_beta > 0 else 0) + (3 * k if cfg.gamma > 0 else 0)
-    if n_data_rows + n_reg < dim:
-        raise UnderdeterminedError(
-            f"{n_data_rows + n_reg} rows for {dim} unknowns")
-
-    jmat = np.vstack(blocks_j)
-    a, b = jmat.T @ jmat, jmat.T @ np.concatenate(blocks_r)
+    if len(m) + n_reg < dim:
+        raise UnderdeterminedError(f"{len(m) + n_reg} rows for {dim} unknowns")
     # each regularizer's rows are a scaled identity: its weight adds to a diagonal
-    if cfg.omega_beta > 0:
-        prior = np.zeros(s) if cfg.beta_prior is None else cfg.beta_prior
-        diag = np.arange(3 * k, 3 * k + s)
-        a[diag, diag] += cfg.omega_beta
-        b[diag] += cfg.omega_beta * prior
-    if cfg.gamma > 0:
-        diag = np.arange(3 * k)
-        a[diag, diag] += cfg.gamma
-    return a, b
+    reg = np.concatenate([np.full(3 * k, cfg.gamma), np.full(s, cfg.omega_beta), np.zeros(3)])
+    reg_b = np.zeros(dim)
+    if cfg.beta_prior is not None:
+        reg_b[3 * k:3 * k + s] = cfg.omega_beta * cfg.beta_prior
+    m_cross = np.zeros((len(m), 3, 3))
+    m_cross[:, [2, 0, 1], [1, 2, 0]] = m
+    m_cross[:, [1, 2, 0], [2, 0, 1]] = -m
+    return _DltConstants(np.concatenate(anchor), m, m_cross, np.concatenate(const), reg,
+                         reg_b, weights, sum(float(w.sum()) for w in weights))
+
+
+def _linearized_anchors(model, world_rot, beta_lin):
+    """The joint shares y_k = R_k L_k(beta_lin) (K,A,3) of the anchors
+    c + sum_k R_k L_k posed at shape beta_lin, L the levers of
+    `anchor_levers`.  Correcting R_k by I + [delta_k]x moves them by
+    delta_k x y_k, to first order."""
+    levers = model.anchor_levers[1]                # (1+S,A,K,3)
+    n_rest, n_a, k = levers.shape[:3]
+    lev = (np.concatenate([[1.0], beta_lin]) @ levers.reshape(n_rest, -1)).reshape(n_a, k, 3)
+    return np.swapaxes(lev, 0, 1) @ np.swapaxes(world_rot, -1, -2)
+
+
+def _dlt_rows(model, world, beta_lin, table, rows: _DltConstants):
+    """The weighted DLT rows (J (R,D), r (R,)) linearized about the world
+    rotations (K,3,3) at shape beta_lin; `table` (1+S,A,3) holds the anchors
+    of the rest stack [template; shape basis] posed by `world`.  Unknown
+    layout: (delta_1..delta_K, beta, t), beta measured absolutely."""
+    # m . (I + [delta]x) y = m . y + delta . (y x m)
+    y = np.take(_linearized_anchors(model, world, beta_lin), rows.anchor, axis=1)
+    j_delta = (np.swapaxes(y, 0, 1) @ rows.m_cross).reshape(len(rows.m), -1)
+    # m . q for each posed rest row: the template column and the beta columns
+    mq = (rows.m[:, None] @ np.take(table, rows.anchor, axis=1).transpose(1, 2, 0))[:, 0]
+    # the anchors are linear in beta, so beta_lin drops out of the rhs
+    return np.concatenate([j_delta, mq[:, 1:], rows.m], axis=1), -(mq[:, 0] + rows.const)
+
+
+def assemble_system(model, world, beta_lin, table, rows: _DltConstants):
+    """Normal equations (A, b) of `_dlt_rows` plus the regularizers:
+    A = J^T J + diag(reg), b = J^T r + reg_b."""
+    jmat, r = _dlt_rows(model, world, beta_lin, table, rows)
+    a = jmat.T @ jmat
+    a.flat[::len(a) + 1] += rows.reg
+    return a, jmat.T @ r + rows.reg_b
 
 
 def _chol_solve(a, b):
-    from scipy.linalg import cho_factor, cho_solve   # ~50 ms to import: only solves pay it
-    try:
-        factor = cho_factor(a, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        try:
-            factor = cho_factor(a + JITTER * np.eye(len(a)), lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
+    # ~50 ms to import: only solves pay it
+    from scipy.linalg.lapack import dpotrf, dpotrs
+    factor, info = dpotrf(a, lower=1, clean=0)
+    if info > 0:
+        factor, info = dpotrf(a + JITTER * np.eye(len(a)), lower=1, clean=0)
+        if info > 0:
             raise SolverFailure("normal equations not SPD even with jitter")
-    return cho_solve(factor, b, check_finite=False)
+    return dpotrs(factor, b, lower=1)[0]
 
 
-def reproject(model, world_rot, beta, translation, obs: Observation):
-    """Pixel positions of the anchors under the given state."""
-    pts = pose_anchors(model, world_rot, np.concatenate([[1.0], beta])) + translation
+def _project(pts, obs: Observation):
+    """Pixel positions of world points (A,3) in one view."""
     cam = pts @ obs.extrinsics_r.T + obs.extrinsics_t
     hom = np.concatenate([cam, np.ones((len(cam), 1))], axis=1)
     proj = hom @ obs.intrinsics.T
     return proj[:, :2] / proj[:, 2:3]
 
 
-def _residual_report(model, world_rot, beta, t, observations):
-    per = []
-    wacc, sqacc = 0.0, 0.0
-    for obs in observations:
-        wts = anchor_weights(obs.laplace_scale, obs.aux_weight)
-        px = reproject(model, world_rot, beta, t, obs)
-        err = np.linalg.norm(px - obs.anchors_2d, axis=1)
-        per.append(err)
-        sqacc += float((wts * err ** 2).sum())
-        wacc += float(wts.sum())
-    rms = np.sqrt(sqacc / max(wacc, 1e-30))
-    return rms, np.concatenate(per)
+def reproject(model, world_rot, beta, translation, obs: Observation):
+    """Pixel positions of the anchors under the given state."""
+    return _project(pose_anchors(model, world_rot, np.concatenate([[1.0], beta]))
+                    + translation, obs)
 
 
-def _pose_matrices(model, pose):
-    """A pose's matrices (K,3,3), checked to hold one rotation per joint."""
+def _residual_report(table, beta, t, observations, rows: _DltConstants):
+    # [1, beta] @ table is `pose_anchors` at shape beta, done on its posed table
+    pts = (np.concatenate([[1.0], beta])[None] @ table.reshape(len(table), -1)).reshape(-1, 3)
+    per = [np.linalg.norm(_project(pts + t, obs) - obs.anchors_2d, axis=1)
+           for obs in observations]
+    sq = sum(float((w * err ** 2).sum()) for w, err in zip(rows.weights, per))
+    return np.sqrt(sq / max(rows.weight_sum, 1e-30)), np.concatenate(per)
+
+
+def _pose_matrices(model, pose, name):
+    """A pose's matrices (K,3,3), checked to hold one finite rotation per joint."""
     mats = as_matrices(pose)
     if mats.shape != (model.n_joints, 3, 3):
-        raise ValueError(f"pose must have shape {(model.n_joints, 3, 3)}, "
-                         f"got {mats.shape}")
+        raise ValueError(f"pose must have shape {(model.n_joints, 3, 3)}, got {mats.shape}")
+    if not np.isfinite(mats).all():
+        raise ValueError(f"{name} must be finite")
     return mats
 
 
@@ -271,21 +271,26 @@ def solve(model, pose_init, observations, cfg: SolveConfig) -> SolveResult:
     beta_lin = np.zeros(s) if cfg.beta_prior is None else cfg.beta_prior
     if beta_lin.shape != (s,):
         raise ValueError(f"beta_prior must have shape ({s},), got {beta_lin.shape}")
-    world = _world_rotations(model, _pose_matrices(model, pose_init))
+    if not np.isfinite(beta_lin).all():
+        raise ValueError("beta_prior must be finite")
+    world = _world_rotations(model, _pose_matrices(model, pose_init, "pose_init"))
+    rows = _dlt_constants(model, observations, cfg)
+    # each state's posed anchor table serves its residual and the next linearization
+    stack = np.eye(s + 1)
+    table = pose_anchors(model, world, stack)
     prev_rms = np.inf
     increases = 0
     total_delta = np.zeros((k, 3))
     n_lin = 0
     while True:
-        a, b = assemble_system(model, world, beta_lin, observations, cfg)
-        x = _chol_solve(a, b)
+        x = _chol_solve(*assemble_system(model, world, beta_lin, table, rows))
         delta = x[:3 * k].reshape(k, 3)
         beta = x[3 * k:3 * k + s]
         t = x[3 * k + s:]
-        world_new = exp_matrices(delta) @ world
-        rms, per = _residual_report(model, world_new, beta, t, observations)
+        world = exp_matrices(delta) @ world
+        table = pose_anchors(model, world, stack)
+        rms, per = _residual_report(table, beta, t, observations, rows)
         total_delta += delta
-        world = world_new
         if rms > prev_rms:
             increases += 1
             if increases >= 2:
@@ -297,16 +302,10 @@ def solve(model, pose_init, observations, cfg: SolveConfig) -> SolveResult:
             break
         n_lin += 1
         beta_lin = beta
-    return SolveResult(
-        delta_vectors=total_delta,
-        rotations=world,
-        pose=_relative_from_world(model, world),
-        beta=beta,
-        translation=t,
-        weighted_rms_residual=rms,
-        per_anchor_residuals=per,
-        n_relinearizations=n_lin,
-    )
+    return SolveResult(delta_vectors=total_delta, rotations=world,
+                       pose=_relative_from_world(model, world), beta=beta, translation=t,
+                       weighted_rms_residual=rms, per_anchor_residuals=per,
+                       n_relinearizations=n_lin)
 
 
 def solve_single_view(model, pose_init, obs: Observation, cfg: SolveConfig) -> SolveResult:
@@ -324,7 +323,8 @@ def solve_multi_view(model, per_view_poses, views, cfg: SolveConfig) -> SolveRes
         raise ValueError("need at least one view")
     if len(per_view_poses) != len(views):
         raise ValueError("one pose set per view required")
-    mats = np.stack([_pose_matrices(model, p) for p in per_view_poses])    # (V,K,3,3)
+    mats = np.stack([_pose_matrices(model, p, "per_view_poses")
+                     for p in per_view_poses])                              # (V,K,3,3)
     mats[:, 0] = np.swapaxes(np.stack([v.extrinsics_r for v in views]), -1, -2) @ mats[:, 0]
     if len(views) == 1:
         return solve(model, mats[0], views, cfg)

@@ -203,8 +203,7 @@ def observation_from_json(d) -> Observation:
     for key in ("anchors", "scale", "intrinsics"):
         if key not in d:
             raise ValueError(f"observation is missing {key!r}")
-    aux = d.get("aux", np.ones(np.shape(d["anchors"])[:1]))
-    return Observation(d["anchors"], d["scale"], aux, d["intrinsics"],
+    return Observation(d["anchors"], d["scale"], d.get("aux"), d["intrinsics"],
                        d.get("extr_r", np.eye(3)), d.get("extr_t", np.zeros(3)))
 
 

@@ -269,6 +269,8 @@ def fit_toy_distribution(targets, flow_cfg=None, steps=3000, batch=128,
     mass among report_samples draws (a draw within CAPTURE_DEG of a mode
     is captured), the fraction near any mode, and mean NLL before/after.
     """
+    if not len(targets):
+        raise ValueError("targets must hold at least one rotation")
     check_fields({"steps": steps}, int)
     check_fields({"batch": batch, "report_samples": report_samples}, int, least=1)
     check_fields({"lr": lr, "noise_kappa": noise_kappa}, float, above=True)

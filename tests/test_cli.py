@@ -455,6 +455,46 @@ def test_misread_configs_exit_1_naming_the_key(workspace, toy_checkpoint, tmp_pa
         assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("plain", [
+    ("template", "shape_basis", "joint_regressor", "blend_weights", "parents",
+     "anchor_indices"),
+    ("joint_regressor", "blend_weights", "parents"), ("joint_regressor",), ("parents",),
+    ("anchor_indices",)])
+def test_gen_data_with_a_model_of_plain_numbers_exit_1(workspace, tmp_path, capsys, plain):
+    doc = json.loads((workspace / "model.json").read_text())
+    doc.update({key: 1 for key in plain})
+    if plain == ("joint_regressor", "blend_weights", "parents"):
+        doc.update(joint_regressor=[], blend_weights=[], parents=[])     # no joints at all
+    model = _write(tmp_path / "model.json", doc)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert _run(["gen-data", "--config", _write(tmp_path / "g.json", {"model": model}),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {plain[0]} must be "), err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_toy_fit_without_modes_exit_1_naming_the_bound(tmp_path, capsys):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert _run(["toy-fit", "--config", _write(tmp_path / "t.json", {"n_modes": 0}),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: n_modes must be an integer at least 1, got 0\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_solve_ragged_anchors_exit_1(workspace, tmp_path, capsys):
+    cfg = _solve_config(workspace, tmp_path)
+    doc = json.loads(open(cfg).read())
+    doc["observations"][0]["anchors"] = [[1, 2], [3]]
+    _write(cfg, doc)
+    capsys.readouterr()
+    assert _run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: anchors_2d must hold numbers: ")
+    assert not (tmp_path / "solve_result.json").exists()
+
+
 def test_toy_checkpoint_samples_from_a_context(toy_checkpoint, tmp_path):
     cfg = _write(tmp_path / "s.json", {"checkpoint": toy_checkpoint, "context": [0.0], "n": 2})
     assert _run(["sample", "--config", cfg, "--out", str(tmp_path)]) == 0

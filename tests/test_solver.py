@@ -1,11 +1,15 @@
 """Linearized pose/shape/translation solver on synthetic observations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowpose import autodiff as ag
-from flowpose import body, solver
-from flowpose.rotation import Rotation, as_matrices, axis_angle_exp, geodesic_distance
+from flowpose import body, solver, synth
+from flowpose.rotation import (Rotation, as_matrices, axis_angle_exp, exp_matrices,
+                               geodesic_distance)
 
 K_MAT = np.array([[800.0, 0, 320, 0], [0, 800.0, 240, 0], [0, 0, 1, 0]])
 
@@ -124,6 +128,19 @@ def test_solve_rejects_a_pose_with_the_wrong_joint_count(toy_model, rng, extra):
         solver.solve_multi_view(toy_model, [init, as_matrices(pose)], [obs, obs], cfg)
 
 
+def _affine_anchors(model, world, beta_lin):
+    """(p0 (A,3), d_delta (A,K,3,3), d_beta (A,S,3)) so that the anchors read
+        P = p0 + sum_k d_delta[:,k] @ delta_k + d_beta . (beta - beta_lin) + t
+    to first order, from the solver's posed table (1+S,A,3) and joint shares
+    y_k: p0 and d_beta are the table's rows, d_delta[:,k] delta = delta x y_k.
+    Returns them with the table."""
+    table = body.pose_anchors(model, world, np.eye(model.n_shape + 1))
+    y = np.swapaxes(solver._linearized_anchors(model, world, beta_lin), 0, 1)    # (A,K,3)
+    d_delta = -np.swapaxes(np.cross(y[..., None, :], np.eye(3)), -1, -2)
+    p0 = np.tensordot(np.concatenate([[1.0], beta_lin]), table, axes=1)
+    return (p0, d_delta, np.swapaxes(table[1:], 0, 1)), table
+
+
 def test_linearized_anchors_match_finite_differences(toy_model, rng):
     """Anchors are linear in beta, so d_beta is exact; d_delta holds to
     first order when one joint's world rotation is corrected by exp(eps e_i)."""
@@ -135,7 +152,7 @@ def test_linearized_anchors_match_finite_differences(toy_model, rng):
                                np.zeros(3))
         return body.forward_kinematics(toy_model, state)[0][toy_model.anchor_indices]
 
-    p0, d_delta, d_beta = solver._linearized_anchors(toy_model, world, beta)
+    (p0, d_delta, d_beta), _ = _affine_anchors(toy_model, world, beta)
     np.testing.assert_allclose(p0, anchors(world, beta), rtol=0, atol=1e-12)
     for s in range(toy_model.n_shape):
         step = 0.7 * np.eye(toy_model.n_shape)[s]
@@ -184,7 +201,7 @@ def test_dlt_rows_match_per_anchor_reference(toy_model, rng):
     for _ in range(5):
         pose, beta, _ = _random_scene(toy_model, rng)
         world = solver._world_rotations(toy_model, as_matrices(pose))
-        lin = solver._linearized_anchors(toy_model, world, beta)
+        lin, table = _affine_anchors(toy_model, world, beta)
         aux = rng.uniform(0.1, 2.0, n)
         aux[rng.choice(n, n // 4, replace=False)] = 0.0
         obs = solver.Observation(
@@ -192,12 +209,15 @@ def test_dlt_rows_match_per_anchor_reference(toy_model, rng):
             np.array([[810.0, 0, 330, 0], [0, 790.0, 250, 0], [0, 0, 1, 0]]),
             axis_angle_exp(rng.normal(size=3)).matrix(), rng.normal(size=3))
         wts = solver.anchor_weights(obs.laplace_scale, obs.aux_weight)
-        got = solver._dlt_rows(obs, *lin, beta, wts)
+        rows = solver._dlt_constants(toy_model, [obs], solver.SolveConfig())
+        got = solver._dlt_rows(toy_model, world, beta, table, rows)
         want = _dlt_rows_reference(obs, *lin, beta, wts)
+        # rows of a zero-weight anchor are zero in the reference and dropped here
+        keep = np.repeat(wts > 0, 2)
+        assert not want[0][~keep].any()
         for g, w in zip(got, want):
-            assert g.shape == w.shape
-            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
-        assert not got[0][np.repeat(wts == 0, 2)].any()
+            assert g.shape == w[keep].shape
+            assert np.abs(g - w[keep]).max() <= 1e-12 * np.abs(w).max()
 
 
 @pytest.mark.parametrize("field, bad", [
@@ -229,9 +249,11 @@ def test_assemble_rejects_anchor_count_mismatch(toy_model, rng):
     pose, beta, t = _random_scene(toy_model, rng)
     n = len(toy_model.anchor_indices) - 1
     obs = solver.Observation(np.zeros((n, 2)), np.ones(n), np.ones(n), K_MAT)
-    world = solver._world_rotations(toy_model, as_matrices(pose))
-    with pytest.raises(ValueError, match="anchors"):
-        solver.assemble_system(toy_model, world, beta, [obs], solver.SolveConfig())
+    msg = f"a view has {n} anchors, the model {n + 1}"
+    with pytest.raises(ValueError, match=msg):
+        solver._dlt_constants(toy_model, [obs], solver.SolveConfig())
+    with pytest.raises(ValueError, match=msg):
+        solver.solve(toy_model, pose, [obs], solver.SolveConfig())
 
 
 def _stacked_normal_equations(model, world, beta_lin, observations, cfg):
@@ -239,9 +261,9 @@ def _stacked_normal_equations(model, world, beta_lin, observations, cfg):
     then sqrt-weighted identity rows for the beta prior and the delta damping."""
     k, s = model.n_joints, model.n_shape
     dim = 3 * k + s + 3
-    lin = solver._linearized_anchors(model, world, beta_lin)
-    rows = [solver._dlt_rows(o, *lin, beta_lin,
-                             solver.anchor_weights(o.laplace_scale, o.aux_weight))
+    lin, _ = _affine_anchors(model, world, beta_lin)
+    rows = [_dlt_rows_reference(o, *lin, beta_lin,
+                                solver.anchor_weights(o.laplace_scale, o.aux_weight))
             for o in observations]
     jmat = [j for j, _ in rows]
     rvec = [r for _, r in rows]
@@ -270,7 +292,9 @@ def test_assemble_adds_regularizers_to_the_normal_equations(toy_model, rng, omeg
     cfg = solver.SolveConfig(omega_beta=omega_beta, gamma=gamma,
                              beta_prior=rng.normal(size=toy_model.n_shape) if with_prior else None)
     beta_lin = beta + rng.normal(scale=0.1, size=beta.shape)
-    got = solver.assemble_system(toy_model, world, beta_lin, views, cfg)
+    table = body.pose_anchors(toy_model, world, np.eye(toy_model.n_shape + 1))
+    got = solver.assemble_system(toy_model, world, beta_lin, table,
+                                 solver._dlt_constants(toy_model, views, cfg))
     want = _stacked_normal_equations(toy_model, world, beta_lin, views, cfg)
     for g, w in zip(got, want):
         assert g.shape == w.shape
@@ -390,3 +414,220 @@ def test_laplacian_stationary_scale(rng):
                                np.zeros_like(resid))
     ag.backward(nll)
     assert np.abs(scale.grad).max() < 1e-12
+
+
+def _reference_solve(model, pose_init, observations, cfg):
+    """The reference `solve` must match: a direct loop that rebuilds each
+    view's einsum DLT rows at every linearization, poses the anchors again
+    for the residual through `reproject`, and factors with SciPy's
+    cho_factor/cho_solve.  Returns (pose, beta, t, rms, n_relinearizations)."""
+    from scipy.linalg import cho_factor, cho_solve
+    k, s = model.n_joints, model.n_shape
+    levers = model.anchor_levers[1]
+    n_rest, n_a = levers.shape[:2]
+    generators = np.cross(np.eye(3)[:, None], np.eye(3)).transpose(0, 2, 1)   # [e_i]x
+
+    def assemble(world, beta_lin):
+        coef = np.concatenate([[1.0], beta_lin])
+        posed = body.pose_anchors(model, world, np.concatenate([coef[None], np.eye(n_rest)[1:]]))
+        p0, d_beta = posed[0], np.swapaxes(posed[1:], 0, 1)
+        lev = (coef @ levers.reshape(n_rest, -1)).reshape(n_a, k, 3)
+        y = np.swapaxes(np.swapaxes(lev, 0, 1) @ np.swapaxes(world, -1, -2), 0, 1)
+        d_delta = (y @ -generators.reshape(3, 9)).reshape(n_a, k, 3, 3)
+        blocks_j, blocks_r = [], []
+        for obs in observations:
+            wts = solver.anchor_weights(obs.laplace_scale, obs.aux_weight)
+            kk = obs.intrinsics
+            rows = obs.anchors_2d[:, :, None] * kk[2] - kk[:2]
+            m = rows[..., :3] @ obs.extrinsics_r
+            j_beta = np.einsum("acj,asj->acs", m, d_beta)
+            jrows = np.concatenate([np.einsum("acj,akjl->ackl", m, d_delta).reshape(n_a, 2, -1),
+                                    j_beta, m], axis=2)
+            q0 = p0 @ obs.extrinsics_r.T + obs.extrinsics_t
+            rhs = -(np.einsum("aci,ai->ac", rows[..., :3], q0) + rows[..., 3]) + j_beta @ beta_lin
+            keep = np.repeat(wts > 0, 2)
+            blocks_j.append((wts[:, None, None] * jrows).reshape(2 * n_a, -1)[keep])
+            blocks_r.append((wts[:, None] * rhs).reshape(-1)[keep])
+        jmat = np.vstack(blocks_j)
+        a, b = jmat.T @ jmat, jmat.T @ np.concatenate(blocks_r)
+        if cfg.omega_beta > 0:
+            diag = np.arange(3 * k, 3 * k + s)
+            a[diag, diag] += cfg.omega_beta
+            b[diag] += cfg.omega_beta * (np.zeros(s) if cfg.beta_prior is None else cfg.beta_prior)
+        if cfg.gamma > 0:
+            diag = np.arange(3 * k)
+            a[diag, diag] += cfg.gamma
+        return a, b
+
+    def chol_solve(a, b):
+        try:
+            factor = cho_factor(a, lower=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            try:
+                factor = cho_factor(a + solver.JITTER * np.eye(len(a)), lower=True,
+                                    check_finite=False)
+            except np.linalg.LinAlgError:
+                raise solver.SolverFailure("normal equations not SPD even with jitter")
+        return cho_solve(factor, b, check_finite=False)
+
+    def residual(world, beta, t):
+        per, wacc, sqacc = [], 0.0, 0.0
+        for obs in observations:
+            wts = solver.anchor_weights(obs.laplace_scale, obs.aux_weight)
+            err = np.linalg.norm(solver.reproject(model, world, beta, t, obs) - obs.anchors_2d,
+                                 axis=1)
+            per.append(err)
+            sqacc += float((wts * err ** 2).sum())
+            wacc += float(wts.sum())
+        return np.sqrt(sqacc / max(wacc, 1e-30)), np.concatenate(per)
+
+    beta_lin = np.zeros(s) if cfg.beta_prior is None else cfg.beta_prior
+    world = solver._world_rotations(model, as_matrices(pose_init))
+    prev_rms, increases, n_lin = np.inf, 0, 0
+    while True:
+        x = chol_solve(*assemble(world, beta_lin))
+        delta, beta, t = x[:3 * k].reshape(k, 3), x[3 * k:3 * k + s], x[3 * k + s:]
+        world = solver.exp_matrices(delta) @ world
+        rms, per = residual(world, beta, t)
+        if rms > prev_rms:
+            increases += 1
+            if increases >= 2:
+                raise solver.DivergenceError("residual increased on two consecutive "
+                                             "relinearizations")
+        else:
+            increases = 0
+        prev_rms = rms
+        if n_lin >= cfg.max_relinearizations or np.abs(delta).max() < 1e-6:
+            return solver._relative_from_world(model, world), beta, t, rms, n_lin
+        n_lin += 1
+        beta_lin = beta
+
+
+def _basin_starts(model, trained_model):
+    """GT poses perturbed per joint by 5, 10, 20 and 40 degrees, seen by one
+    view and by two (1 px noise), then flow draws from the criterion-8 fixture:
+    (pose, views, cfg) per start."""
+    rng = np.random.default_rng(11)
+    scenes = synth.gen_dataset(model, 5, synth.standard_rig(2), synth.NoiseSpec(1.0), seed=11)
+    starts = []
+    for rec in scenes:
+        for deg in (5.0, 10.0, 20.0, 40.0):
+            init = [p.compose(axis_angle_exp(np.radians(deg) * _unit(rng)))
+                    for p in rec.gt_state.pose]
+            for views in (rec.views[:1], rec.views):
+                starts.append((init, views, solver.SolveConfig(
+                    omega_beta=1e-3, gamma=1e-4, max_relinearizations=5)))
+    t_model, dataset, flow, encode = trained_model
+    assert t_model.n_joints == model.n_joints
+    for j, rec in enumerate(dataset[:4]):
+        draws = flow.flow_sample(encode(rec.context_features), 5, np.random.default_rng(j),
+                                 include_mode=True)
+        for rotations, shape in zip(draws.rotations, draws.shapes):
+            starts.append((rotations, rec.views[:1], solver.SolveConfig(
+                omega_beta=1e-3, gamma=1e-4, beta_prior=shape, max_relinearizations=2)))
+    return starts
+
+
+def test_solve_matches_the_reference_loop(toy_model, trained_model):
+    """Every start raises or returns as the reference loop does, and pose,
+    beta, t and the residual agree to 1e-9 (the residual relative to its size)."""
+    outcomes = []
+    for pose, views, cfg in _basin_starts(toy_model, trained_model):
+        try:
+            want = _reference_solve(toy_model, pose, views, cfg)
+        except solver.SolverFailure as e:
+            with pytest.raises(type(e)):
+                solver.solve(toy_model, pose, views, cfg)
+            outcomes.append(type(e))
+            continue
+        got = solver.solve(toy_model, pose, views, cfg)
+        assert got.n_relinearizations == want[4]
+        for g, w in zip((got.pose, got.beta, got.translation), want[:3]):
+            assert np.abs(g - w).max() <= 1e-9
+        assert abs(got.weighted_rms_residual - want[3]) <= 1e-9 * max(1.0, want[3])
+        outcomes.append("returned")
+    assert len(outcomes) >= 40
+    assert "returned" in outcomes and solver.DivergenceError in outcomes
+
+
+def test_one_assembly_and_one_factorization_per_linearization(toy_model, rng, monkeypatch):
+    calls = {"assemble_system": 0, "_chol_solve": 0}
+    for name in calls:
+        def counting(*args, real=getattr(solver, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(solver, name, counting)
+    for max_relin in range(4):
+        init, obs, _ = _perturbed_solve_inputs(toy_model, rng)
+        before = dict(calls)
+        res = solver.solve_single_view(toy_model, init, obs, solver.SolveConfig(
+            gamma=1e-4, max_relinearizations=max_relin))
+        for name in calls:
+            assert calls[name] - before[name] == res.n_relinearizations + 1 == max_relin + 1
+
+
+@pytest.mark.parametrize("index", [(0, 0, 0), (3, 2, 1)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_rejects_a_non_finite_pose_init(toy_model, rng, index, bad):
+    init, obs, cfg = _perturbed_solve_inputs(toy_model, rng)
+    mats = as_matrices(init)
+    mats[index] = bad
+    with pytest.raises(ValueError, match="pose_init must be finite"):
+        solver.solve_single_view(toy_model, mats, obs, cfg)
+    with pytest.raises(ValueError, match="per_view_poses must be finite"):
+        solver.solve_multi_view(toy_model, [init, mats], [obs, obs], cfg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_solve_rejects_a_non_finite_beta_prior(toy_model, rng, bad):
+    init, obs, _ = _perturbed_solve_inputs(toy_model, rng)
+    prior = np.zeros(toy_model.n_shape)
+    prior[1] = bad
+    with pytest.raises(ValueError, match="beta_prior must be finite"):
+        solver.solve_single_view(toy_model, init, obs, solver.SolveConfig(
+            omega_beta=1e-3, beta_prior=prior))
+
+
+def _spoiled(data, values):
+    """values (an array), with one entry made non-finite in some examples."""
+    if data.draw(st.booleans()):
+        values.flat[data.draw(st.integers(0, values.size - 1))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    return values
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_solve_raises_or_returns_finite_fields(toy_model, data):
+    """Generated poses, priors and weights: `solve` raises ValueError or
+    SolverFailure, or every field of its result is finite."""
+    k, s = toy_model.n_joints, toy_model.n_shape
+    n = len(toy_model.anchor_indices)
+
+    def floats(lo, hi, size):
+        return st.lists(st.floats(lo, hi), min_size=size, max_size=size)
+
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    pose, beta, t = _random_scene(toy_model, rng)
+    obs = _exact_obs(toy_model, pose, beta, t)
+    obs.anchors_2d += rng.normal(scale=data.draw(st.floats(0.0, 50.0)), size=(n, 2))
+    obs.laplace_scale = np.array(data.draw(floats(1e-3, 1e3, n)))
+    # most anchors keep weight 1; the rest get a drawn weight, 0 among them
+    aux = np.ones(n)
+    for a in data.draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        aux[a] = data.draw(st.floats(0.0, 1e6) | st.sampled_from([0.0, 1e-300]))
+    obs.aux_weight = aux
+    with np.errstate(invalid="ignore"):          # exp of an infinite rotation vector is NaN
+        pose_init = exp_matrices(_spoiled(data, np.array(data.draw(floats(-4.0, 4.0, 3 * k)))
+                                          .reshape(k, 3)))
+    prior = data.draw(st.none() | floats(-1e3, 1e3, s))
+    weights = st.floats(0.0, 1e6) | st.sampled_from([0.0, 1e-300, 1e300])
+    cfg = solver.SolveConfig(omega_beta=data.draw(weights), gamma=data.draw(weights),
+                             beta_prior=None if prior is None else _spoiled(data, np.array(prior)),
+                             max_relinearizations=data.draw(st.integers(0, 4)))
+    try:
+        res = solver.solve(toy_model, pose_init, [obs], cfg)
+    except (ValueError, solver.SolverFailure):
+        return
+    for f in dataclasses.fields(res):
+        assert np.isfinite(getattr(res, f.name)).all(), f.name

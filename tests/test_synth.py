@@ -154,3 +154,13 @@ def test_depth_ambiguous_rig_geometry():
     # long focal length and a distant subject: weak depth constraint
     assert rig.cameras[0].fx >= 2000.0
     assert rig.translation_lo[2] > 5.0
+
+
+def test_observation_from_json_converts_anchors_before_the_aux_default():
+    k = [[800.0, 0, 320, 0], [0, 800.0, 240, 0], [0, 0, 1, 0]]
+    obs = synth.observation_from_json({"anchors": [[1, 2], [3, 4]], "scale": [1, 1],
+                                       "intrinsics": k})
+    np.testing.assert_array_equal(obs.aux_weight, [1.0, 1.0])
+    with pytest.raises(ValueError, match="anchors_2d must hold numbers"):
+        synth.observation_from_json({"anchors": [[1, 2], [3]], "scale": [1, 1],
+                                     "intrinsics": k})

@@ -216,6 +216,11 @@ def test_fit_toy_distribution_short_run(rng):
     assert len(report["per_mode_mass"]) == 2
 
 
+def test_fit_toy_distribution_rejects_an_empty_target_list():
+    with pytest.raises(ValueError, match="targets must hold at least one rotation"):
+        training.fit_toy_distribution([], steps=1, batch=4, report_samples=10)
+
+
 def test_capture_report_matches_per_pair_geodesic_loop(monkeypatch):
     rng = np.random.default_rng(3)
     # a half-turn target: canonical signs split its neighbours' quaternions
