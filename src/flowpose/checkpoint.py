@@ -31,8 +31,10 @@ def _encode(arr):
             "data": base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")}
 
 
-def _decode(d):
+def _decode(name, d):
     a = np.frombuffer(base64.b64decode(d["data"]), dtype="<f8")
+    if not np.isfinite(a).all():
+        raise CheckpointError(f"checkpoint parameter {name} holds non-finite values")
     return a.reshape(d["shape"]).copy()
 
 
@@ -52,17 +54,17 @@ def save_checkpoint(path, flow: FlowModel, extra: ParamStore | None = None,
 
 
 def load_checkpoint(path):
-    """Returns (flow, extra ParamStore, train_config dict or None)."""
+    """(flow, extra ParamStore, train_config dict or None); rejects non-finite parameters."""
     with open(path) as f:
         doc = json.load(f)
     if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
         raise CheckpointError("unsupported checkpoint format_version")
     try:
         flow = FlowModel(FlowConfig(**doc["flow_config"]), np.random.default_rng(0))
-        flow.params.load_values({k: _decode(v) for k, v in doc["params"].items()})
+        flow.params.load_values({k: _decode(k, v) for k, v in doc["params"].items()})
         extra = ParamStore()
         for k, v in doc.get("extra", {}).items():
-            extra.add(k, _decode(v))
+            extra.add(k, _decode(k, v))
     except (KeyError, TypeError) as e:
         raise CheckpointError(f"checkpoint incomplete or incompatible with its flow config: {e}")
     return flow, extra, doc.get("train_config")

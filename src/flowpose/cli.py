@@ -109,7 +109,7 @@ def _given(cfg, *keys):
 
 
 def _floats(key, value, *shapes):
-    """value as a float array of one of shapes, None matching any length."""
+    """value as a finite float array of one of shapes, None matching any length."""
     try:
         a = np.asarray(value, float)
     except (TypeError, ValueError):
@@ -118,6 +118,8 @@ def _floats(key, value, *shapes):
                for s in shapes):
         raise ValidationError(f"{key} must be numbers of shape "
                               f"{' or '.join(str(s) for s in shapes)}, got {reprlib.repr(value)}")
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{key} must be finite, got {reprlib.repr(value)}")
     return a
 
 
@@ -259,8 +261,6 @@ def cmd_eval(args):
         raise ValidationError("eval config needs a checkpoint path")
     dataset = synth.load_dataset(cfg["dataset"])
     seed = args.seed if args.seed is not None else 0
-    if args.views is not None:
-        cfg["views"] = args.views
     if "experiment" in cfg:
         doc = metrics.multi_view_trend(m, dataset, seed=seed, **_given(cfg, "init_sigma_deg"))
     else:
@@ -331,8 +331,6 @@ def build_parser():
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--views", type=int, default=None,
-                   help="view count override for eval")
     p.add_argument("--no-timestamp", action="store_true",
                    help="omit the meta timestamp from checkpoints")
     return p

@@ -1,4 +1,4 @@
-"""Base probability distributions on SO(3) and on Euclidean shape vectors.
+"""Base probability distributions on SO(3).
 
 Measure convention: rotation log-densities are taken w.r.t. the normalized
 Haar probability measure, so the uniform distribution has log-density 0.
@@ -14,7 +14,7 @@ from . import autodiff as ag
 from .rotation import Rotation
 
 __all__ = [
-    "ProjectedIsoGaussian", "DiagGaussian",
+    "ProjectedIsoGaussian",
     "pig_logpdf", "pig_logpdf_from_qdot",
     "igso3_logpdf", "uniform_sample", "uniform_quaternions",
 ]
@@ -36,22 +36,6 @@ class ProjectedIsoGaussian:
     def __post_init__(self):
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
-
-
-@dataclass(frozen=True)
-class DiagGaussian:
-    mean: np.ndarray
-    log_std: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        log_std = np.asarray(self.log_std, dtype=np.float64)
-        if mean.shape != log_std.shape:
-            raise ValueError("mean and log_std must have the same shape")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(log_std))):
-            raise ValueError("DiagGaussian parameters must be finite")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "log_std", log_std)
 
 
 def pig_sample_batch(d: ProjectedIsoGaussian, n: int, rng: np.random.Generator):

@@ -15,6 +15,7 @@ repeated to N, the rotation layers the P rows themselves.
 
 from __future__ import annotations
 
+import reprlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,8 +24,8 @@ import numpy as np
 
 from . import autodiff as ag
 from .checks import check_fields
-from .distributions import (DiagGaussian, ProjectedIsoGaussian, pig_logpdf_batch,
-                            pig_logpdf_from_qdot, pig_sample_batch)
+from .distributions import (ProjectedIsoGaussian, pig_logpdf_batch, pig_logpdf_from_qdot,
+                            pig_sample_batch)
 from .nets import ParamStore, mlp_apply, mlp_init
 from .rotation import (InvalidFrameError, Rotation, as_matrices, cross3, matrix_to_quat,
                        matrix_to_quat_batch, quat_to_matrices)
@@ -303,6 +304,21 @@ class FlowModel:
     def param_values(self):
         return self.params.values()
 
+    def _context(self, context):
+        """One context as a float vector of the configured size, checked finite."""
+        ctx = np.asarray(context, float)
+        if ctx.shape != (self.cfg.context_dim,) or not np.isfinite(ctx).all():
+            raise ValueError(f"context must be {self.cfg.context_dim} finite numbers, "
+                             f"got {reprlib.repr(ctx.tolist())}")
+        return ctx
+
+    def shape_params(self, p, ctx):
+        """The shape head's means (B,S) and log-stds (B,S), clamped to [-6, 6], for
+        contexts ctx (B,C): tape nodes when p holds leaves, arrays otherwise."""
+        out = mlp_apply(p, "head_shape", ctx, self.cfg.blocks)
+        d = self.cfg.shape_dim
+        return out[:, :d], ag.clip(out[:, d:], -6.0, 6.0)
+
     # ---- conditioners ------------------------------------------------------
     def _coupling_cond(self, p, name, held, ctx):
         k = self.cfg.k_transforms
@@ -404,7 +420,7 @@ class FlowModel:
         """Total log-density (nats) of K joint rotations given one context."""
         pv = self.param_values()
         u1, u2 = _pose_cols(pose_rotations)
-        ctx = joint_context_rows(self, pv, np.asarray(context, float)[None, :])
+        ctx = joint_context_rows(self, pv, self._context(context)[None])
         lp = self.log_prob_rows(pv, u1, u2, ctx)
         return float(np.sum(lp))
 
@@ -413,6 +429,7 @@ class FlowModel:
         PoseBatch."""
         if not isinstance(n, (int, np.integer)) or n < 0:
             raise ValueError(f"n must be a non-negative integer, got {n!r}")
+        ctx = self._context(context)[None]
         pv = self.param_values()
         K = self.cfg.n_joints
         quats = pig_sample_batch(self.base, n * K, rng)
@@ -421,14 +438,12 @@ class FlowModel:
         total = quats.shape[0] // K
         mats = quat_to_matrices(quats)
         u1, u2 = mats[:, :, 0], mats[:, :, 1]
-        ctx = joint_context_rows(self, pv, np.asarray(context, float)[None])
-        u1, u2, logdet = self._from_base(pv, u1, u2, ctx)
+        u1, u2, logdet = self._from_base(pv, u1, u2, joint_context_rows(self, pv, ctx))
         lp_rows = pig_logpdf_batch(self.base, quats) + logdet
-        shape_dist = self.shape_head(context)
-        shapes = shape_dist.mean + np.exp(shape_dist.log_std) * rng.normal(
-            size=(n, self.cfg.shape_dim))
+        mean, log_std = self.shape_params(pv, ctx)
+        shapes = mean + np.exp(log_std) * rng.normal(size=(n, self.cfg.shape_dim))
         if include_mode:
-            shapes = np.concatenate([shape_dist.mean[None], shapes])
+            shapes = np.concatenate([mean, shapes])
         return PoseBatch(_frame_matrices(u1, u2).reshape(total, K, 3, 3), shapes,
                          lp_rows.reshape(total, K).sum(axis=1))
 
@@ -442,12 +457,6 @@ class FlowModel:
         u1, u2, _ = self._from_base(pv, np.tile([1.0, 0.0, 0.0], (n, 1)),
                                     np.tile([0.0, 1.0, 0.0], (n, 1)), ctx_rows)
         return _frame_matrices(u1, u2)
-
-    def shape_head(self, context):
-        ctx = np.asarray(context, float)[None, :]
-        out = mlp_apply(self.param_values(), "head_shape", ctx, self.cfg.blocks)[0]
-        d = self.cfg.shape_dim
-        return DiagGaussian(out[:d], out[d:])
 
 
 def _frame_matrices(u1, u2):

@@ -11,10 +11,9 @@ import dataclasses
 
 import numpy as np
 
-from .body import BodyModelDef, _chain_positions, _world_rotations, pose_anchors, rest_joints
+from .body import BodyModelDef, _chain_positions, _world_rotations, rest_joints
 from .rotation import as_matrices, exp_matrices
-from .solver import SolveConfig, SolverFailure, solve, solve_multi_view
-from .synth import project
+from .solver import SolveConfig, SolverFailure, reproject, solve, solve_multi_view
 
 
 # solver settings of evaluate's refinements and of the multi-view experiment
@@ -135,9 +134,7 @@ def evaluate(flow, encode, model: BodyModelDef, dataset, n_samples=100,
             per[f"{key}_mode"].append(mode)
             per[f"{key}_min"].append(mn)
         per["abs_mpjpe_mode"].append(float(mpjpe(pj[0], gt_j, root_align=False)))
-        obs0 = rec.views[0]
-        pts = pose_anchors(model, world[0], np.concatenate([[1.0], shapes[0]]))
-        px = project(obs0.intrinsics, obs0.extrinsics_r, obs0.extrinsics_t, pts + trans[0])
+        px = reproject(model, world[0], shapes[0], trans[0], rec.views[0])
         per["kp2d_mode"].append(kp2d_error(px, rec.gt_anchors[0]))
     summary = {k: float(np.mean(v)) for k, v in per.items()}
     summary["n_samples"] = n_samples

@@ -232,25 +232,26 @@ def _chol_solve(a, b):
     return dpotrs(factor, b, lower=1)[0]
 
 
-def _project(pts, obs: Observation):
-    """Pixel positions of world points (A,3) in one view."""
-    cam = pts @ obs.extrinsics_r.T + obs.extrinsics_t
+def project(intrinsics, extrinsics_r, extrinsics_t, points):
+    """Pinhole projection of world points (N,3) to pixels (N,2) by 3x4 intrinsics;
+    points at or behind the camera plane are not checked for."""
+    cam = np.asarray(points, float) @ np.asarray(extrinsics_r, float).T + extrinsics_t
     hom = np.concatenate([cam, np.ones((len(cam), 1))], axis=1)
-    proj = hom @ obs.intrinsics.T
-    return proj[:, :2] / proj[:, 2:3]
+    uvw = hom @ np.asarray(intrinsics, float).T
+    return uvw[:, :2] / uvw[:, 2:3]
 
 
 def reproject(model, world_rot, beta, translation, obs: Observation):
     """Pixel positions of the anchors under the given state."""
-    return _project(pose_anchors(model, world_rot, np.concatenate([[1.0], beta]))
-                    + translation, obs)
+    return project(obs.intrinsics, obs.extrinsics_r, obs.extrinsics_t,
+                   pose_anchors(model, world_rot, np.concatenate([[1.0], beta])) + translation)
 
 
 def _residual_report(table, beta, t, observations, rows: _DltConstants):
     # [1, beta] @ table is `pose_anchors` at shape beta, done on its posed table
     pts = (np.concatenate([[1.0], beta])[None] @ table.reshape(len(table), -1)).reshape(-1, 3)
-    per = [np.linalg.norm(_project(pts + t, obs) - obs.anchors_2d, axis=1)
-           for obs in observations]
+    per = [np.linalg.norm(project(obs.intrinsics, obs.extrinsics_r, obs.extrinsics_t, pts + t)
+                          - obs.anchors_2d, axis=1) for obs in observations]
     sq = sum(float((w * err ** 2).sum()) for w, err in zip(rows.weights, per))
     return np.sqrt(sq / max(rows.weight_sum, 1e-30)), np.concatenate(per)
 

@@ -1,4 +1,4 @@
-"""Synthetic scene generation and the pinhole camera.
+"""Synthetic scene generation: cameras, rigs, noise and datasets.
 
 A scene is a body state drawn from a configurable prior, observed by a
 camera rig as noisy 2D anchor positions.  Records are written as JSON
@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .body import BodyModelDef, BodyState, _world_rotations
+from .body import BodyModelDef, BodyState, _world_rotations, pose_anchors
 from .checks import check_fields
 from .rotation import Rotation, as_matrices, axis_angle_exp
-from .solver import Observation, reproject
+from .solver import Observation, project
 
 
 class BehindCameraError(ValueError):
@@ -25,17 +25,6 @@ class BehindCameraError(ValueError):
 
 class RigError(ValueError):
     pass
-
-
-def project(intrinsics, extrinsics_r, extrinsics_t, points3d):
-    """Pinhole projection of (N,3) world points to (N,2) pixels."""
-    pts = np.asarray(points3d, float)
-    cam = pts @ np.asarray(extrinsics_r, float).T + np.asarray(extrinsics_t, float)
-    if (cam[:, 2] <= 1e-6).any():
-        raise BehindCameraError("point at or behind the camera plane")
-    hom = np.concatenate([cam, np.ones((len(cam), 1))], axis=1)
-    uvw = hom @ np.asarray(intrinsics, float).T
-    return uvw[:, :2] / uvw[:, 2:3]
 
 
 def back_project(intrinsics, pixel, depth):
@@ -86,6 +75,8 @@ class RigSpec:
                 or (self.translation_hi < self.translation_lo).any()):
             raise RigError("translation_lo and translation_hi must be 3-vectors, lo <= hi")
         check_fields(vars(self), float, ("pose_sigma", "shape_sigma"))
+        for cam in self.cameras:   # Observation's checks of the camera fields, on no anchors
+            Observation(np.zeros((0, 2)), np.zeros(0), None, cam.intrinsics(), cam.rot, cam.t)
 
 
 @dataclass
@@ -139,13 +130,15 @@ class SceneRecord:
     rng_seed: int
 
 
+def normalized_pixels(pixels, intrinsics):
+    """Pixels (...,N,2) as (px - c) / f_x under intrinsics (...,3,4)."""
+    return (pixels - intrinsics[..., None, :2, 2]) / intrinsics[..., None, None, 0, 0]
+
+
 def context_features(obs: Observation):
     """Flattened normalized noisy anchors + visibility flags (view 0)."""
-    f = obs.intrinsics[0, 0]
-    c = obs.intrinsics[:2, 2]
-    norm = (obs.anchors_2d - c) / f
     vis = (obs.aux_weight > 0).astype(float)
-    return np.concatenate([norm.reshape(-1), vis])
+    return np.concatenate([normalized_pixels(obs.anchors_2d, obs.intrinsics).reshape(-1), vis])
 
 
 def context_feature_dim(n_anchors):
@@ -161,24 +154,27 @@ def sample_state(model: BodyModelDef, rig: RigSpec, rng) -> BodyState:
 
 
 def make_scene(model, rig: RigSpec, noise: NoiseSpec, seed) -> SceneRecord:
+    """A state drawn from the rig's prior, its anchors posed once and seen by every
+    camera.  Raises BehindCameraError for an anchor at or behind an image plane."""
     rng = np.random.default_rng(seed)
     state = sample_state(model, rig, rng)
-    world = _world_rotations(model, as_matrices(state.pose))
-    n_s = len(model.anchor_indices)
+    pts = pose_anchors(model, _world_rotations(model, as_matrices(state.pose)),
+                       np.concatenate([[1.0], state.shape])) + state.translation
+    n_s = len(pts)
     views, gts = [], []
-    for cam in rig.cameras:
-        obs = Observation(np.zeros((n_s, 2)), np.ones(n_s), np.ones(n_s),
-                          cam.intrinsics(), cam.rot, cam.t)
-        clean = reproject(model, world, state.shape, state.translation, obs)
+    for i, cam in enumerate(rig.cameras):
+        depth = pts @ cam.rot[2] + cam.t[2]
+        if (depth <= 1e-6).any():
+            raise BehindCameraError(f"camera {i} sees an anchor at depth {depth.min():.3g} m, "
+                                    "behind its image plane: move the rig's translation box")
+        clean = project(cam.intrinsics(), cam.rot, cam.t, pts)
         noisy = clean + rng.laplace(scale=noise.pixel_scale, size=clean.shape) \
             if noise.pixel_scale > 0 else clean.copy()
         aux = np.ones(n_s)
         if noise.occlusion_prob > 0:
             aux[rng.random(n_s) < noise.occlusion_prob] = 0.0
-        obs.anchors_2d = noisy
-        obs.laplace_scale = np.full(n_s, max(noise.pixel_scale, 1e-3))
-        obs.aux_weight = aux
-        views.append(obs)
+        views.append(Observation(noisy, np.full(n_s, max(noise.pixel_scale, 1e-3)), aux,
+                                 cam.intrinsics(), cam.rot, cam.t))
         gts.append(clean)
     feats = context_features(views[0])
     return SceneRecord(state, views, gts, feats, int(seed))

@@ -25,7 +25,7 @@ from .flow import FlowConfig, FlowModel, joint_context_rows
 from .nets import Adam, GradientDescent, ParamStore, mlp_apply, mlp_init
 from .rotation import Rotation, as_matrices, quat_multiply, quat_to_matrices
 from .solver import laplacian_nll
-from .synth import context_feature_dim
+from .synth import context_feature_dim, normalized_pixels
 
 
 class TrainingAborted(RuntimeError):
@@ -66,12 +66,10 @@ class TrainConfig:
             raise ValueError("phase1_epochs + phase2_epochs must be positive")
 
 
-def _gauss_nll(out, beta_gt, s):
-    """Mean diagonal-Gaussian NLL; out is (B, 2S) = (mean, log_std)."""
-    mu = ag.take(out, (slice(None), slice(0, s)))
-    log_std = ag.clip(ag.take(out, (slice(None), slice(s, 2 * s))), -6.0, 6.0)
+def _gauss_nll(mu, log_std, beta_gt):
+    """Mean diagonal-Gaussian NLL of beta_gt (B,S) under means mu and log-stds log_std."""
     z = (beta_gt - mu) * ag.exp(-log_std)
-    per = ag.reduce_sum(log_std + 0.5 * z * z, axis=1) + 0.5 * s * np.log(2 * np.pi)
+    per = ag.reduce_sum(log_std + 0.5 * z * z, axis=1) + 0.5 * beta_gt.shape[1] * np.log(2 * np.pi)
     return ag.mean(per)
 
 
@@ -90,24 +88,22 @@ def _scene_tensors(model, dataset):
     pose = np.stack([as_matrices(rec.gt_state.pose) for rec in dataset])
     betas = np.stack([rec.gt_state.shape for rec in dataset])
     views = [rec.views[0] for rec in dataset]
-    cam_r = np.stack([obs.extrinsics_r for obs in views])
-    t_gt = np.stack([rec.gt_state.translation for rec in dataset])
     intrinsics = np.stack([obs.intrinsics for obs in views])
+    # view 0's 3x4 camera matrix on the GT-translated body, K [R | t_ext + R t_gt; 0 0 0 1]
+    rigid = np.tile(np.eye(4), (n, 1, 1))
+    rigid[:, :3, :3] = np.stack([obs.extrinsics_r for obs in views])
+    rigid[:, :3, 3] = np.stack([obs.extrinsics_t for obs in views]) + np.einsum(
+        "bij,bj->bi", rigid[:, :3, :3], np.stack([rec.gt_state.translation for rec in dataset]))
     anchors = np.stack([rec.gt_anchors[0] for rec in dataset])
-    f, c = intrinsics[:, 0, 0], intrinsics[:, :2, 2]
     return {
         "feats": np.stack([rec.context_features for rec in dataset]),
         "u1": pose[..., 0], "u2": pose[..., 1], "beta": betas,
         "joints": _chain_positions(model, _world_rotations(model, pose),
                                    np.stack([rest_joints(model, b) for b in betas])),
-        # view 0's camera; cam_t is the camera-frame offset t_ext + R t_gt
-        # of the GT-translated body
-        "intrinsics": intrinsics, "cam_r": cam_r,
-        "cam_t": np.stack([obs.extrinsics_t for obs in views])
-        + np.einsum("bij,bj->bi", cam_r, t_gt),
+        "camera": intrinsics @ rigid,
         "anchors": anchors,
         # normalized GT (noise-free) anchors for the observation head
-        "anchors_norm": ((anchors - c[:, None]) / f[:, None, None]).reshape(n, -1),
+        "anchors_norm": normalized_pixels(anchors, intrinsics).reshape(n, -1),
     }
 
 
@@ -134,19 +130,13 @@ def _mode_shape_losses(flow, model, tensors, idx, ctx_rows, mu):
     j3d = _mu_combination(mu, joints)
     l3d = ag.mean(ag.absolute(j3d - tensors["joints"][idx].reshape(b, -1)))
 
-    # the camera is affine, so it maps the template's anchors with its
-    # translation and the shape directions' without
-    anchors = pose_anchors(model, world, np.eye(s + 1))
-    cam = anchors @ np.swapaxes(tensors["cam_r"][idx], -1, -2)[:, None]
-    cam[:, 0] += tensors["cam_t"][idx][:, None]
-    cam = ag.reshape(_mu_combination(mu, cam), (b, -1, 3))
-    x, y, z = cam[:, :, 0], cam[:, :, 1], cam[:, :, 2]
-    kk = tensors["intrinsics"][idx]
-    u = (kk[:, 0:1, 0] * x) / z + kk[:, 0:1, 2]
-    v = (kk[:, 1:2, 1] * y) / z + kk[:, 1:2, 2]
-    gt = tensors["anchors"][idx]
-    l2d = ag.mean(ag.absolute(ag.concat([u, v], axis=1)
-                              - np.concatenate([gt[..., 0], gt[..., 1]], axis=1)))
+    # the camera matrix maps the template's anchors with its fourth column and the
+    # shape directions' without: only the perspective division is left to the tape
+    cam = tensors["camera"][idx][:, None]
+    uvw = pose_anchors(model, world, np.eye(s + 1)) @ np.swapaxes(cam[..., :3], -1, -2)
+    uvw[:, 0] += cam[..., 3]
+    uvw = ag.reshape(_mu_combination(mu, uvw), (b, -1, 3))
+    l2d = ag.mean(ag.absolute(uvw[:, :, :2] / uvw[:, :, 2:3] - tensors["anchors"][idx]))
     return l2d, l3d
 
 
@@ -196,15 +186,14 @@ def train(model: BodyModelDef, dataset, cfg: TrainConfig):
             u2 = tensors["u2"][idx].reshape(b * k, 3)
             lp = flow.log_prob_rows(pdict, u1, u2, ctx_rows)
             pose_nll = -ag.reduce_sum(lp) / float(b)
-            shape_out = mlp_apply(pdict, "head_shape", ctx, cfg.blocks)
-            shape_nll = _gauss_nll(shape_out, tensors["beta"][idx], model.n_shape)
+            mu, log_std = flow.shape_params(pdict, ctx)
+            shape_nll = _gauss_nll(mu, log_std, tensors["beta"][idx])
             lnll = _laplace_obs_loss(pdict, cfg.blocks, tensors["feats"][idx],
                                      tensors["anchors_norm"][idx], n_s)
             loss = (cfg.lambda1 * lnll + cfg.lambda2 * pose_nll
                     + cfg.lambda3 * shape_nll)
             l2d_v = l3d_v = 0.0
             if phase2 and (cfg.lambda5 > 0 or cfg.lambda6 > 0):
-                mu = ag.take(shape_out, (slice(None), slice(0, model.n_shape)))
                 l2d, l3d = _mode_shape_losses(flow, model, tensors, idx, ctx_rows, mu)
                 loss = loss + cfg.lambda5 * l2d + cfg.lambda6 * l3d
                 l2d_v, l3d_v = float(ag.as_array(l2d)), float(ag.as_array(l3d))

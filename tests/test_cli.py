@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
+import base64
 import dataclasses
 import json
 import os
@@ -86,6 +87,8 @@ def test_exit_code_contract(monkeypatch, command, code):
 
 def test_threads_flag_is_gone():
     assert _run(["selftest", "--threads", "2"]) == 1
+    # eval's view count is its config key `views`
+    assert _run(["eval", "--views", "2"]) == 1
 
 
 def test_gen_model_and_data_outputs(workspace):
@@ -493,6 +496,51 @@ def test_solve_ragged_anchors_exit_1(workspace, tmp_path, capsys):
     assert _run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: anchors_2d must hold numbers: ")
     assert not (tmp_path / "solve_result.json").exists()
+
+
+def test_gen_data_behind_the_camera_exit_1(workspace, tmp_path, capsys):
+    rig = {"cameras": [{"fx": 800.0, "fy": 800.0, "cx": 320.0, "cy": 240.0}],
+           "translation_lo": [-0.2, -0.2, -3.2], "translation_hi": [0.2, 0.2, -2.8]}
+    cfg = _write(tmp_path / "g.json", {"model": str(workspace / "model.json"), "n_scenes": 2,
+                                       "rig": rig})
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert _run(["gen-data", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: camera 0 sees an anchor at depth -")
+    assert not any(out.iterdir())
+
+
+def test_non_finite_numbers_exit_1_naming_the_key(workspace, toy_checkpoint, tmp_path, capsys):
+    pose = [[float("nan"), 0.0, 0.0, 0.0]] + [[1.0, 0.0, 0.0, 0.0]] * 7
+    cases = [
+        ("sample", {"checkpoint": toy_checkpoint, "context": [float("nan")]}, "context"),
+        ("sample", {"checkpoint": toy_checkpoint, "context": [float("inf")]}, "context"),
+        ("toy-fit", {"steps": 1, "targets": [[1.0, 0.0, float("-inf"), 0.0]]}, "targets"),
+        ("solve", json.loads(open(_solve_config(workspace, tmp_path, pose)).read()), "pose_init"),
+    ]
+    for command, doc, key in cases:
+        out = tmp_path / command
+        capsys.readouterr()
+        assert _run([command, "--config", _write(tmp_path / "c.json", doc),
+                     "--out", str(out)]) == 1, doc
+        assert capsys.readouterr().err.startswith(f"error: {key} must be finite, got ")
+        assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("param", ["cpl0a/b_out", "head_shape/b_out"])
+def test_sample_non_finite_checkpoint_parameter_exit_1(toy_checkpoint, tmp_path, capsys, param):
+    doc = json.loads(open(toy_checkpoint).read())
+    values = np.frombuffer(base64.b64decode(doc["params"][param]["data"]), "<f8").copy()
+    values[0] = np.nan
+    doc["params"][param]["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+    cfg = _write(tmp_path / "s.json", {"checkpoint": _write(tmp_path / "ck.json", doc),
+                                       "context": [0.0], "n": 2})
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert _run(["sample", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: checkpoint parameter {param} holds "
+                                       "non-finite values\n")
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_toy_checkpoint_samples_from_a_context(toy_checkpoint, tmp_path):

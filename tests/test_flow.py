@@ -370,6 +370,25 @@ def test_coupling_roundtrip_property(seed):
     assert geodesic_distance(rec, r) < 5e-4
 
 
+@given(ctx=st.lists(st.floats(-1e3, 1e3) | st.sampled_from([np.nan, np.inf, -np.inf]),
+                    min_size=2, max_size=4), n=st.integers(0, 8))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_flow_entry_points_name_a_bad_context_or_return_finite_values(ctx, n):
+    model = _perturbed_model(np.random.default_rng(0), n_joints=2)
+    rng = np.random.default_rng(n)
+    pose = [dist.uniform_sample(rng) for _ in range(2)]
+    if len(ctx) != 3 or not np.isfinite(ctx).all():
+        with pytest.raises(ValueError, match="context"):
+            model.flow_sample(ctx, n, rng, include_mode=True)
+        with pytest.raises(ValueError, match="context"):
+            model.flow_log_prob(pose, ctx)
+        return
+    batch = model.flow_sample(ctx, n, rng, include_mode=True)
+    assert batch.rotations.shape == (n + 1, 2, 3, 3) and batch.shapes.shape == (n + 1, 1)
+    assert np.isfinite(batch.log_probs).all() and np.isfinite(batch.shapes).all()
+    assert np.isfinite(model.flow_log_prob(pose, ctx))
+
+
 def _orthonormal_pairs(rng, n):
     pairs = [_orthonormal_pair(rng) for _ in range(n)]
     return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])

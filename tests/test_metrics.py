@@ -197,6 +197,22 @@ def test_evaluate_matches_per_draw_loop(trained_model, use_solver):
         assert rep["summary"]["solver_failures"] == failures
 
 
+def test_evaluate_scores_a_refinement_behind_the_camera(trained_model, monkeypatch):
+    # a refinement may move the body behind the camera: its kp2d is scored
+    # from the mirrored pixels, and the evaluation goes on
+    model, dataset, flow, encode = trained_model
+
+    def behind(model, pose_init, observations, cfg):
+        pose = as_matrices(pose_init)
+        return solver.SolveResult(np.zeros((model.n_joints, 3)), pose, pose, cfg.beta_prior,
+                                  np.array([0.0, 0.0, -3.0]), 0.0, np.zeros(0))
+
+    monkeypatch.setattr(metrics, "solve", behind)
+    rep = metrics.evaluate(flow, encode, model, dataset[:2], n_samples=2, use_solver=True)
+    assert rep["summary"]["solver_failures"] == 0
+    assert np.isfinite(rep["per_scene"]["kp2d_mode"]).all()
+
+
 def test_evaluate_rejects_more_views_than_a_scene_has(trained_model):
     model, dataset, flow, encode = trained_model
     assert len(dataset[0].views) == 1

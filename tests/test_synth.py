@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from flowpose import body, synth
+from flowpose import body, solver, synth
+from flowpose.body import _world_rotations
+from flowpose.rotation import as_matrices
 
 
 def test_project_known_point():
@@ -25,10 +27,60 @@ def test_project_backproject_roundtrip(rng):
                                    atol=1e-10)
 
 
-def test_project_behind_camera_raises():
-    k = np.array([[800.0, 0, 320, 0], [0, 800.0, 240, 0], [0, 0, 1, 0]])
-    with pytest.raises(synth.BehindCameraError):
-        synth.project(k, np.eye(3), np.zeros(3), np.array([[0.0, 0.0, -1.0]]))
+def test_the_solver_projection_is_the_only_one():
+    assert synth.project is solver.project
+
+
+def test_make_scene_behind_camera_raises(toy_model):
+    # a translation box behind the camera mirrors every pixel: the scene is refused
+    behind = synth.RigSpec([synth.Camera(800.0, 800.0, 320.0, 240.0)],
+                           [-0.2, -0.2, -3.2], [0.2, 0.2, -2.8])
+    with pytest.raises(synth.BehindCameraError, match="camera 0.*behind its image plane"):
+        synth.make_scene(toy_model, behind, synth.NoiseSpec(1.0), seed=0)
+    # the second camera of the standard rig looks back along -x from x = 3
+    rig = synth.standard_rig(2)
+    rig.translation_lo, rig.translation_hi = np.array([3.5, 0, 3]), np.array([3.5, 0, 3])
+    with pytest.raises(synth.BehindCameraError, match="camera 1"):
+        synth.make_scene(toy_model, rig, synth.NoiseSpec(1.0), seed=0)
+
+
+def _make_scene_placeholder_reference(model, rig, noise, seed):
+    """`make_scene` as it was written before it posed the anchors once per
+    scene: each view reprojects through a placeholder Observation whose
+    fields are overwritten afterwards."""
+    rng = np.random.default_rng(seed)
+    state = synth.sample_state(model, rig, rng)
+    world = _world_rotations(model, as_matrices(state.pose))
+    n_s = len(model.anchor_indices)
+    views, gts = [], []
+    for cam in rig.cameras:
+        obs = solver.Observation(np.zeros((n_s, 2)), np.ones(n_s), np.ones(n_s),
+                                 cam.intrinsics(), cam.rot, cam.t)
+        clean = solver.reproject(model, world, state.shape, state.translation, obs)
+        noisy = clean + rng.laplace(scale=noise.pixel_scale, size=clean.shape) \
+            if noise.pixel_scale > 0 else clean.copy()
+        aux = np.ones(n_s)
+        if noise.occlusion_prob > 0:
+            aux[rng.random(n_s) < noise.occlusion_prob] = 0.0
+        obs.anchors_2d = noisy
+        obs.laplace_scale = np.full(n_s, max(noise.pixel_scale, 1e-3))
+        obs.aux_weight = aux
+        views.append(obs)
+        gts.append(clean)
+    return synth.SceneRecord(state, views, gts, synth.context_features(views[0]), int(seed))
+
+
+@pytest.mark.parametrize("rig", [synth.standard_rig(1), synth.standard_rig(2),
+                                 synth.depth_ambiguous_rig(2)],
+                         ids=["standard-1", "standard-2", "depth-ambiguous"])
+def test_gen_dataset_matches_the_placeholder_reference_byte_for_byte(toy_model, tmp_path, rig):
+    noise = synth.NoiseSpec(1.0, occlusion_prob=0.2)
+    path = tmp_path / "d.jsonl"
+    synth.gen_dataset(toy_model, 12, rig, noise, seed=1, path=path)
+    seeds = np.random.SeedSequence(1).generate_state(12)
+    ref = "".join(json.dumps(synth.scene_to_json(
+        _make_scene_placeholder_reference(toy_model, rig, noise, int(s)))) + "\n" for s in seeds)
+    assert path.read_bytes() == ref.encode()
 
 
 def test_camera_json_roundtrip(rng):

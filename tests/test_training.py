@@ -1,5 +1,6 @@
 """Training loop, toy fit, and checkpointing."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -64,22 +65,24 @@ def test_log_to_csv_parses(small_run):
     assert len(lines) == len(log) + 1
 
 
-def _phase2_step(small_run, idx):
+def _phase2_step(small_run, idx, dataset=None):
     """Leaves, scene tensors, contexts, conditioner rows and shape-head
-    means of one phase-2 step over the scenes idx."""
-    model, dataset, cfg, flow, extra, _ = small_run
+    means of one phase-2 step over the scenes idx (of the run's dataset
+    unless another is given)."""
+    model, run_data, cfg, flow, extra, _ = small_run
+    dataset = run_data if dataset is None else dataset
     leaves = flow.params.leaves() + extra.leaves()
     pdict = dict(zip(flow.params.names() + extra.names(), leaves))
     ctx = nets.mlp_apply(pdict, "enc", np.stack([dataset[i].context_features for i in idx]),
                          cfg.blocks)
-    mu = nets.mlp_apply(pdict, "head_shape", ctx, cfg.blocks)[:, :model.n_shape]
+    mu, _ = flow.shape_params(pdict, ctx)
     return (leaves, training._scene_tensors(model, dataset), ctx,
             training.joint_context_rows(flow, pdict, ctx), mu)
 
 
 def _per_scene_mode_losses(flow, model, dataset, idx, ctx, mu):
     """Reference phase-2 terms, scene by scene from `mode_sample`, with an
-    explicit pinhole projection."""
+    explicit pinhole projection on the tape that must match `solver.project`."""
     s = model.n_shape
     rest = np.concatenate([model.template[None], model.shape_basis.reshape(s, -1, 3)])
     l2d = l3d = 0.0
@@ -104,30 +107,38 @@ def _per_scene_mode_losses(flow, model, dataset, idx, ctx, mu):
         proj = (ag.reduce_sum(ag.reshape(cam, (-1, 3, 1)) * obs.intrinsics[:, :3].T, axis=1)
                 + obs.intrinsics[:, 3])
         px = proj[:, 0:2] / proj[:, 2:3]
+        np.testing.assert_allclose(ag.as_array(px), solver.project(
+            obs.intrinsics, obs.extrinsics_r, obs.extrinsics_t, ag.as_array(world_pts)),
+            rtol=1e-13)
         l2d = l2d + ag.mean(ag.absolute(px - rec.gt_anchors[0]))
     return l2d / len(idx), l3d / len(idx)
 
 
 def test_mode_shape_losses_match_per_scene_reference(small_run):
-    model, dataset, cfg, flow, _, _ = small_run
+    model, run_data, cfg, flow, _, _ = small_run
     idx = np.array([3, 0, 7, 12, 5, 9, 14, 1])
-    results = []
-    for batched in (True, False):
-        leaves, tensors, ctx, ctx_rows, mu = _phase2_step(small_run, idx)
-        if batched:
-            l2d, l3d = training._mode_shape_losses(flow, model, tensors, idx, ctx_rows, mu)
-        else:
-            l2d, l3d = _per_scene_mode_losses(flow, model, dataset, idx, ctx, mu)
-        ag.backward(cfg.lambda5 * l2d + cfg.lambda6 * l3d)
-        results.append(([float(ag.as_array(l2d)), float(ag.as_array(l3d))],
-                         [l.grad for l in leaves]))
-    (terms, grads), (ref_terms, ref_grads) = results
-    np.testing.assert_allclose(terms, ref_terms, rtol=1e-12)
-    assert any(g is not None and np.abs(g).max() > 0 for g in ref_grads)
-    for g, ref in zip(grads, ref_grads):
-        assert (g is None) == (ref is None)
-        if ref is not None:
-            np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
+    # the run's cameras, then intrinsics with skew and a nonzero fourth column
+    skewed = np.array([[810.0, 12.0, 315.0, 40.0], [0.0, 790.0, 250.0, -25.0], [0, 0, 1, 0]])
+    for dataset in (run_data, [dataclasses.replace(rec, views=[dataclasses.replace(
+            rec.views[0], intrinsics=skewed)]) for rec in run_data]):
+        results = []
+        for batched in (True, False):
+            leaves, tensors, ctx, ctx_rows, mu = _phase2_step(small_run, idx, dataset)
+            if batched:
+                l2d, l3d = training._mode_shape_losses(flow, model, tensors, idx, ctx_rows, mu)
+            else:
+                l2d, l3d = _per_scene_mode_losses(flow, model, dataset, idx, ctx, mu)
+            ag.backward(cfg.lambda5 * l2d + cfg.lambda6 * l3d)
+            results.append(([float(ag.as_array(l2d)), float(ag.as_array(l3d))],
+                             [l.grad for l in leaves]))
+        (terms, grads), (ref_terms, ref_grads) = results
+        np.testing.assert_allclose(terms, ref_terms, rtol=1e-12)
+        assert any(g is not None and np.abs(g).max() > 0 for g in ref_grads)
+        for g, ref in zip(grads, ref_grads):
+            assert (g is None) == (ref is None)
+            if ref is not None:
+                np.testing.assert_allclose(g, ref, rtol=0,
+                                           atol=1e-12 * max(1.0, np.abs(ref).max()))
 
 
 def test_mode_shape_losses_tape_is_independent_of_batch_size(small_run):
