@@ -14,8 +14,7 @@ from . import autodiff as ag
 from .rotation import Rotation
 
 __all__ = [
-    "ProjectedIsoGaussian",
-    "pig_logpdf", "pig_logpdf_from_qdot",
+    "ProjectedIsoGaussian", "pig_logpdf_from_qdot",
     "igso3_logpdf", "uniform_sample", "uniform_quaternions",
 ]
 
@@ -71,10 +70,6 @@ def pig_logpdf_from_qdot(qdot, kappa):
     dens = _projected_density_s3(t, kappa) + _projected_density_s3(-t, kappa)
     dens = dens + _LOG_FLOOR
     return ag.log(_HAAR_SCALE * dens)
-
-
-def pig_logpdf(d: ProjectedIsoGaussian, r: Rotation) -> float:
-    return float(pig_logpdf_from_qdot(float(d.mode.q @ r.q), d.kappa))
 
 
 def pig_logpdf_batch(d: ProjectedIsoGaussian, quats) -> np.ndarray:

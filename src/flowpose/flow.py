@@ -27,13 +27,10 @@ from .checks import check_fields
 from .distributions import (ProjectedIsoGaussian, pig_logpdf_batch, pig_logpdf_from_qdot,
                             pig_sample_batch)
 from .nets import ParamStore, mlp_apply, mlp_init
-from .rotation import (InvalidFrameError, Rotation, as_matrices, cross3, matrix_to_quat,
-                       matrix_to_quat_batch, quat_to_matrices)
+from .rotation import (Rotation, as_matrices, cross3, matrix_to_quat, matrix_to_quat_batch,
+                       quat_to_matrices)
 
-__all__ = [
-    "FlowConfig", "FlowModel", "PoseSample", "PoseBatch", "NonConvergenceError",
-    "mobius_map", "mobius_forward", "mobius_inverse",
-]
+__all__ = ["FlowConfig", "FlowModel", "PoseSample", "PoseBatch", "NonConvergenceError"]
 
 OMEGA_MARGIN = 1e-3
 INVERSE_EPS = 1e-8       # radians of residual angle
@@ -65,11 +62,6 @@ def _constrain_omega_batch(out, k):
         return (g_out,)
 
     return ag.fused((o[0] * s, o[1] * s, o[2] * s), (out,), vjp)
-
-
-def mobius_map(c: complex, omega: complex) -> complex:
-    """The unit-circle Möbius transform (c + w) / (w* c + 1)."""
-    return (c + omega) / (np.conj(omega) * c + 1.0)
 
 
 def _mobius_fwd_batch(held, moving, ox, oy, oz, w):
@@ -180,36 +172,6 @@ def _context_rows(ctx, n):
     """n conditioner rows, row r being row r mod P of ctx (P,C); ctx itself when P = n."""
     p = len(ag.as_array(ctx))
     return ctx if p == n else ag.gather_rows(ctx, np.arange(n) % p)
-
-
-def _check_frame(held, moving):
-    held = np.asarray(held, float)
-    moving = np.asarray(moving, float)
-    if (abs(np.linalg.norm(held) - 1) > 1e-8 or abs(np.linalg.norm(moving) - 1) > 1e-8
-            or abs(float(held @ moving)) > 1e-8):
-        raise InvalidFrameError("held/moving must be orthonormal")
-    return held, moving
-
-
-def mobius_forward(held, moving, omegas, weights):
-    """Single-sample spec entry point; see _mobius_fwd_batch."""
-    held, moving = _check_frame(held, moving)
-    omegas = np.asarray(omegas, float).reshape(-1, 3)
-    w = np.asarray(weights, float).reshape(1, -1)
-    moved, logdet = _mobius_fwd_batch(
-        held[None, :], moving[None, :],
-        omegas[None, :, 0], omegas[None, :, 1], omegas[None, :, 2], w)
-    return moved[0], float(logdet[0])
-
-
-def mobius_inverse(moved, held, omegas, weights):
-    held, moved = _check_frame(held, moved)
-    omegas = np.asarray(omegas, float).reshape(-1, 3)
-    w = np.asarray(weights, float).reshape(1, -1)
-    moving, _, _ = _mobius_inv_batch(
-        moved[None, :], held[None, :],
-        omegas[None, :, 0], omegas[None, :, 1], omegas[None, :, 2], w)
-    return moving[0]
 
 
 @dataclass

@@ -12,6 +12,7 @@ import dataclasses
 import numpy as np
 
 from .body import BodyModelDef, _chain_positions, _world_rotations, rest_joints
+from .checks import check_fields
 from .rotation import as_matrices, exp_matrices
 from .solver import SolveConfig, SolverFailure, reproject, solve, solve_multi_view
 
@@ -152,8 +153,12 @@ def multi_view_trend(model, dataset, init_sigma_deg=8.0, seed=0):
     are the GT perturbed per joint by init_sigma_deg (playing the role
     of network predictions), and the solver recovers (delta, beta, t)
     from the noisy anchors with TREND_SOLVE.  Returns mean metrics for
-    both view counts.
+    both view counts.  Raises ValueError unless init_sigma_deg is a number
+    from 0 to 180: each joint turns by exactly that angle, so more only wraps.
     """
+    check_fields({"init_sigma_deg": init_sigma_deg}, float)
+    if init_sigma_deg > 180:
+        raise ValueError(f"init_sigma_deg must be at most 180, got {init_sigma_deg!r}")
     rng = np.random.default_rng(seed)
     out = {"abs_1v": [], "abs_2v": [], "rel_1v": [], "rel_2v": []}
     sig = np.deg2rad(init_sigma_deg)

@@ -106,6 +106,8 @@ def mlp_apply(params, prefix, x, blocks):
 
 
 _BLOCK = 16384  # elements per block of an optimizer pass: a block of every vector fits in L2
+CLIP_NORM = 1.0  # the global gradient norm both optimizers clip to
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
 class _Packed:
@@ -146,14 +148,13 @@ class _Packed:
 class GradientDescent:
     """Plain gradient descent with global gradient-norm clipping."""
 
-    def __init__(self, leaves, lr, clip_norm=1.0):
+    def __init__(self, leaves, lr):
         self.packed = _Packed(leaves)
         self.lr = lr
-        self.clip_norm = clip_norm
 
     def step(self):
         blocks, total = self.packed.gather()
-        rate = self.lr * (1.0 if total <= self.clip_norm else self.clip_norm / total)
+        rate = self.lr * (1.0 if total <= CLIP_NORM else CLIP_NORM / total)
         x, g = self.packed.x, self.packed.g
         for a, b in blocks:
             x[a:b] -= np.multiply(g[a:b], rate, out=g[a:b])
@@ -163,11 +164,9 @@ class Adam:
     """Adam with global gradient-norm clipping; a leaf with no gradient
     keeps its value and moments."""
 
-    def __init__(self, leaves, lr, beta1=0.9, beta2=0.999, eps=1e-8, clip_norm=1.0):
+    def __init__(self, leaves, lr):
         self.packed = _Packed(leaves)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.clip_norm = clip_norm
         self.m, self.v = np.zeros_like(self.packed.x), np.zeros_like(self.packed.x)
         self._tmp = np.zeros((2, min(_BLOCK, self.m.size)))
         self.t = 0
@@ -175,21 +174,20 @@ class Adam:
     def step(self):
         self.t += 1
         blocks, total = self.packed.gather()
-        clip = self.clip_norm and total > self.clip_norm
-        b1, b2 = self.beta1, self.beta2
-        b1t, b2t = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        clip = total > CLIP_NORM
+        b1t, b2t = 1.0 - BETA1 ** self.t, 1.0 - BETA2 ** self.t
         for a, b in blocks:
-            # in place: m = b1 m + (1-b1) g, v = b2 v + (1-b2) g g and
-            # x -= lr (m / b1t) / (sqrt(v / b2t) + eps)
+            # in place: m = BETA1 m + (1-BETA1) g, v = BETA2 v + (1-BETA2) g g and
+            # x -= lr (m / b1t) / (sqrt(v / b2t) + EPS)
             g, m, v = self.packed.g[a:b], self.m[a:b], self.v[a:b]
             u, w = self._tmp[:, :b - a]
             if clip:
-                g *= self.clip_norm / total
-            m *= b1
-            m += np.multiply(g, 1 - b1, out=u)
-            v *= b2
-            v += np.multiply(np.multiply(g, 1 - b2, out=u), g, out=u)
+                g *= CLIP_NORM / total
+            m *= BETA1
+            m += np.multiply(g, 1 - BETA1, out=u)
+            v *= BETA2
+            v += np.multiply(np.multiply(g, 1 - BETA2, out=u), g, out=u)
             np.sqrt(np.divide(v, b2t, out=u), out=u)
-            u += self.eps
+            u += EPS
             np.multiply(np.divide(m, b1t, out=w), self.lr, out=w)
             self.packed.x[a:b] -= np.divide(w, u, out=w)

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Rotation", "InvalidRotationError", "NearCutLocusError",
-    "DegenerateProjectionError", "InvalidFrameError", "DegenerateMeanError",
-    "quat_to_matrix", "quat_to_matrices", "quat_multiply", "matrix_to_quat",
+    "Rotation", "InvalidRotationError", "NearCutLocusError", "DegenerateProjectionError",
+    "DegenerateMeanError", "quat_to_matrices", "quat_multiply", "matrix_to_quat",
     "matrix_to_quat_batch", "axis_angle_exp", "exp_matrices", "axis_angle_log",
     "geodesic_distance", "special_orthogonalize", "special_orthogonalize_matrices",
     "rotation_mean", "as_matrices", "cross3",
@@ -29,10 +28,6 @@ class NearCutLocusError(ValueError):
 
 
 class DegenerateProjectionError(ValueError):
-    pass
-
-
-class InvalidFrameError(ValueError):
     pass
 
 
@@ -72,7 +67,7 @@ class Rotation:
         return Rotation((1.0, 0.0, 0.0, 0.0))
 
     def matrix(self):
-        return quat_to_matrix(self)
+        return quat_to_matrices(self.q)
 
     def compose(self, other: "Rotation") -> "Rotation":
         """Hamilton product self * other (apply ``other`` first)."""
@@ -82,18 +77,12 @@ class Rotation:
         w, x, y, z = self.q
         return Rotation((w, -x, -y, -z))
 
-    def apply(self, v):
-        return np.asarray(v, dtype=np.float64) @ self.matrix().T
-
     def to_json(self):
         # json emits full repr precision (17 significant digits)
         return [float(v) for v in self.q]
 
     def __eq__(self, other):
         return isinstance(other, Rotation) and np.array_equal(self.q, other.q)
-
-    def allclose(self, other: "Rotation", atol=1e-10):
-        return bool(np.allclose(self.q, other.q, atol=atol))
 
 
 def cross3(a, b):
@@ -116,10 +105,6 @@ def quat_to_matrices(q) -> np.ndarray:
                   2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
                   2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], axis=-1)
     return m.reshape(q.shape[:-1] + (3, 3))
-
-
-def quat_to_matrix(r: Rotation) -> np.ndarray:
-    return quat_to_matrices(r.q)
 
 
 def quat_multiply(a, b) -> np.ndarray:

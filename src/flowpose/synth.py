@@ -27,14 +27,6 @@ class RigError(ValueError):
     pass
 
 
-def back_project(intrinsics, pixel, depth):
-    """Inverse of project for identity extrinsics and known depth."""
-    fx, fy = intrinsics[0, 0], intrinsics[1, 1]
-    cx, cy = intrinsics[0, 2], intrinsics[1, 2]
-    u, v = pixel
-    return np.array([(u - cx) * depth / fx, (v - cy) * depth / fy, depth])
-
-
 @dataclass
 class Camera:
     fx: float

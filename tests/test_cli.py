@@ -510,6 +510,29 @@ def test_gen_data_behind_the_camera_exit_1(workspace, tmp_path, capsys):
     assert not any(out.iterdir())
 
 
+@pytest.fixture(scope="module")
+def two_view_dataset(workspace, tmp_path_factory):
+    out = tmp_path_factory.mktemp("two_view")
+    cfg = _write(out / "g.json", {"model": str(workspace / "model.json"), "n_scenes": 2,
+                                  "rig": "depth_ambiguous", "views": 2})
+    assert _run(["gen-data", "--config", cfg, "--seed", "0", "--out", str(out)]) == 0
+    return str(out / "dataset.jsonl")
+
+
+@pytest.mark.parametrize("sigma, code", [(float("nan"), 1), (float("inf"), 1), (-1.0, 1),
+                                         (1e308, 1), (8.0, 0)])
+def test_multi_view_init_sigma_deg_exit_code(workspace, two_view_dataset, tmp_path, capsys,
+                                             sigma, code):
+    cfg = _write(tmp_path / "e.json", {"model": str(workspace / "model.json"),
+                                       "dataset": two_view_dataset, "experiment": "multi_view",
+                                       "init_sigma_deg": sigma})
+    capsys.readouterr()
+    assert _run(["eval", "--config", cfg, "--out", str(tmp_path / "out")]) == code
+    if code:
+        assert capsys.readouterr().err.startswith("error: init_sigma_deg must be ")
+        assert not (tmp_path / "out").exists()
+
+
 def test_non_finite_numbers_exit_1_naming_the_key(workspace, toy_checkpoint, tmp_path, capsys):
     pose = [[float("nan"), 0.0, 0.0, 0.0]] + [[1.0, 0.0, 0.0, 0.0]] * 7
     cases = [

@@ -50,7 +50,7 @@ def test_pig_density_matches_quadrature():
 
     def integrand(ang):
         r = axis_angle_exp([ang, 0.0, 0.0])
-        return np.exp(dist.pig_logpdf(d, r)) * (1 - np.cos(ang)) / np.pi
+        return np.exp(dist.pig_logpdf_batch(d, r.q)) * (1 - np.cos(ang)) / np.pi
 
     z, err = integrate.quad(integrand, 0.0, np.pi, limit=200)
     assert abs(z - 1.0) < 1e-6

@@ -40,26 +40,27 @@ def test_flow_config_rejects_bad_sizes(field, value):
         fl.FlowConfig(**{**sizes, field: value})
 
 
-def test_mobius_map_known_values():
-    # omega = 0 is the identity map
-    assert fl.mobius_map(0.3 + 0.4j, 0.0) == 0.3 + 0.4j
-    # frozen worked example: c=i, omega=1/2 -> (i+1/2)/(i/2+1) = 0.8+0.6i
-    assert abs(fl.mobius_map(1j, 0.5) - (0.8 + 0.6j)) < 1e-14
-
-
-def test_mobius_map_preserves_unit_circle(rng):
-    for _ in range(50):
-        c = np.exp(1j * rng.uniform(-np.pi, np.pi))
-        om = rng.uniform(0, 0.95) * np.exp(1j * rng.uniform(-np.pi, np.pi))
-        assert abs(abs(fl.mobius_map(c, om)) - 1.0) < 1e-12
-
-
 def constrain_omega(raw):
     """Reference: one omega 3-vector mapped into the ball of radius 1 - 1e-3."""
     n = np.linalg.norm(raw)
     if n == 0.0:
         return np.zeros(3)
     return raw * (np.tanh(n) * (1.0 - fl.OMEGA_MARGIN) / n)
+
+
+def mobius_map(z, c):
+    """Reference: the unit-circle Möbius transform f(z) = (z + c) / (c* z + 1)."""
+    return (z + c) / (np.conj(c) * z + 1.0)
+
+
+def _mobius_fwd(held, moving, omegas, w):
+    """One row through the Möbius kernel: omegas (k,3), weights (k,)."""
+    moved, logdet = fl._mobius_fwd_batch(held[None], moving[None], *omegas.T[:, None], w[None])
+    return ag.as_array(moved)[0], float(ag.as_array(logdet)[0])
+
+
+def _mobius_inv(moved, held, omegas, w):
+    return fl._mobius_inv_batch(moved[None], held[None], *omegas.T[:, None], w[None])[0][0]
 
 
 def test_constrain_omega_in_ball(rng):
@@ -76,13 +77,11 @@ def test_mobius_forward_inverse_roundtrip(rng):
         omegas = np.array([constrain_omega(rng.normal(scale=0.5, size=3))
                            for _ in range(8)])
         w = rng.dirichlet(np.ones(8))
-        moved, logdet = fl.mobius_forward(held, moving, omegas, w)
-        moved = np.asarray(ag.as_array(moved))
+        moved, logdet = _mobius_fwd(held, moving, omegas, w)
         # the inverse stops on output-space angle error, so verify the
         # roundtrip in that direction: forward(inverse(y)) vs y
-        rec = fl.mobius_inverse(moved, held, omegas, w)
-        again, _ = fl.mobius_forward(held, rec, omegas, w)
-        again = np.asarray(ag.as_array(again))
+        rec = _mobius_inv(moved, held, omegas, w)
+        again, _ = _mobius_fwd(held, rec, omegas, w)
         ang = np.arccos(np.clip(again @ moved, -1.0, 1.0))
         assert ang < 1e-4
         assert np.isfinite(logdet)
@@ -90,18 +89,31 @@ def test_mobius_forward_inverse_roundtrip(rng):
 
 def test_mobius_identity_at_zero_omega(rng):
     held, moving = _orthonormal_pair(rng)
-    moved, logdet = fl.mobius_forward(held, moving, np.zeros((8, 3)),
-                                      np.ones(8) / 8)
-    np.testing.assert_allclose(np.asarray(ag.as_array(moved)), moving,
-                               atol=1e-12)
+    moved, logdet = _mobius_fwd(held, moving, np.zeros((8, 3)),
+                                np.ones(8) / 8)
+    np.testing.assert_allclose(moved, moving, atol=1e-12)
     assert abs(logdet) < 1e-12
 
 
-def test_mobius_rejects_bad_frame(rng):
-    from flowpose.rotation import InvalidFrameError
-    with pytest.raises(InvalidFrameError):
-        fl.mobius_forward(np.array([1.0, 0, 0]), np.array([1.0, 0, 0]),
-                          np.zeros((4, 3)), np.ones(4) / 4)
+def test_mobius_kernel_matches_closed_form(rng):
+    # k = 1, w = 1: the step is f(z) = (z + c) / (c* z + 1) on the unit circle of
+    # the (moving, moving x held) plane, with moving at z = 1
+    n = 200
+    pairs = [_orthonormal_pair(rng) for _ in range(n)]
+    held, moving = (np.array(v) for v in zip(*pairs))
+    omegas = np.array([constrain_omega(rng.normal(scale=s, size=3))
+                       for s in rng.uniform(0.1, 3.0, n)])
+    u3 = np.cross(moving, held)
+    c = (omegas * moving).sum(axis=1) + 1j * (omegas * u3).sum(axis=1)
+    moved, logdet = fl._mobius_fwd_batch(held, moving, *omegas.T[:, :, None], np.ones((n, 1)))
+    f1 = mobius_map(1.0, c)
+    angle = np.arctan2((moved * u3).sum(axis=1), (moved * moving).sum(axis=1))
+    np.testing.assert_allclose(np.exp(1j * angle), f1, rtol=0, atol=1e-12)
+    np.testing.assert_allclose((moved * held).sum(axis=1), 0.0, atol=1e-12)
+    # log |f'(1)|, f'(z) = (1 - |c|^2) / (c* z + 1)^2
+    np.testing.assert_allclose(logdet, np.log(np.abs((1 - np.abs(c) ** 2)
+                                                     / (np.conj(c) + 1.0) ** 2)),
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_coupling_logdet_matches_chart_jacobian(rng):
@@ -148,7 +160,7 @@ def test_flow_identity_init_equals_base(rng):
     ctx = rng.normal(size=4)
     rots = [dist.uniform_sample(rng) for _ in range(2)]
     lp = model.flow_log_prob(rots, ctx)
-    base = sum(dist.pig_logpdf(model.base, r) for r in rots)
+    base = sum(dist.pig_logpdf_batch(model.base, r.q) for r in rots)
     assert abs(lp - base) < 1e-9
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from flowpose import body, solver, synth
 from flowpose.body import _world_rotations
-from flowpose.rotation import as_matrices
+from flowpose.rotation import as_matrices, exp_matrices
 
 
 def test_project_known_point():
@@ -18,13 +18,26 @@ def test_project_known_point():
                                atol=1e-12)
 
 
+def _back_project(k, rot, t, px, depth):
+    """The world point that the camera (k, rot, t) sees at pixel px and camera depth."""
+    cam = np.linalg.solve(k[:, :3], depth * np.append(px, 1.0) - k[:, 3])
+    return (cam - t) @ rot
+
+
 def test_project_backproject_roundtrip(rng):
-    k = np.array([[650.0, 0, 310, 0], [0, 650.0, 245, 0], [0, 0, 1, 0]])
-    for _ in range(20):
-        p = rng.normal(size=3) * [0.5, 0.5, 0.2] + [0, 0, 3.0]
-        px = synth.project(k, np.eye(3), np.zeros(3), p[None, :])[0]
-        np.testing.assert_allclose(synth.back_project(k, px, p[2]), p,
-                                   atol=1e-10)
+    cameras = [
+        (np.array([[650.0, 0, 310, 0], [0, 650.0, 245, 0], [0, 0, 1, 0]]),
+         np.eye(3), np.zeros(3)),
+        # skew, a fourth intrinsics column and a turned, shifted camera
+        (np.array([[810.0, 12, 315, 40], [0, 790.0, 250, -25], [0, 0, 1, 0]]),
+         exp_matrices(np.array([0.2, -0.3, 0.1])), np.array([0.1, -0.2, 0.5])),
+    ]
+    for k, rot, t in cameras:
+        for _ in range(20):
+            p = rng.normal(size=3) * [0.5, 0.5, 0.2] + [0, 0, 3.0]
+            px = synth.project(k, rot, t, p[None, :])[0]
+            np.testing.assert_allclose(_back_project(k, rot, t, px, rot[2] @ p + t[2]), p,
+                                       atol=1e-10)
 
 
 def test_the_solver_projection_is_the_only_one():
