@@ -160,9 +160,11 @@ def _world_rotations(model: BodyModelDef, rel) -> np.ndarray:
     matrices rel (...,K,3,3) composed down the parent chain."""
     rel = np.asarray(rel, float)
     wr = np.empty_like(rel)
-    for j in range(model.n_joints):
-        p = int(model.parents[j])
-        wr[..., j, :, :] = rel[..., j, :, :] if p < 0 else wr[..., p, :, :] @ rel[..., j, :, :]
+    for j, p in enumerate(model.parents.tolist()):
+        if p < 0:
+            wr[..., j, :, :] = rel[..., j, :, :]
+        else:
+            np.matmul(wr[..., p, :, :], rel[..., j, :, :], out=wr[..., j, :, :])
     return wr
 
 

@@ -209,8 +209,10 @@ class PoseBatch(Sequence):
     """N flow draws for one context, as arrays: relative rotation matrices
     (N,K,3,3), shapes (N,S) and total log-densities (N,).
 
-    A read-only sequence: item i is draw i as a PoseSample, its Rotations
-    converted once for the whole batch on first access.
+    A read-only sequence: item i is draw i as a PoseSample.  On first
+    access every draw's matrices go through one `matrix_to_quats` call, and
+    each joint's Rotation is a row of that read-only buffer, so a write to
+    one draw's quaternion raises instead of altering the cached rotations.
     """
 
     rotations: np.ndarray

@@ -13,7 +13,7 @@ import numpy as np
 __all__ = [
     "Rotation", "InvalidRotationError", "NearCutLocusError", "DegenerateProjectionError",
     "DegenerateMeanError", "quat_to_matrices", "quat_multiply", "matrix_to_quat",
-    "matrix_to_quat_batch", "axis_angle_exp", "exp_matrices", "axis_angle_log",
+    "matrix_to_quat_batch", "matrix_to_quats", "axis_angle_exp", "exp_matrices", "axis_angle_log",
     "geodesic_distance", "special_orthogonalize", "special_orthogonalize_matrices",
     "rotation_mean", "as_matrices", "cross3",
 ]
@@ -35,32 +35,43 @@ class DegenerateMeanError(ValueError):
     pass
 
 
-def _canonicalize(q):
-    q = np.asarray(q, dtype=np.float64)
-    n = np.linalg.norm(q)
-    if n == 0.0 or not np.isfinite(n):
+def _canonical_quats(q):
+    """The rows of q (N,4) divided by their norms and signed so that w > 0,
+    or, where w = 0, the first nonzero component is positive.  Raises
+    InvalidRotationError if a row's norm is zero or not finite."""
+    n = np.sqrt(np.vecdot(q, q))
+    if not (np.isfinite(n) & (n > 0.0)).all():
         raise InvalidRotationError("quaternion has zero or non-finite norm")
-    q = q / n
-    if q[0] < 0.0 or (q[0] == 0.0 and _first_nonzero_negative(q)):
-        q = -q
+    q = q / n[:, None]
+    flip = q[:, 0] < 0.0
+    on_w0 = q[:, 0] == 0.0
+    if on_w0.any():
+        xyz = q[:, 1:]
+        first = xyz[np.arange(len(q)), np.argmax(xyz != 0.0, axis=1)]
+        flip |= on_w0 & (first < 0.0)
+    if flip.any():
+        q[flip] = -q[flip]
     return q
-
-
-def _first_nonzero_negative(q):
-    for v in q[1:]:
-        if v != 0.0:
-            return v < 0.0
-    return False
 
 
 @dataclass(frozen=True)
 class Rotation:
-    """An element of SO(3) as a canonical-sign unit quaternion (w, x, y, z)."""
+    """An element of SO(3) as a canonical-sign unit quaternion (w, x, y, z),
+    held read-only."""
 
     q: np.ndarray
 
     def __init__(self, q):
-        object.__setattr__(self, "q", _canonicalize(q))
+        q = _canonical_quats(np.asarray(q, dtype=np.float64)[None])[0]
+        q.setflags(write=False)
+        object.__setattr__(self, "q", q)
+
+    @classmethod
+    def _of_canonical(cls, q):
+        """A Rotation holding q, a read-only canonical unit quaternion, as it is."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "q", q)
+        return r
 
     @staticmethod
     def identity():
@@ -98,12 +109,25 @@ def cross3(a, b):
 
 
 def quat_to_matrices(q) -> np.ndarray:
-    """Rotation matrices (...,3,3) of unit quaternions (...,4)."""
+    """Rotation matrices (...,3,3) of unit quaternions (...,4): the nine
+    products of the components, each formed once, combined in place."""
     q = np.asarray(q, dtype=np.float64)
     w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    m = np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
-                  2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
-                  2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], axis=-1)
+    xx, yy, zz, xy, xz, yz = x * x, y * y, z * z, x * y, x * z, y * z
+    wx, wy, wz = w * x, w * y, w * z
+    m = np.empty(q.shape[:-1] + (9,))
+    np.add(yy, zz, out=m[..., 0])
+    np.subtract(xy, wz, out=m[..., 1])
+    np.add(xz, wy, out=m[..., 2])
+    np.add(xy, wz, out=m[..., 3])
+    np.add(xx, zz, out=m[..., 4])
+    np.subtract(yz, wx, out=m[..., 5])
+    np.subtract(xz, wy, out=m[..., 6])
+    np.add(yz, wx, out=m[..., 7])
+    np.add(xx, yy, out=m[..., 8])
+    m *= 2.0
+    diag = m[..., ::4]
+    np.subtract(1.0, diag, out=diag)
     return m.reshape(q.shape[:-1] + (3, 3))
 
 
@@ -132,8 +156,9 @@ def matrix_to_quat(m) -> Rotation:
     return matrix_to_quat_batch(m[None])[0]
 
 
-def matrix_to_quat_batch(m) -> list:
-    """The Rotations of a stack of matrices (N,3,3), by Shepperd's method.
+def matrix_to_quats(m) -> np.ndarray:
+    """Canonical unit quaternions (N,4) of a stack of matrices (N,3,3), by
+    Shepperd's method.
 
     The whole stack is validated at once: each matrix must be orthonormal
     to 1e-6 with a nonnegative determinant.
@@ -163,7 +188,15 @@ def matrix_to_quat_batch(m) -> list:
                       ((tr, a, b, c), (a, tr, d, e), (b, d, tr, f), (c, e, f, tr))], axis=1)
     q = table[rows, branch] / s[:, None]
     q[rows, branch] = 0.25 * s
-    return [Rotation(qi) for qi in q]
+    return _canonical_quats(q)
+
+
+def matrix_to_quat_batch(m) -> list:
+    """The Rotations of a stack of matrices (N,3,3), rows of one read-only
+    `matrix_to_quats` buffer."""
+    q = matrix_to_quats(m)
+    q.setflags(write=False)
+    return [Rotation._of_canonical(qi) for qi in q]
 
 
 def _exp_quats(v) -> np.ndarray:
@@ -171,18 +204,27 @@ def _exp_quats(v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     angle = np.sqrt(np.vecdot(v, v))
     half = 0.5 * angle
+    q = np.empty(v.shape[:-1] + (4,))
+    np.cos(half, out=q[..., 0])
     small = angle < 1e-12
-    # second-order series keeps exp(log(r)) tight near the identity
-    w = np.where(small, 1.0 - half * half / 2.0, np.cos(half))
-    axis = v / np.where(small, 1.0, angle)[..., None]
-    xyz = np.where(small[..., None], 0.5 * v, np.sin(half)[..., None] * axis)
-    return np.concatenate([w[..., None], xyz], axis=-1)
+    near = small.any()
+    if near:        # those rows are divided by 1, then replaced by the series below
+        angle = np.where(small, 1.0, angle)
+    np.multiply(np.sin(half)[..., None], v / angle[..., None], out=q[..., 1:])
+    if near:
+        # second-order series keeps exp(log(r)) tight near the identity
+        q[small, 0] = 1.0 - half[small] * half[small] / 2.0
+        q[small, 1:] = 0.5 * v[small]
+    return q
 
 
 def exp_matrices(v) -> np.ndarray:
-    """Rotation matrices (...,3,3) of the rotation vectors v (...,3)."""
+    """Rotation matrices (...,3,3) of the rotation vectors v (...,3): unit
+    quaternions from `_exp_quats`, whose near-identity series runs only when
+    some vector is shorter than 1e-12 rad, through `quat_to_matrices`."""
     q = _exp_quats(v)
-    return quat_to_matrices(q / np.sqrt(np.vecdot(q, q))[..., None])
+    q /= np.sqrt(np.vecdot(q, q))[..., None]
+    return quat_to_matrices(q)
 
 
 def axis_angle_exp(v) -> Rotation:

@@ -19,6 +19,7 @@ as an array (K,3,3), and a SolveResult holds (K,3,3) arrays.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -221,9 +222,15 @@ def assemble_system(model, world, beta_lin, table, rows: _DltConstants):
     return a, jmat.T @ r + rows.reg_b
 
 
-def _chol_solve(a, b):
-    # ~50 ms to import: only solves pay it
+@functools.cache
+def _lapack():
+    # ~50 ms to import: only solves pay it, once
     from scipy.linalg.lapack import dpotrf, dpotrs
+    return dpotrf, dpotrs
+
+
+def _chol_solve(a, b):
+    dpotrf, dpotrs = _lapack()
     factor, info = dpotrf(a, lower=1, clean=0)
     if info > 0:
         factor, info = dpotrf(a + JITTER * np.eye(len(a)), lower=1, clean=0)
@@ -285,6 +292,8 @@ def solve(model, pose_init, observations, cfg: SolveConfig) -> SolveResult:
     n_lin = 0
     while True:
         x = _chol_solve(*assemble_system(model, world, beta_lin, table, rows))
+        if not np.isfinite(x).all():
+            raise SolverFailure(f"non-finite step at linearization {n_lin}")
         delta = x[:3 * k].reshape(k, 3)
         beta = x[3 * k:3 * k + s]
         t = x[3 * k + s:]

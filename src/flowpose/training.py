@@ -23,7 +23,7 @@ from .checks import check_fields
 from .distributions import ProjectedIsoGaussian, pig_sample_batch
 from .flow import FlowConfig, FlowModel, joint_context_rows
 from .nets import Adam, GradientDescent, ParamStore, mlp_apply, mlp_init
-from .rotation import Rotation, as_matrices, quat_multiply, quat_to_matrices
+from .rotation import Rotation, as_matrices, matrix_to_quats, quat_multiply, quat_to_matrices
 from .solver import laplacian_nll
 from .synth import context_feature_dim, normalized_pixels
 
@@ -294,7 +294,7 @@ def fit_toy_distribution(targets, flow_cfg=None, steps=3000, batch=128,
     nll_after = float(ag.as_array(nll_of(probe, flow.param_values())))
 
     draws = flow.flow_sample(context, report_samples, rng)
-    quats = np.stack([s.joint_rotations[0].q for s in draws])
+    quats = matrix_to_quats(draws.rotations[:, 0])
     # geodesic distance of every draw to every target, from canonical quaternions
     dist = 2.0 * np.arccos(np.minimum(np.abs(quats @ np.stack([t.q for t in targets]).T), 1.0))
     nearest = dist.argmin(axis=1)

@@ -340,6 +340,21 @@ def test_solve_nan_anchor_exit_1(workspace, tmp_path, capsys):
     assert not (tmp_path / "solve_result.json").exists()
 
 
+def test_solve_non_finite_step_exit_2(workspace, tmp_path, capsys):
+    # finite anchors whose normal equations overflow: a numerical failure
+    cfg = _solve_config(workspace, tmp_path)
+    doc = json.loads(open(cfg).read())
+    doc["observations"][0]["anchors"] = (
+        1e200 * np.array(doc["observations"][0]["anchors"])).tolist()
+    _write(cfg, doc)
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert _run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["numerical failure: non-finite step at linearization 0"]
+    assert not (tmp_path / "solve_result.json").exists()
+
+
 @pytest.mark.parametrize("pose_init", [[], [[]]])
 def test_solve_empty_pose_init_exit_1(workspace, tmp_path, capsys, pose_init):
     cfg = _solve_config(workspace, tmp_path, pose_init=pose_init)

@@ -8,7 +8,8 @@ from flowpose import autodiff as ag
 from flowpose import distributions as dist
 from flowpose import flow as fl
 from flowpose.rotation import (Rotation, axis_angle_exp, axis_angle_log,
-                               geodesic_distance, matrix_to_quat, quat_to_matrices)
+                               geodesic_distance, matrix_to_quat, matrix_to_quats,
+                               quat_to_matrices)
 
 
 def _perturbed_model(rng, scale=0.2, **kw):
@@ -319,6 +320,18 @@ def test_pose_batch_items_are_pose_samples(rng):
         batch[7]
     with pytest.raises(ValueError):
         batch.rotations[0, 0] = np.eye(3)
+
+
+def test_pose_batch_quaternions_are_one_read_only_buffer(rng):
+    model = _perturbed_model(rng, n_joints=3)
+    batch = model.flow_sample(rng.normal(size=3), 4, rng, include_mode=True)
+    quats = np.array([[r.q for r in d.joint_rotations] for d in batch])
+    np.testing.assert_array_equal(quats.reshape(-1, 4),
+                                  matrix_to_quats(batch.rotations.reshape(-1, 3, 3)))
+    # a write to one draw's quaternion cannot alter the cached rotations
+    with pytest.raises(ValueError):
+        batch[1].joint_rotations[2].q[0] = 0.0
+    np.testing.assert_array_equal(batch[1].joint_rotations[2].q, quats[1, 2])
 
 
 def test_flow_samples_depend_on_context(rng):

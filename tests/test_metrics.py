@@ -178,6 +178,21 @@ def test_evaluate_with_solver_scores_failed_refinements(trained_model):
     assert all(np.isfinite(v).all() for v in rep["per_scene"].values())
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_evaluate_scores_a_non_finite_refinement_unrefined(trained_model):
+    # anchors whose normal equations overflow: every refinement raises,
+    # and each draw is scored as without the solver
+    model, dataset, flow, encode = trained_model
+    rec = dataset[0]
+    view = dataclasses.replace(rec.views[0], anchors_2d=rec.views[0].anchors_2d * 1e200)
+    scenes = [dataclasses.replace(rec, views=[view])]
+    plain = metrics.evaluate(flow, encode, model, scenes, n_samples=3, rng_seed=2)
+    rep = metrics.evaluate(flow, encode, model, scenes, n_samples=3, use_solver=True,
+                           rng_seed=2)
+    assert rep["summary"]["solver_failures"] == 4
+    assert rep["per_scene"] == plain["per_scene"]
+
+
 @pytest.mark.parametrize("use_solver", [False, True])
 def test_evaluate_matches_per_draw_loop(trained_model, use_solver):
     model, dataset, flow, encode = trained_model

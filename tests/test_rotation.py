@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation as ScipyRot
 
 from flowpose.flow import _frame_matrices
+from flowpose.rotation import _exp_quats
 from flowpose.rotation import (DegenerateMeanError, DegenerateProjectionError,
                                InvalidRotationError, Rotation, as_matrices, axis_angle_exp,
                                axis_angle_log, cross3, exp_matrices, geodesic_distance,
-                               matrix_to_quat, matrix_to_quat_batch, quat_multiply,
+                               matrix_to_quat, matrix_to_quat_batch, matrix_to_quats, quat_multiply,
                                quat_to_matrices, rotation_mean,
                                special_orthogonalize, special_orthogonalize_matrices)
 
@@ -127,7 +128,11 @@ def test_matrix_to_quat_batch_bitwise(rng):
 
 
 def _shepperd_reference(m):
-    """Shepperd's method one matrix at a time, branch by branch."""
+    return Rotation(_shepperd_quat(m))
+
+
+def _shepperd_quat(m):
+    """Shepperd's method one matrix at a time, branch by branch, unnormalized."""
     tr = np.trace(m)
     if tr > 0:
         s = np.sqrt(tr + 1.0) * 2
@@ -145,7 +150,7 @@ def _shepperd_reference(m):
         s = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2
         q = ((m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s,
              (m[1, 2] + m[2, 1]) / s, 0.25 * s)
-    return Rotation(q)
+    return np.array(q)
 
 
 def test_matrix_to_quat_batch_matches_shepperd_reference(rng):
@@ -306,3 +311,126 @@ def test_cross3_equals_np_cross(shapes):
     rng = np.random.default_rng(0)
     a, b = (rng.normal(size=s) for s in shapes)
     np.testing.assert_array_equal(cross3(a, b), np.cross(a, b))
+
+
+# The forms these kernels replaced, kept as bit-for-bit references.
+SIZES = [0, 1, 8, 808, 16384]
+
+
+def _quat_to_matrices_reference(q):
+    """Nine entries, each from its own products, stacked."""
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    m = np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+                  2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+                  2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], axis=-1)
+    return m.reshape(q.shape[:-1] + (3, 3))
+
+
+def _exp_quats_reference(v):
+    """Every row through np.where, the series and the closed form alike."""
+    angle = np.sqrt(np.vecdot(v, v))
+    half = 0.5 * angle
+    small = angle < 1e-12
+    w = np.where(small, 1.0 - half * half / 2.0, np.cos(half))
+    axis = v / np.where(small, 1.0, angle)[..., None]
+    xyz = np.where(small[..., None], 0.5 * v, np.sin(half)[..., None] * axis)
+    return np.concatenate([w[..., None], xyz], axis=-1)
+
+
+def _canonical_reference(q):
+    """One quaternion at a time: divide by its norm, then w > 0, or for
+    w = 0 the first nonzero component positive."""
+    q = np.asarray(q, dtype=np.float64)
+    q = q / np.linalg.norm(q)
+    lead = next((v for v in q[1:] if v != 0.0), 0.0)
+    if q[0] < 0.0 or (q[0] == 0.0 and lead < 0.0):
+        q = -q
+    return q
+
+
+def _assert_bitwise(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def _half_turn_quats():
+    """w = 0 quaternions whose leading components are zero, of both signs."""
+    return np.array([[0.0, 0.0, -1.0, 2.0], [0.0, 0.0, 0.0, -3.0], [-0.0, 0.0, 1.0, 0.0],
+                     [0.0, -0.0, 2.0, -1.0], [-0.0, -0.0, -0.0, -1.0], [0.0, 0.0, 0.0, 1.0],
+                     [-0.0, -2.0, 0.0, 0.0], [0.0, 1e-300, -1.0, 0.0]])
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_quat_to_matrices_matches_the_nine_entry_form(rng, n):
+    q = rng.normal(size=(n, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    _assert_bitwise(quat_to_matrices(q), _quat_to_matrices_reference(q))
+    pairs = np.stack([q, q[::-1]], axis=1)         # leading axes (n,2)
+    _assert_bitwise(quat_to_matrices(pairs), _quat_to_matrices_reference(pairs))
+    w0 = _half_turn_quats()
+    _assert_bitwise(quat_to_matrices(w0), _quat_to_matrices_reference(w0))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_exp_kernels_match_the_where_form(rng, n):
+    v = rng.normal(size=(n, 3))
+    _assert_bitwise(_exp_quats(v), _exp_quats_reference(v))
+    q = _exp_quats_reference(v)
+    _assert_bitwise(exp_matrices(v),
+                    _quat_to_matrices_reference(q / np.sqrt(np.vecdot(q, q))[..., None]))
+
+
+def test_exp_kernels_match_the_where_form_on_a_mixed_batch(rng):
+    # rows below 1e-12 rad take the series, the others the closed form
+    v = rng.normal(size=(40, 3))
+    v[::3] *= 1e-13
+    v[1::7] = 0.0
+    v[2] = [-0.0, 0.0, -0.0]
+    assert 0 < (np.linalg.norm(v, axis=1) < 1e-12).sum() < len(v)
+    for vs in (v, v.reshape(8, 5, 3), v[0]):
+        _assert_bitwise(_exp_quats(vs), _exp_quats_reference(vs))
+        q = _exp_quats_reference(vs)
+        _assert_bitwise(exp_matrices(vs),
+                        _quat_to_matrices_reference(q / np.sqrt(np.vecdot(q, q))[..., None]))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_matrix_to_quats_matches_per_object_canonicalization(rng, n):
+    q = rng.normal(size=(n, 4))
+    mats = quat_to_matrices(q / np.linalg.norm(q, axis=1, keepdims=True))
+    got = matrix_to_quats(mats)
+    assert got.shape == (n, 4)
+    want = np.array([_canonical_reference(_shepperd_quat(m)) for m in mats]).reshape(n, 4)
+    _assert_bitwise(got, want)
+    _assert_bitwise(np.array([r.q for r in matrix_to_quat_batch(mats)]).reshape(n, 4), got)
+
+
+def test_canonicalization_matches_the_per_object_form(rng):
+    quats = np.concatenate([_half_turn_quats(), -_half_turn_quats(),
+                            rng.normal(size=(200, 4)) * rng.choice([1e-150, 1.0, 1e150],
+                                                                   size=(200, 1))])
+    for q in quats:
+        _assert_bitwise(Rotation(q).q, _canonical_reference(q))
+    # half-turn matrices give Shepperd quaternions with w = 0
+    w0 = _half_turn_quats()
+    mats = quat_to_matrices(w0 / np.linalg.norm(w0, axis=1, keepdims=True))
+    for got, m in zip(matrix_to_quats(mats), mats):
+        _assert_bitwise(got, _canonical_reference(_shepperd_quat(m)))
+
+
+def test_rotation_quaternions_are_read_only(rng):
+    src = rng.normal(size=4)
+    r = Rotation(src)
+    with pytest.raises(ValueError):
+        r.q[0] = 1.0
+    want = r.q.copy()
+    src[0] = 5.0                    # the input is copied, not aliased
+    np.testing.assert_array_equal(r.q, want)
+    batch = matrix_to_quat_batch(np.stack([axis_angle_exp(v).matrix()
+                                           for v in rng.normal(size=(3, 3))]))
+    before = batch[1].q.copy()
+    with pytest.raises(ValueError):
+        batch[0].q[:] = 0.0
+    with pytest.raises(ValueError):
+        batch[1].q *= 2.0
+    np.testing.assert_array_equal(batch[1].q, before)

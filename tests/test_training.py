@@ -8,7 +8,7 @@ import pytest
 
 from flowpose import autodiff as ag
 from flowpose import body, checkpoint, metrics, nets, solver, synth, training
-from flowpose.flow import FlowConfig, PoseSample
+from flowpose.flow import FlowConfig, PoseBatch
 from flowpose.rotation import Rotation, as_matrices, axis_angle_exp, geodesic_distance
 from flowpose.distributions import uniform_sample
 
@@ -238,11 +238,14 @@ def test_capture_report_matches_per_pair_geodesic_loop(monkeypatch):
     targets = [uniform_sample(rng) for _ in range(3)] + [Rotation((0.0, 0.6, 0.0, 0.8))]
     draws = [uniform_sample(rng) for _ in range(200)] + [
         t.compose(axis_angle_exp(0.2 * rng.normal(size=3))) for t in targets for _ in range(50)]
-    monkeypatch.setattr(training.FlowModel, "flow_sample", lambda self, context, n, rng: [
-        PoseSample([r], np.zeros(1), 0.0) for r in draws])
+    # flow_sample returns a PoseBatch; the loop reads its draws' Rotations
+    batch = PoseBatch(np.stack([r.matrix() for r in draws])[:, None],
+                      np.zeros((len(draws), 1)), np.zeros(len(draws)))
+    monkeypatch.setattr(training.FlowModel, "flow_sample",
+                        lambda self, context, n, rng: batch)
     _, report = training.fit_toy_distribution(targets, steps=0, report_samples=len(draws))
     counts, outside = np.zeros(len(targets)), 0
-    for r in draws:
+    for r in (s.joint_rotations[0] for s in batch):
         d = [geodesic_distance(r, t) for t in targets]
         j = int(np.argmin(d))
         if d[j] <= np.deg2rad(report["capture_deg"]):
