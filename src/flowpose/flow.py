@@ -294,6 +294,11 @@ class FlowModel:
         out = mlp_apply(p, f"rot{i}", ctx, self.cfg.blocks)
         return ag.special_orthogonalize_op(out)  # (B,9) rows of rotations
 
+    def rotation_qs(self, p, ctx):
+        """Every rotation layer's Q (P,9), in layer order, for P conditioner rows
+        ctx: tape nodes when p holds leaves, arrays otherwise."""
+        return [self._rotation_q(p, i, ctx) for i in range(self.cfg.n_sets)]
+
     # ---- layer maps (pose -> base is "forward") ----------------------------
     def _coupling_forward(self, p, i, u1, u2, ctx):
         ox, oy, oz, w = self._coupling_cond(p, f"cpl{i}a", u1, ctx)
@@ -328,28 +333,30 @@ class FlowModel:
 
         return ag.fused(out.reshape(-1, 3), (q9, u), vjp)
 
-    def _to_base(self, p, u1, u2, ctx):
+    def _to_base(self, p, u1, u2, ctx, qs=None):
         """Analytic normalizing pass over all layers; returns (u1, u2, logdet)."""
         rows = _context_rows(ctx, len(u1))
+        if qs is None:
+            # after a gather, ctx is sliced back from rows so all its gradient flows through it
+            qs = [self._rotation_q(p, i, ctx if rows is ctx else rows[:len(ag.as_array(ctx))])
+                  for i in range(self.cfg.n_sets)]
         logdet = None
-        for i in range(self.cfg.n_sets):
+        for i, q9 in enumerate(qs):
             u1, u2, ld = self._coupling_forward(p, i, u1, u2, rows)
             logdet = ld if logdet is None else logdet + ld
-            # after a gather, ctx is sliced back from rows so all its gradient flows through it
-            q9 = self._rotation_q(p, i, ctx if rows is ctx else rows[:len(ag.as_array(ctx))])
             u1 = self._apply_q(q9, u1)
             u2 = self._apply_q(q9, u2)
         return u1, u2, logdet
 
-    def _from_base(self, pv, u1, u2, ctx):
+    def _from_base(self, pv, u1, u2, ctx, qs=None):
         """Numeric generative pass (safeguarded Newton); returns (u1, u2, logdet), the
         pose -> base log-determinant summed from each coupling's root slope."""
         rows = _context_rows(ctx, len(u1))
+        qs = self.rotation_qs(pv, ctx) if qs is None else qs
         logdet = np.zeros(u1.shape[0])
         for i in reversed(range(self.cfg.n_sets)):
-            q9 = self._rotation_q(pv, i, ctx)
-            u1 = self._apply_q(q9, u1, transpose=True)
-            u2 = self._apply_q(q9, u2, transpose=True)
+            u1 = self._apply_q(qs[i], u1, transpose=True)
+            u2 = self._apply_q(qs[i], u2, transpose=True)
             u1, u2, ld = self._coupling_inverse(pv, i, u1, u2, rows)
             logdet += ld
         return u1, u2, logdet
@@ -370,9 +377,13 @@ class FlowModel:
         u1, u2, _ = self._coupling_inverse(pv, 0, m[:, 0][None, :], m[:, 1][None, :], row)
         return matrix_to_quat(_frame_matrices(u1[0], u2[0]))
 
-    def log_prob_rows(self, p, u1, u2, ctx_rows):
-        """Per-row joint log-density: base log-pdf at the image plus logdet."""
-        u1b, u2b, logdet = self._to_base(p, u1, u2, ctx_rows)
+    def log_prob_rows(self, p, u1, u2, ctx_rows, qs=None):
+        """Per-row joint log-density of pose rows u1, u2 (N,3) read against
+        conditioner rows ctx_rows (P,C): base log-pdf at the image plus logdet.
+        qs, the step's `rotation_qs(p, ctx_rows)`, spares a caller that needs
+        them too (phase 2's mode pass) a second rotation-layer pass: the same
+        values, and the same gradients to the bit when P = N."""
+        u1b, u2b, logdet = self._to_base(p, u1, u2, ctx_rows, qs)
         u3b = ag.cross(u1b, u2b)
         tr = u1b[:, 0:1] + u2b[:, 1:2] + u3b[:, 2:3]
         qdot2 = ag.clip((tr + 1.0) * 0.25, 0.0, 1.0)
@@ -414,12 +425,15 @@ class FlowModel:
     def mode_sample(self, context):
         return self.flow_sample(context, 0, np.random.default_rng(0), include_mode=True)[0]
 
-    def mode_rotations(self, pv, ctx_rows):
+    def mode_rotations(self, pv, ctx_rows, qs=None):
         """Relative rotation matrices (N,3,3) of the mode, the base identity
-        pushed through the flow, for N conditioner rows (numpy, no tape)."""
+        pushed through the flow, for N conditioner rows (numpy, no tape).
+        qs, the values of `rotation_qs(pv, ctx_rows)` (in training, those the
+        step's `log_prob_rows` used), skip the rotation layers' conditioners;
+        the result is the same to the bit."""
         n = ctx_rows.shape[0]
         u1, u2, _ = self._from_base(pv, np.tile([1.0, 0.0, 0.0], (n, 1)),
-                                    np.tile([0.0, 1.0, 0.0], (n, 1)), ctx_rows)
+                                    np.tile([0.0, 1.0, 0.0], (n, 1)), ctx_rows, qs)
         return _frame_matrices(u1, u2)
 
 

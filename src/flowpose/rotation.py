@@ -62,7 +62,10 @@ class Rotation:
     q: np.ndarray
 
     def __init__(self, q):
-        q = _canonical_quats(np.asarray(q, dtype=np.float64)[None])[0]
+        q = np.asarray(q, dtype=np.float64)
+        if q.shape != (4,):
+            raise InvalidRotationError(f"quaternion must have shape (4,), got {q.shape}")
+        q = _canonical_quats(q[None])[0]
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
 

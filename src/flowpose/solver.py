@@ -273,6 +273,8 @@ def _pose_matrices(model, pose, name):
     return mats
 
 
+# an overflow surfaces once, as the non-finite step check's SolverFailure
+@np.errstate(over="ignore", invalid="ignore")
 def solve(model, pose_init, observations, cfg: SolveConfig) -> SolveResult:
     """Shared (delta, beta, t) over the stacked views from a world-frame pose."""
     k, s = model.n_joints, model.n_shape

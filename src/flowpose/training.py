@@ -83,7 +83,8 @@ def _laplace_obs_loss(pdict, blocks, feats, gt_norm, n_s):
 
 
 def _scene_tensors(model, dataset):
-    """Per-scene ground-truth arrays used every step, stacked over the dataset."""
+    """Per-scene ground-truth arrays used every step, stacked over the dataset,
+    and the rest-stack constants of phase 2."""
     n = len(dataset)
     pose = np.stack([as_matrices(rec.gt_state.pose) for rec in dataset])
     betas = np.stack([rec.gt_state.shape for rec in dataset])
@@ -95,6 +96,10 @@ def _scene_tensors(model, dataset):
     rigid[:, :3, 3] = np.stack([obs.extrinsics_t for obs in views]) + np.einsum(
         "bij,bj->bi", rigid[:, :3, :3], np.stack([rec.gt_state.translation for rec in dataset]))
     anchors = np.stack([rec.gt_anchors[0] for rec in dataset])
+    # posing is linear in the rest vertices: row 0 of each posed stack is
+    # the template, rows 1..S are the shape Jacobian
+    s = model.n_shape
+    rest = np.concatenate([model.template[None], model.shape_basis.reshape(s, -1, 3)])
     return {
         "feats": np.stack([rec.context_features for rec in dataset]),
         "u1": pose[..., 0], "u2": pose[..., 1], "beta": betas,
@@ -104,6 +109,9 @@ def _scene_tensors(model, dataset):
         "anchors": anchors,
         # normalized GT (noise-free) anchors for the observation head
         "anchors_norm": normalized_pixels(anchors, intrinsics).reshape(n, -1),
+        # shared by every scene: the rest stack's joints and its identity coefficients
+        "stack_joints": model.joint_regressor @ rest,
+        "stack_coef": np.eye(s + 1),
     }
 
 
@@ -116,24 +124,22 @@ def _mu_combination(mu, posed):
     return ag.reduce_sum(ag.reshape(mu, (b, s1 - 1, 1)) * flat[:, 1:], axis=1) + flat[:, 0]
 
 
-def _mode_shape_losses(flow, model, tensors, idx, ctx_rows, mu):
+def _mode_shape_losses(flow, model, tensors, idx, ctx_rows, mu, qs=None):
     """Phase-2 terms over the batch idx: L1 of the mode poses' 3D joints
     and projected anchors, differentiable in the shape-head means mu (B,S)
-    only (the mode poses are constant)."""
-    b, s = len(idx), model.n_shape
-    rel = flow.mode_rotations(flow.param_values(), ag.as_array(ctx_rows))
+    only (the mode poses are constant).  qs, when given, are the values of
+    the step's rotation-layer Qs for ctx_rows, which the mode pass reuses."""
+    b = len(idx)
+    rel = flow.mode_rotations(flow.param_values(), ag.as_array(ctx_rows), qs)
     world = _world_rotations(model, rel.reshape(b, -1, 3, 3))[:, None]
-    # posing is linear in the rest vertices: row 0 of each posed stack is
-    # the template, rows 1..S are the shape Jacobian
-    rest = np.concatenate([model.template[None], model.shape_basis.reshape(s, -1, 3)])
-    joints = _chain_positions(model, world, model.joint_regressor @ rest)
+    joints = _chain_positions(model, world, tensors["stack_joints"])
     j3d = _mu_combination(mu, joints)
     l3d = ag.mean(ag.absolute(j3d - tensors["joints"][idx].reshape(b, -1)))
 
     # the camera matrix maps the template's anchors with its fourth column and the
     # shape directions' without: only the perspective division is left to the tape
     cam = tensors["camera"][idx][:, None]
-    uvw = pose_anchors(model, world, np.eye(s + 1)) @ np.swapaxes(cam[..., :3], -1, -2)
+    uvw = pose_anchors(model, world, tensors["stack_coef"]) @ np.swapaxes(cam[..., :3], -1, -2)
     uvw[:, 0] += cam[..., 3]
     uvw = ag.reshape(_mu_combination(mu, uvw), (b, -1, 3))
     l2d = ag.mean(ag.absolute(uvw[:, :, :2] / uvw[:, :, 2:3] - tensors["anchors"][idx]))
@@ -182,9 +188,11 @@ def train(model: BodyModelDef, dataset, cfg: TrainConfig):
                 l.grad = None
             ctx = mlp_apply(pdict, "enc", tensors["feats"][idx], cfg.blocks)
             ctx_rows = joint_context_rows(flow, pdict, ctx)
+            # one rotation-layer pass serves the log-prob pass and phase 2's mode pass
+            qs = flow.rotation_qs(pdict, ctx_rows)
             u1 = tensors["u1"][idx].reshape(b * k, 3)
             u2 = tensors["u2"][idx].reshape(b * k, 3)
-            lp = flow.log_prob_rows(pdict, u1, u2, ctx_rows)
+            lp = flow.log_prob_rows(pdict, u1, u2, ctx_rows, qs)
             pose_nll = -ag.reduce_sum(lp) / float(b)
             mu, log_std = flow.shape_params(pdict, ctx)
             shape_nll = _gauss_nll(mu, log_std, tensors["beta"][idx])
@@ -194,7 +202,8 @@ def train(model: BodyModelDef, dataset, cfg: TrainConfig):
                     + cfg.lambda3 * shape_nll)
             l2d_v = l3d_v = 0.0
             if phase2 and (cfg.lambda5 > 0 or cfg.lambda6 > 0):
-                l2d, l3d = _mode_shape_losses(flow, model, tensors, idx, ctx_rows, mu)
+                l2d, l3d = _mode_shape_losses(flow, model, tensors, idx, ctx_rows, mu,
+                                              [ag.as_array(q) for q in qs])
                 loss = loss + cfg.lambda5 * l2d + cfg.lambda6 * l3d
                 l2d_v, l3d_v = float(ag.as_array(l2d)), float(ag.as_array(l3d))
             lv = float(ag.as_array(loss))

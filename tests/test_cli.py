@@ -5,6 +5,8 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -196,6 +198,26 @@ def test_train_rejects_the_removed_lambda4(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: bad train config") and "lambda4" in err
     assert not (tmp_path / "checkpoint.json").exists()
+
+
+def test_solve_overflow_prints_one_stderr_line(workspace, tmp_path):
+    # a fresh interpreter, so numpy's warnings reach stderr as they would in a shell
+    from flowpose import synth
+    rec = synth.load_dataset(workspace / "dataset.jsonl")[0]
+    v = rec.views[0]
+    cfg = _write(tmp_path / "p.json", {
+        "model": str(workspace / "model.json"),
+        "pose_init": [r.to_json() for r in rec.gt_state.pose],
+        "observations": [{"anchors": (v.anchors_2d * 1e200).tolist(),
+                          "scale": v.laplace_scale.tolist(),
+                          "intrinsics": v.intrinsics.tolist()}]})
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "flowpose.cli", "solve", "--config", cfg,
+                           "--out", str(tmp_path)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["numerical failure: non-finite step at linearization 0"]
+    assert not (tmp_path / "solve_result.json").exists()
 
 
 def test_solve_rejects_a_one_entry_scale(workspace, tmp_path):

@@ -372,6 +372,53 @@ def test_context_rows_repeat_mod_p(rng):
         model.log_prob_rows(pv, u1, u2, np.tile(rows, (4, 1))), rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("n_ctx, reps", [(1, 4), (4, 1)])
+def test_log_prob_rows_with_the_step_qs_matches_without(rng, n_ctx, reps):
+    # the rotation layers' Qs of the conditioner rows, computed by the caller,
+    # give the log-probs of the call that computes them itself; so do the
+    # leaves' gradients, except that with a gathered context (P < N) the
+    # rows' gradient arrives along two paths and may sum in another order
+    model = _perturbed_model(rng, n_joints=3)
+    leaves = model.params.leaves()
+    p = dict(zip(model.params.names(), leaves))
+    ctx = ag.leaf(rng.normal(size=(n_ctx, 3)))
+    m = quat_to_matrices(dist.uniform_quaternions(3 * n_ctx * reps, rng))
+    w = rng.uniform(0.5, 1.5, size=len(m))
+    results = []
+    for supply in (False, True):
+        for leaf in leaves + [ctx]:
+            leaf.grad = None
+        rows = fl.joint_context_rows(model, p, ctx)
+        qs = model.rotation_qs(p, rows) if supply else None
+        lp = model.log_prob_rows(p, m[:, :, 0], m[:, :, 1], rows, qs)
+        ag.backward(ag.reduce_sum(lp * w))
+        results.append((ag.as_array(lp), [leaf.grad for leaf in leaves + [ctx]]))
+    (lp, grads), (ref_lp, ref_grads) = results
+    np.testing.assert_array_equal(lp, ref_lp)
+    assert sum(g is not None for g in ref_grads) > 2
+    for g, ref in zip(grads, ref_grads):
+        assert (g is None) == (ref is None)
+        if ref is None:
+            continue
+        if reps == 1:
+            np.testing.assert_array_equal(g, ref)
+        else:
+            np.testing.assert_allclose(g, ref, rtol=0, atol=1e-14 * max(1.0, np.abs(ref).max()))
+
+
+def test_mode_rotations_with_the_step_qs_match_without(rng):
+    model = _perturbed_model(rng, n_joints=3)
+    for k, node in zip(model.params.names(), model.params.leaves()):
+        if k.startswith("rot"):
+            node.value = node.value + 0.3 * rng.normal(size=node.value.shape)
+    pv = model.param_values()
+    rows = fl.joint_context_rows(model, pv, rng.normal(size=(4, 3)))
+    qs = model.rotation_qs(pv, rows)
+    assert len(qs) == model.cfg.n_sets
+    np.testing.assert_array_equal(model.mode_rotations(pv, rows, qs),
+                                  model.mode_rotations(pv, rows))
+
+
 def test_rotation_layer_is_rotation(rng):
     # the conditioner's Q is in SO(3): Q r is a rotation, and the rigid
     # layer does not change volume

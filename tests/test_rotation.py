@@ -1,5 +1,7 @@
 """Rotation primitives checked against scipy.spatial.transform."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,6 +64,13 @@ def test_invalid_quaternion_rejected():
         Rotation([0.0, 0.0, 0.0, 0.0])
     with pytest.raises(InvalidRotationError):
         Rotation([np.nan, 0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("q", [[1.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0, 5.0], [[1.0, 0.0, 0.0, 0.0]]])
+def test_quaternion_of_the_wrong_shape_rejected(q):
+    shape = np.shape(q)
+    with pytest.raises(InvalidRotationError, match=re.escape(f"got {shape}")):
+        Rotation(q)
 
 
 def test_non_unit_quaternion_normalized():

@@ -8,7 +8,7 @@ import pytest
 
 from flowpose import autodiff as ag
 from flowpose import body, checkpoint, metrics, nets, solver, synth, training
-from flowpose.flow import FlowConfig, PoseBatch
+from flowpose.flow import FlowConfig, FlowModel, PoseBatch
 from flowpose.rotation import Rotation, as_matrices, axis_angle_exp, geodesic_distance
 from flowpose.distributions import uniform_sample
 
@@ -155,6 +155,31 @@ def test_mode_shape_losses_tape_is_independent_of_batch_size(small_run):
                 stack.extend(node.parents)
         counts.append(len(seen))
     assert counts[0] == counts[1]
+
+
+def test_phase2_step_runs_each_rotation_layer_once(small_run, monkeypatch):
+    # the log-prob pass and phase 2's mode pass share one rotation-layer
+    # pass: a phase-2 step, like a phase-1 step, computes each layer's Q once
+    model, dataset, cfg, _, _, _ = small_run
+    calls, per_step = [], []
+    real_q, real_step = FlowModel._rotation_q, nets.GradientDescent.step
+
+    def counting_q(self, *args):
+        calls.append(1)
+        return real_q(self, *args)
+
+    def counting_step(self):
+        per_step.append(len(calls))
+        calls.clear()
+        return real_step(self)
+
+    monkeypatch.setattr(FlowModel, "_rotation_q", counting_q)
+    monkeypatch.setattr(nets.GradientDescent, "step", counting_step)
+    run_cfg = dataclasses.replace(cfg, phase1_epochs=1, phase2_epochs=1)
+    _, _, log = training.train(model, dataset, run_cfg)
+    assert log[-1]["phase"] == 2 and log[-1]["l2d"] > 0
+    steps_per_epoch = -(-len(dataset) // cfg.batch_size)
+    assert per_step == [run_cfg.flow_sets] * (2 * steps_per_epoch)
 
 
 def test_checkpoint_roundtrip(small_run, tmp_path):
