@@ -402,8 +402,7 @@ class FlowModel:
     def flow_sample(self, context, n, rng, include_mode=False) -> PoseBatch:
         """Draw n poses for one context (optionally prepend the mode) as one
         PoseBatch."""
-        if not isinstance(n, (int, np.integer)) or n < 0:
-            raise ValueError(f"n must be a non-negative integer, got {n!r}")
+        check_fields({"n": n}, int)
         ctx = self._context(context)[None]
         pv = self.param_values()
         K = self.cfg.n_joints

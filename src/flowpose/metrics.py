@@ -110,9 +110,12 @@ def evaluate(flow, encode, model: BodyModelDef, dataset, n_samples=100,
     either way).
     A draw whose refinement raises SolverFailure is scored unrefined, as
     without the solver, and counted in summary["solver_failures"].
-    Raises ValueError unless every scene has at least `views` views.
+    Raises ValueError unless n_samples is an integer of at least 0 and
+    views one of at least 1 that every scene has.
     """
-    if not all(1 <= views <= len(rec.views) for rec in dataset):
+    check_fields({"n_samples": n_samples}, int)
+    check_fields({"views": views}, int, least=1)
+    if not all(views <= len(rec.views) for rec in dataset):
         raise ValueError(f"views must be between 1 and each scene's view count, got {views}")
     rng = np.random.default_rng(rng_seed)
     per = {k: [] for k in ["mpjpe_mode", "mpjpe_min", "pa_mpjpe_mode",

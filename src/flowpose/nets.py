@@ -76,12 +76,19 @@ def mlp_apply(params, prefix, x, blocks):
     nodes = [params[f"{prefix}/{n}"] for n in names]
     w = [ag.as_array(p) for p in nodes]
     xv = ag.as_array(x)
-    hs = [np.tanh(xv @ w[0] + w[1])]
+
+    def layer(h, weight, bias):
+        # tanh(h W + b), the bias and tanh applied in place on the product
+        z = h @ weight
+        z += bias
+        return np.tanh(z, out=z)
+
+    hs = [layer(xv, w[0], w[1])]
     ts = []
     for b in range(blocks):
         w1, b1, w2, b2 = w[2 + 4 * b:6 + 4 * b]
-        t1 = np.tanh(hs[-1] @ w1 + b1)
-        t2 = np.tanh(t1 @ w2 + b2)
+        t1 = layer(hs[-1], w1, b1)
+        t2 = layer(t1, w2, b2)
         ts.append((t1, t2))
         hs.append(hs[-1] + t2)
     out = hs[-1] @ w[-2] + w[-1]

@@ -6,12 +6,15 @@ cross-product rows, each joint's world rotation is corrected by
 I + [delta]x about the current estimate, and the resulting linear
 system is solved by Cholesky (LAPACK potrf/potrs) on the normal
 equations, optionally relinearizing; each step applies exp(delta) to all
-joints at once.  A solve builds each view's weighted DLT rows once
-(`_dlt_constants`) and poses the anchor table c + sum_k R_k L_k of
-`body.pose_anchors` once per state: the residual after a step and the
-next linearization share it.  `solve` stacks every view's rows from one
-initial pose in the world frame; `solve_multi_view` starts instead from
-the chordal mean of per-view poses whose root is in each camera's frame.
+joints at once.  Each view's weighted DLT rows are built once and kept on
+its `Observation` until one of its arrays changes, so the many solves of
+one view's draws share them (`Observation.view_rows`; `_dlt_constants` adds
+a call's regularizers and stacks its views).  A solve poses the anchor
+table c + sum_k R_k L_k of `body.pose_anchors` once per state: the
+residual after a step and the next linearization share it.  `solve`
+stacks every view's rows from one initial pose in the world frame;
+`solve_multi_view` starts instead from the chordal mean of per-view poses
+whose root is in each camera's frame.
 
 Rotations are matrices throughout: a pose may come in as K Rotations or
 as an array (K,3,3), and a SolveResult holds (K,3,3) arrays.
@@ -57,6 +60,10 @@ class Observation:
     gives every anchor 1);
     intrinsics: 3x4; extrinsics_r/t: world-to-camera rigid transform
     (identity / zero for a single uncalibrated view).
+
+    The view's weighted DLT rows (`view_rows`) are built once and kept,
+    read-only, until one of these six arrays changes: an in-place edit or
+    a reassignment of a field rebuilds them at the next solve.
     """
 
     anchors_2d: np.ndarray
@@ -89,6 +96,17 @@ class Observation:
             raise ValueError("laplace_scale must be positive")
         if (self.aux_weight < 0).any():
             raise ValueError("aux_weight must be nonnegative")
+
+    def view_rows(self) -> _ViewRows:
+        """This view's kept, weighted DLT rows, reused while the shape,
+        dtype and bytes of its six arrays are those they were built from."""
+        key = [(a.shape, a.dtype, a.tobytes()) for a in map(np.asarray, (
+            self.anchors_2d, self.laplace_scale, self.aux_weight, self.intrinsics,
+            self.extrinsics_r, self.extrinsics_t))]
+        kept = self.__dict__.get("_kept_view_rows")
+        if kept is None or kept[0] != key:
+            kept = self._kept_view_rows = key, _view_rows(self)
+        return kept[1]
 
 
 @dataclass
@@ -134,10 +152,41 @@ def _relative_from_world(model, world):
     return rel
 
 
+class _ViewRows(NamedTuple):
+    """One view's kept, weighted DLT rows.  Row r reads anchor `anchor[r]`;
+    at its world point q, m[r] . q + const[r] vanishes on the observed pixel."""
+    anchor: np.ndarray      # (R,) anchor of each kept row
+    m: np.ndarray           # (R,3) weighted row on the world point
+    m_cross: np.ndarray     # (R,3,3) [m]x, so that y @ [m]x = y x m
+    const: np.ndarray       # (R,)
+    weights: np.ndarray     # (A,) anchor weights for the residual
+    weight_sum: float
+
+
+def _view_rows(obs) -> _ViewRows:
+    """Anchor a at pixel (u,v) gives the rows (u,v) K[2] - K[0:2], which
+    vanish on its homogeneous camera-frame point Q = re P + te: on the
+    world point P they read m = rows[:3] re and const = rows[:3] te + rows[3].
+    Rows of anchors with zero weight are dropped.  The arrays are read-only."""
+    wts = anchor_weights(obs.laplace_scale, obs.aux_weight)
+    keep = np.flatnonzero(wts > 0)
+    kk = obs.intrinsics
+    rows = wts[keep, None, None] * (obs.anchors_2d[keep, :, None] * kk[2] - kk[:2])
+    m = (rows[..., :3] @ obs.extrinsics_r).reshape(-1, 3)
+    m_cross = np.zeros((len(m), 3, 3))
+    m_cross[:, [2, 0, 1], [1, 2, 0]] = m
+    m_cross[:, [1, 2, 0], [2, 0, 1]] = -m
+    view = _ViewRows(np.repeat(keep, 2), m, m_cross,
+                     (rows[..., :3] @ obs.extrinsics_t + rows[..., 3]).reshape(-1),
+                     wts, float(wts.sum()))
+    for a in view[:5]:
+        a.flags.writeable = False
+    return view
+
+
 class _DltConstants(NamedTuple):
-    """What a solve holds fixed: every view's kept, weighted DLT rows and the
-    regularizers.  Row r reads anchor `anchor[r]`; at its world point q,
-    m[r] . q + const[r] vanishes on the observed pixel."""
+    """What a solve holds fixed: every view's kept, weighted DLT rows
+    (`_ViewRows`, stacked) and the regularizers."""
     anchor: np.ndarray      # (R,) anchor of each kept row
     m: np.ndarray           # (R,3) weighted row on the world point
     m_cross: np.ndarray     # (R,3,3) [m]x, so that y @ [m]x = y x m
@@ -149,43 +198,32 @@ class _DltConstants(NamedTuple):
 
 
 def _dlt_constants(model, observations, cfg: SolveConfig) -> _DltConstants:
-    """Each view's DLT rows and the regularizers, built once per solve.
-
-    Anchor a at pixel (u,v) gives the rows (u,v) K[2] - K[0:2], which
-    vanish on its homogeneous camera-frame point Q = re P + te: on the
-    world point P they read m = rows[:3] re and const = rows[:3] te + rows[3].
-    Rows of anchors with zero weight are dropped.
-    """
+    """Each view's kept DLT rows (`Observation.view_rows`, built once per
+    view), stacked over the views, and the regularizers of cfg."""
     if not observations:
         raise ValueError("need at least one observation")
     k, s = model.n_joints, model.n_shape
     n_a = len(model.anchor_indices)
-    anchor, m, const, weights = [], [], [], []
+    views = []
     for obs in observations:
         if len(obs.anchors_2d) != n_a:
             raise ValueError(f"a view has {len(obs.anchors_2d)} anchors, the model {n_a}")
-        wts = anchor_weights(obs.laplace_scale, obs.aux_weight)
-        keep = np.flatnonzero(wts > 0)
-        kk = obs.intrinsics
-        rows = wts[keep, None, None] * (obs.anchors_2d[keep, :, None] * kk[2] - kk[:2])
-        anchor.append(np.repeat(keep, 2))
-        m.append((rows[..., :3] @ obs.extrinsics_r).reshape(-1, 3))
-        const.append((rows[..., :3] @ obs.extrinsics_t + rows[..., 3]).reshape(-1))
-        weights.append(wts)
-    m, dim = np.concatenate(m), 3 * k + s + 3
+        views.append(obs.view_rows())
+    if len(views) == 1:
+        anchor, m, m_cross, const = views[0][:4]
+    else:
+        anchor, m, m_cross, const = (np.concatenate(c) for c in list(zip(*views))[:4])
+    dim = 3 * k + s + 3
     n_reg = (s if cfg.omega_beta > 0 else 0) + (3 * k if cfg.gamma > 0 else 0)
     if len(m) + n_reg < dim:
         raise UnderdeterminedError(f"{len(m) + n_reg} rows for {dim} unknowns")
     # each regularizer's rows are a scaled identity: its weight adds to a diagonal
-    reg = np.concatenate([np.full(3 * k, cfg.gamma), np.full(s, cfg.omega_beta), np.zeros(3)])
-    reg_b = np.zeros(dim)
+    reg, reg_b = np.zeros(dim), np.zeros(dim)
+    reg[:3 * k], reg[3 * k:3 * k + s] = cfg.gamma, cfg.omega_beta
     if cfg.beta_prior is not None:
         reg_b[3 * k:3 * k + s] = cfg.omega_beta * cfg.beta_prior
-    m_cross = np.zeros((len(m), 3, 3))
-    m_cross[:, [2, 0, 1], [1, 2, 0]] = m
-    m_cross[:, [1, 2, 0], [2, 0, 1]] = -m
-    return _DltConstants(np.concatenate(anchor), m, m_cross, np.concatenate(const), reg,
-                         reg_b, weights, sum(float(w.sum()) for w in weights))
+    return _DltConstants(anchor, m, m_cross, const, reg, reg_b, [v.weights for v in views],
+                         sum(v.weight_sum for v in views))
 
 
 def _linearized_anchors(model, world_rot, beta_lin):
@@ -218,7 +256,8 @@ def assemble_system(model, world, beta_lin, table, rows: _DltConstants):
     A = J^T J + diag(reg), b = J^T r + reg_b."""
     jmat, r = _dlt_rows(model, world, beta_lin, table, rows)
     a = jmat.T @ jmat
-    a.flat[::len(a) + 1] += rows.reg
+    diag = a.reshape(-1)[::len(a) + 1]      # a view: the product is C-contiguous
+    diag += rows.reg
     return a, jmat.T @ r + rows.reg_b
 
 
@@ -256,11 +295,15 @@ def reproject(model, world_rot, beta, translation, obs: Observation):
 
 def _residual_report(table, beta, t, observations, rows: _DltConstants):
     # [1, beta] @ table is `pose_anchors` at shape beta, done on its posed table
-    pts = (np.concatenate([[1.0], beta])[None] @ table.reshape(len(table), -1)).reshape(-1, 3)
-    per = [np.linalg.norm(project(obs.intrinsics, obs.extrinsics_r, obs.extrinsics_t, pts + t)
-                          - obs.anchors_2d, axis=1) for obs in observations]
+    pts = (np.concatenate([[1.0], beta])[None] @ table.reshape(len(table), -1)).reshape(-1, 3) + t
+    per = []
+    for obs in observations:
+        d = project(obs.intrinsics, obs.extrinsics_r, obs.extrinsics_t, pts) - obs.anchors_2d
+        d *= d
+        per.append(np.sqrt(d[:, 0] + d[:, 1]))      # np.linalg.norm(axis=1)'s arithmetic
     sq = sum(float((w * err ** 2).sum()) for w, err in zip(rows.weights, per))
-    return np.sqrt(sq / max(rows.weight_sum, 1e-30)), np.concatenate(per)
+    return (np.sqrt(sq / max(rows.weight_sum, 1e-30)),
+            per[0] if len(per) == 1 else np.concatenate(per))
 
 
 def _pose_matrices(model, pose, name):

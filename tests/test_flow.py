@@ -298,7 +298,7 @@ def test_flow_sample_empty_and_invalid_n(rng):
     batch = model.flow_sample(ctx, 0, rng)
     assert batch.rotations.shape == (0, 3, 3, 3)
     assert batch.shapes.shape == (0, 1) and batch.log_probs.shape == (0,)
-    for n in (-1, 2.5):
+    for n in (-1, 2.5, True, np.True_):
         with pytest.raises(ValueError, match=r"\bn\b"):
             model.flow_sample(ctx, n, rng)
 

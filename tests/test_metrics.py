@@ -236,6 +236,31 @@ def test_evaluate_rejects_more_views_than_a_scene_has(trained_model):
                          use_solver=True, views=3)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"views": 0}, "views"), ({"views": True}, "views"),
+    ({"views": 1.0}, "views"), ({"n_samples": True}, "n_samples"),
+    ({"n_samples": 2.0}, "n_samples"), ({"n_samples": -1}, "n_samples")])
+def test_evaluate_rejects_a_bad_count(trained_model, kwargs, name):
+    # counts that are not integers (a bool included) or too small name
+    # their argument before any draw
+    model, dataset, flow, encode = trained_model
+    assert len(dataset[0].views) == 1
+    args = {"n_samples": 2, "use_solver": True, **kwargs}
+    with pytest.raises(ValueError, match=rf"^{name} must"):
+        metrics.evaluate(flow, encode, model, dataset[:2], **args)
+
+
+def test_evaluate_builds_each_view_rows_once(trained_model, monkeypatch):
+    # every refinement of a scene's draws solves against the same view, so
+    # its DLT rows are built once per view, not once per draw
+    model, _, flow, encode = trained_model
+    scenes = synth.gen_dataset(model, 2, synth.standard_rig(1), synth.NoiseSpec(1.0), seed=21)
+    built, real = [], solver._view_rows
+    monkeypatch.setattr(solver, "_view_rows", lambda obs: built.append(obs) or real(obs))
+    metrics.evaluate(flow, encode, model, scenes, n_samples=4, use_solver=True)
+    assert [id(o) for o in built] == [id(rec.views[0]) for rec in scenes]
+
+
 def test_evaluate_multi_view_hands_solver_the_world_pose(trained_model, monkeypatch):
     # `solver.solve` takes the initial pose in the world frame, so each
     # refinement must start from the draw's own pose, unchanged

@@ -302,6 +302,167 @@ def test_assemble_adds_regularizers_to_the_normal_equations(toy_model, rng, omeg
         assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
+def _parent_dlt_constants(model, observations, cfg):
+    """`_dlt_constants` as one loop over the views, built afresh on each call:
+    the reference the kept per-view rows must equal to the bit."""
+    k, s = model.n_joints, model.n_shape
+    anchor, m, const, weights = [], [], [], []
+    for obs in observations:
+        wts = solver.anchor_weights(obs.laplace_scale, obs.aux_weight)
+        keep = np.flatnonzero(wts > 0)
+        kk = obs.intrinsics
+        rows = wts[keep, None, None] * (obs.anchors_2d[keep, :, None] * kk[2] - kk[:2])
+        anchor.append(np.repeat(keep, 2))
+        m.append((rows[..., :3] @ obs.extrinsics_r).reshape(-1, 3))
+        const.append((rows[..., :3] @ obs.extrinsics_t + rows[..., 3]).reshape(-1))
+        weights.append(wts)
+    m, dim = np.concatenate(m), 3 * k + s + 3
+    reg = np.concatenate([np.full(3 * k, cfg.gamma), np.full(s, cfg.omega_beta), np.zeros(3)])
+    reg_b = np.zeros(dim)
+    if cfg.beta_prior is not None:
+        reg_b[3 * k:3 * k + s] = cfg.omega_beta * cfg.beta_prior
+    m_cross = np.zeros((len(m), 3, 3))
+    m_cross[:, [2, 0, 1], [1, 2, 0]] = m
+    m_cross[:, [1, 2, 0], [2, 0, 1]] = -m
+    return solver._DltConstants(np.concatenate(anchor), m, m_cross, np.concatenate(const), reg,
+                                reg_b, weights, sum(float(w.sum()) for w in weights))
+
+
+def _parent_assemble_system(model, world, beta_lin, table, rows):
+    """`assemble_system` adding the regularizers through `a.flat`."""
+    jmat, r = solver._dlt_rows(model, world, beta_lin, table, rows)
+    a = jmat.T @ jmat
+    a.flat[::len(a) + 1] += rows.reg
+    return a, jmat.T @ r + rows.reg_b
+
+
+def _parent_residual_report(table, beta, t, observations, rows):
+    """`_residual_report` through `np.linalg.norm`, translating per view and
+    concatenating even one view's residuals."""
+    pts = (np.concatenate([[1.0], beta])[None] @ table.reshape(len(table), -1)).reshape(-1, 3)
+    per = [np.linalg.norm(solver.project(obs.intrinsics, obs.extrinsics_r, obs.extrinsics_t,
+                                         pts + t) - obs.anchors_2d, axis=1)
+           for obs in observations]
+    sq = sum(float((w * err ** 2).sum()) for w, err in zip(rows.weights, per))
+    return np.sqrt(sq / max(rows.weight_sum, 1e-30)), np.concatenate(per)
+
+
+def _assert_bitwise_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def _two_masked_views(model, rng):
+    pose, beta, t = _random_scene(model, rng)
+    views = [_exact_obs(model, pose, beta, t),
+             _exact_obs(model, pose, beta, t,
+                        extr_r=axis_angle_exp(rng.normal(scale=0.3, size=3)).matrix(),
+                        extr_t=rng.normal(scale=0.1, size=3))]
+    n = len(model.anchor_indices)
+    for v in views:
+        v.anchors_2d += rng.normal(scale=2.0, size=(n, 2))
+        v.laplace_scale = rng.uniform(0.5, 3.0, n)
+    views[0].aux_weight[::5] = 0.0
+    views[1].aux_weight[rng.choice(n, n // 3, replace=False)] = 0.0
+    return pose, beta, t, views
+
+
+@pytest.mark.parametrize("n_views", [1, 2])
+def test_kept_rows_and_trimmed_kernels_equal_the_parent_ones(toy_model, rng, n_views):
+    pose, beta, t, views = _two_masked_views(toy_model, rng)
+    views = views[:n_views]
+    cfg = solver.SolveConfig(omega_beta=1e-3, gamma=1e-4,
+                             beta_prior=rng.normal(size=toy_model.n_shape))
+    rows = solver._dlt_constants(toy_model, views, cfg)
+    for _ in range(2):                              # built, then kept
+        again = solver._dlt_constants(toy_model, views, cfg)
+        want = _parent_dlt_constants(toy_model, views, cfg)
+        for name in ("anchor", "m", "m_cross", "const", "reg", "reg_b", "weight_sum"):
+            _assert_bitwise_equal(getattr(again, name), getattr(want, name))
+        for g, w in zip(again.weights, want.weights):
+            _assert_bitwise_equal(g, w)
+    assert again.m is rows.m if n_views == 1 else again.m is not rows.m
+    for _ in range(3):
+        world = solver._world_rotations(toy_model, exp_matrices(
+            rng.normal(scale=0.2, size=(toy_model.n_joints, 3))) @ as_matrices(pose))
+        beta_lin = beta + rng.normal(scale=0.1, size=beta.shape)
+        table = body.pose_anchors(toy_model, world, np.eye(toy_model.n_shape + 1))
+        for g, w in zip(solver.assemble_system(toy_model, world, beta_lin, table, rows),
+                        _parent_assemble_system(toy_model, world, beta_lin, table, rows)):
+            _assert_bitwise_equal(g, w)
+        t_est = t + rng.normal(scale=0.05, size=3)
+        for g, w in zip(solver._residual_report(table, beta_lin, t_est, views, rows),
+                        _parent_residual_report(table, beta_lin, t_est, views, rows)):
+            _assert_bitwise_equal(g, w)
+
+
+def _outcome(model, pose, views, cfg):
+    try:
+        return solver.solve(model, pose, views, cfg)
+    except (ValueError, solver.SolverFailure) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    for f in dataclasses.fields(want):
+        _assert_bitwise_equal(getattr(got, f.name), getattr(want, f.name))
+
+
+@pytest.mark.parametrize("edit", ["mask", "move", "scale", "intrinsics", "reassign"])
+def test_a_view_edited_between_solves_solves_as_a_fresh_one(toy_model, rng, edit):
+    """The kept rows of a view follow every change to its arrays: after an
+    in-place edit or a reassigned field, a solve equals that of a newly
+    built Observation holding the same arrays."""
+    init, obs, cfg = _perturbed_solve_inputs(toy_model, rng)
+    before = _outcome(toy_model, init, [obs], cfg)
+    n = len(toy_model.anchor_indices)
+    bad = rng.choice(n, n // 3, replace=False)
+    if edit == "mask":
+        obs.aux_weight[::5] = 0.0
+    elif edit == "move":
+        obs.anchors_2d[bad] += 500.0
+    elif edit == "scale":
+        obs.laplace_scale[bad] *= 4.0
+    elif edit == "intrinsics":
+        obs.intrinsics[0, 2] += 3.0
+    else:
+        obs.anchors_2d = obs.anchors_2d + rng.normal(scale=3.0, size=(n, 2))
+    fresh = solver.Observation(*(getattr(obs, f.name).copy() for f in dataclasses.fields(obs)))
+    got = _outcome(toy_model, init, [obs], cfg)
+    _assert_same_outcome(got, _outcome(toy_model, init, [fresh], cfg))
+    assert not isinstance(got, str)
+    assert not np.array_equal(got.per_anchor_residuals, before.per_anchor_residuals)
+
+
+def test_a_two_view_solve_after_a_one_view_solve_builds_only_the_second_view(
+        toy_model, rng, monkeypatch):
+    pose, _, _, views = _two_masked_views(toy_model, rng)
+    built, real = [], solver._view_rows
+    monkeypatch.setattr(solver, "_view_rows", lambda obs: built.append(obs) or real(obs))
+    cfg = solver.SolveConfig(gamma=1e-4, max_relinearizations=1)
+    solver.solve(toy_model, pose, views[:1], cfg)
+    solver.solve(toy_model, pose, views, cfg)
+    solver.solve_multi_view(toy_model, [pose, pose], views, cfg)
+    assert [id(o) for o in built] == [id(v) for v in views]
+
+
+def test_kept_rows_are_read_only(toy_model, rng):
+    _, obs, cfg = _perturbed_solve_inputs(toy_model, rng)
+    view = obs.view_rows()
+    assert obs.view_rows() is view
+    rows = solver._dlt_constants(toy_model, [obs], cfg)
+    for name in ("anchor", "m", "m_cross", "const", "weights"):
+        kept = getattr(view, name)
+        assert not kept.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 1
+    assert rows.m is view.m and rows.weights[0] is view.weights
+
+
 def test_chol_solve_jitters_a_singular_system_and_names_a_non_spd_one():
     a = np.diag([4.0, 0.0])
     np.testing.assert_allclose(solver._chol_solve(a, np.array([2.0, 0.0])), [0.5, 0.0])
