@@ -25,7 +25,7 @@ from . import body, checkpoint, metrics, selftest as selftest_mod, synth, traini
 from .checks import check_fields
 from .distributions import uniform_sample
 from .flow import FlowConfig, NonConvergenceError
-from .rotation import Rotation, matrix_to_quat_batch
+from .rotation import Rotation, matrix_to_quats
 from .solver import SolveConfig, SolverFailure, solve, solve_multi_view
 
 FORMAT_VERSIONS = {"model": 1, "checkpoint": checkpoint.FORMAT_VERSION}
@@ -216,11 +216,11 @@ def cmd_sample(args):
     else:
         raise ValidationError("sample config needs either context or dataset")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    samples = flow.flow_sample(ctx, cfg.get("n", 10), rng, include_mode=True)
-    doc = {"samples": [{"is_mode": i == 0,
-                        "joint_rotations": [r.to_json() for r in s.joint_rotations],
-                        "shape": np.asarray(s.shape).tolist(),
-                        "log_prob": s.log_prob} for i, s in enumerate(samples)]}
+    draws = flow.flow_sample(ctx, cfg.get("n", 10), rng, include_mode=True)
+    quats = matrix_to_quats(draws.rotations.reshape(-1, 3, 3)).reshape(len(draws), -1, 4)
+    doc = {"samples": [{"is_mode": i == 0, "joint_rotations": q, "shape": s, "log_prob": lp}
+                       for i, (q, s, lp) in enumerate(zip(quats.tolist(), draws.shapes.tolist(),
+                                                          draws.log_probs.tolist()))]}
     path = _write_json(os.path.join(_outdir(args), "samples.json"), doc)
     print(f"wrote {path}")
     return 0
@@ -238,7 +238,7 @@ def cmd_solve(args):
         res = solve_multi_view(m, [[Rotation(q) for q in view] for view in pose], obs, scfg)
     else:
         res = solve(m, [Rotation(q) for q in pose], obs, scfg)
-    doc = {"pose": [r.to_json() for r in matrix_to_quat_batch(res.pose)],
+    doc = {"pose": matrix_to_quats(res.pose).tolist(),
            "delta_vectors": res.delta_vectors.tolist(),
            "beta": res.beta.tolist(),
            "translation": res.translation.tolist(),

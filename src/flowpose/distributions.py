@@ -37,14 +37,18 @@ class ProjectedIsoGaussian:
             raise ValueError("kappa must be positive")
 
 
-def pig_sample_batch(d: ProjectedIsoGaussian, n: int, rng: np.random.Generator):
-    """(n, 4) canonical quaternions drawn from d: each a normalized
-    N(kappa * q_mode, I_4) draw, folded to w >= 0."""
-    v = rng.normal(size=(n, 4)) + d.kappa * d.mode.q
+def _unit_hemisphere(v):
+    """The rows of v (n, 4) normalized in place and folded to w >= 0."""
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     flip = v[:, 0] < 0
     v[flip] = -v[flip]
     return v
+
+
+def pig_sample_batch(d: ProjectedIsoGaussian, n: int, rng: np.random.Generator):
+    """(n, 4) canonical quaternions drawn from d: each a normalized
+    N(kappa * q_mode, I_4) draw, folded to w >= 0."""
+    return _unit_hemisphere(rng.normal(size=(n, 4)) + d.kappa * d.mode.q)
 
 
 def _projected_density_s3(t, kappa):
@@ -87,15 +91,11 @@ def _igso3_terms(eps, tail=1e-12, lmax=2000):
     return ls[:top], w[:top]
 
 
-def igso3_logpdf(r_or_angle, eps: float) -> float:
+def igso3_logpdf(theta: float, eps: float) -> float:
     """Heat-kernel (true isotropic Gaussian) log-density on SO(3), normalized
     Haar convention, by truncated character series over the rotation angle."""
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if isinstance(r_or_angle, Rotation):
-        theta = 2.0 * np.arccos(min(abs(float(r_or_angle.q[0])), 1.0))
-    else:
-        theta = float(r_or_angle)
     ls, w = _igso3_terms(eps)
     half = 0.5 * theta
     if abs(np.sin(half)) < 1e-8:
@@ -108,11 +108,7 @@ def igso3_logpdf(r_or_angle, eps: float) -> float:
 
 def uniform_quaternions(n: int, rng: np.random.Generator) -> np.ndarray:
     """(n, 4) Haar-uniform canonical quaternions."""
-    v = rng.normal(size=(n, 4))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    flip = v[:, 0] < 0
-    v[flip] = -v[flip]
-    return v
+    return _unit_hemisphere(rng.normal(size=(n, 4)))
 
 
 def uniform_sample(rng: np.random.Generator) -> Rotation:

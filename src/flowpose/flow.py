@@ -27,7 +27,7 @@ from .checks import check_fields
 from .distributions import (ProjectedIsoGaussian, pig_logpdf_batch, pig_logpdf_from_qdot,
                             pig_sample_batch)
 from .nets import ParamStore, mlp_apply, mlp_init
-from .rotation import (Rotation, as_matrices, cross3, matrix_to_quat, matrix_to_quat_batch,
+from .rotation import (Rotation, as_matrices, cross3, matrix_to_quat, matrix_to_quats,
                        quat_to_matrices)
 
 __all__ = ["FlowConfig", "FlowModel", "PoseSample", "PoseBatch", "NonConvergenceError"]
@@ -197,22 +197,16 @@ class PoseSample:
     shape: np.ndarray
     log_prob: float
 
-    def __eq__(self, other):
-        return (isinstance(other, PoseSample)
-                and self.joint_rotations == other.joint_rotations
-                and np.array_equal(self.shape, other.shape)
-                and self.log_prob == other.log_prob)
-
 
 @dataclass(frozen=True, eq=False)
 class PoseBatch(Sequence):
     """N flow draws for one context, as arrays: relative rotation matrices
     (N,K,3,3), shapes (N,S) and total log-densities (N,).
 
-    A read-only sequence: item i is draw i as a PoseSample.  On first
-    access every draw's matrices go through one `matrix_to_quats` call, and
-    each joint's Rotation is a row of that read-only buffer, so a write to
-    one draw's quaternion raises instead of altering the cached rotations.
+    A read-only sequence indexed by integers: item i is draw i as a PoseSample
+    of Rotations, built on first access from one `matrix_to_quats` call; each
+    Rotation is a row of that read-only buffer, so a write to one draw's
+    quaternion raises instead of altering the cached rotations.
     """
 
     rotations: np.ndarray
@@ -227,8 +221,6 @@ class PoseBatch(Sequence):
         return len(self.log_probs)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
         i = range(len(self))[i]
         k = self.rotations.shape[1]
         return PoseSample(self._joint_rotations[i * k:(i + 1) * k],
@@ -236,7 +228,9 @@ class PoseBatch(Sequence):
 
     @cached_property
     def _joint_rotations(self):
-        return matrix_to_quat_batch(self.rotations.reshape(-1, 3, 3))
+        q = matrix_to_quats(self.rotations.reshape(-1, 3, 3))
+        q.setflags(write=False)
+        return [Rotation._of_canonical(qi) for qi in q]
 
 
 _EYE9 = np.eye(3).ravel()
@@ -362,19 +356,20 @@ class FlowModel:
         return u1, u2, logdet
 
     # ---- public spec operations --------------------------------------------
-    def coupling_block(self, r: Rotation, context):
-        """(r_out, logdet) of joint 0 through coupling set 0, one sample, numpy path."""
+    def _joint0_args(self, r: Rotation, context):
+        """Arguments (params, set 0, u1, u2, context row) of a coupling map for r as joint 0."""
         pv = self.param_values()
         m = r.matrix()
-        row = joint_context_rows(self, pv, np.asarray(context, float)[None])[:1]
-        u1, u2, ld = self._coupling_forward(pv, 0, m[:, 0][None, :], m[:, 1][None, :], row)
+        row = joint_context_rows(self, pv, self._context(context)[None])[:1]
+        return pv, 0, m[:, 0][None, :], m[:, 1][None, :], row
+
+    def coupling_block(self, r: Rotation, context):
+        """(r_out, logdet) of joint 0 through coupling set 0, one sample, numpy path."""
+        u1, u2, ld = self._coupling_forward(*self._joint0_args(r, context))
         return matrix_to_quat(_frame_matrices(u1[0], u2[0])), float(ld[0])
 
     def coupling_block_inverse(self, r: Rotation, context):
-        pv = self.param_values()
-        m = r.matrix()
-        row = joint_context_rows(self, pv, np.asarray(context, float)[None])[:1]
-        u1, u2, _ = self._coupling_inverse(pv, 0, m[:, 0][None, :], m[:, 1][None, :], row)
+        u1, u2, _ = self._coupling_inverse(*self._joint0_args(r, context))
         return matrix_to_quat(_frame_matrices(u1[0], u2[0]))
 
     def log_prob_rows(self, p, u1, u2, ctx_rows, qs=None):

@@ -110,11 +110,13 @@ def evaluate(flow, encode, model: BodyModelDef, dataset, n_samples=100,
     either way).
     A draw whose refinement raises SolverFailure is scored unrefined, as
     without the solver, and counted in summary["solver_failures"].
-    Raises ValueError unless n_samples is an integer of at least 0 and
-    views one of at least 1 that every scene has.
+    Raises ValueError unless n_samples is an integer of at least 0, views
+    one of at least 1 that every scene has, and the dataset is not empty.
     """
     check_fields({"n_samples": n_samples}, int)
     check_fields({"views": views}, int, least=1)
+    if not len(dataset):
+        raise ValueError("dataset must hold at least one scene")
     if not all(views <= len(rec.views) for rec in dataset):
         raise ValueError(f"views must be between 1 and each scene's view count, got {views}")
     rng = np.random.default_rng(rng_seed)
@@ -162,6 +164,8 @@ def multi_view_trend(model, dataset, init_sigma_deg=8.0, seed=0):
     check_fields({"init_sigma_deg": init_sigma_deg}, float)
     if init_sigma_deg > 180:
         raise ValueError(f"init_sigma_deg must be at most 180, got {init_sigma_deg!r}")
+    if not len(dataset):
+        raise ValueError("dataset must hold at least one scene")
     rng = np.random.default_rng(seed)
     out = {"abs_1v": [], "abs_2v": [], "rel_1v": [], "rel_2v": []}
     sig = np.deg2rad(init_sigma_deg)

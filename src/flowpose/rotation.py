@@ -13,9 +13,8 @@ import numpy as np
 __all__ = [
     "Rotation", "InvalidRotationError", "NearCutLocusError", "DegenerateProjectionError",
     "DegenerateMeanError", "quat_to_matrices", "quat_multiply", "matrix_to_quat",
-    "matrix_to_quat_batch", "matrix_to_quats", "axis_angle_exp", "exp_matrices", "axis_angle_log",
-    "geodesic_distance", "special_orthogonalize", "special_orthogonalize_matrices",
-    "rotation_mean", "as_matrices", "cross3",
+    "matrix_to_quats", "axis_angle_exp", "exp_matrices", "axis_angle_log", "geodesic_distance",
+    "special_orthogonalize_matrices", "rotation_mean", "as_matrices", "cross3",
 ]
 
 
@@ -153,10 +152,13 @@ def as_matrices(rotations) -> np.ndarray:
 
 
 def matrix_to_quat(m) -> Rotation:
+    """The Rotation of one 3x3 matrix: row 0 of a read-only `matrix_to_quats` buffer."""
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (3, 3):
         raise InvalidRotationError("expected a 3x3 matrix")
-    return matrix_to_quat_batch(m[None])[0]
+    q = matrix_to_quats(m[None])
+    q.setflags(write=False)
+    return Rotation._of_canonical(q[0])
 
 
 def matrix_to_quats(m) -> np.ndarray:
@@ -192,14 +194,6 @@ def matrix_to_quats(m) -> np.ndarray:
     q = table[rows, branch] / s[:, None]
     q[rows, branch] = 0.25 * s
     return _canonical_quats(q)
-
-
-def matrix_to_quat_batch(m) -> list:
-    """The Rotations of a stack of matrices (N,3,3), rows of one read-only
-    `matrix_to_quats` buffer."""
-    q = matrix_to_quats(m)
-    q.setflags(write=False)
-    return [Rotation._of_canonical(qi) for qi in q]
 
 
 def _exp_quats(v) -> np.ndarray:
@@ -264,23 +258,20 @@ def special_orthogonalize_matrices(m) -> np.ndarray:
     return u @ vt
 
 
-def special_orthogonalize(m) -> Rotation:
-    """Nearest rotation in Frobenius norm to one 3x3 matrix."""
-    return matrix_to_quat(special_orthogonalize_matrices(m))
-
-
-def rotation_mean(rotations, weights=None) -> Rotation:
-    """Chordal L2 mean of K Rotations or matrices (K,3,3): project the
-    weighted sum of matrices onto SO(3)."""
+def rotation_mean(rotations, weights=None) -> np.ndarray:
+    """Chordal L2 mean (Hartley et al. 2013) of V Rotations or matrices (V,...,3,3):
+    the (weighted) sum over V projected onto SO(3), as matrices (...,3,3)."""
     mats = as_matrices(rotations)
     if len(mats) == 0:
         raise ValueError("rotation_mean needs at least one rotation")
     if weights is None:
-        weights = np.ones(len(mats))
-    weights = np.asarray(weights, dtype=np.float64)
-    if np.any(weights < 0) or weights.sum() <= 0:
-        raise ValueError("weights must be nonnegative with positive sum")
+        total = mats.sum(axis=0)
+    else:
+        weights = np.asarray(weights, dtype=np.float64)
+        if np.any(weights < 0) or weights.sum() <= 0:
+            raise ValueError("weights must be nonnegative with positive sum")
+        total = np.tensordot(weights, mats, 1)
     try:
-        return special_orthogonalize(np.tensordot(weights, mats, 1))
+        return special_orthogonalize_matrices(total)
     except DegenerateProjectionError as e:
-        raise DegenerateMeanError("weighted rotation sum is rank deficient") from e
+        raise DegenerateMeanError("summed rotations are rank deficient") from e

@@ -13,17 +13,13 @@ from . import autodiff as ag
 from . import body, distributions as dist, flow as fl, metrics, nets, solver, synth
 from .rotation import (Rotation, as_matrices, axis_angle_exp, axis_angle_log,
                        geodesic_distance, matrix_to_quat, rotation_mean,
-                       special_orthogonalize)
-
-
-def _random_rotation(rng):
-    return dist.uniform_sample(rng)
+                       special_orthogonalize_matrices)
 
 
 def _suite_rotations(rng):
     checks = []
     for i in range(50):
-        r = _random_rotation(rng)
+        r = dist.uniform_sample(rng)
         # arccos near 1 only resolves ~sqrt(eps) angles
         checks.append(("matrix_roundtrip",
                        geodesic_distance(r, matrix_to_quat(r.matrix())) < 1e-6))
@@ -31,15 +27,13 @@ def _suite_rotations(rng):
         v = rng.normal(scale=0.8, size=3)
         checks.append(("exp_log_roundtrip",
                        np.linalg.norm(axis_angle_log(axis_angle_exp(v)) - v) < 1e-9))
-    a, b = _random_rotation(rng), _random_rotation(rng)
+    a, b = dist.uniform_sample(rng), dist.uniform_sample(rng)
     checks.append(("geodesic_symmetry",
                    abs(geodesic_distance(a, b) - geodesic_distance(b, a)) < 1e-12))
-    m = a.matrix() + 0.05 * rng.normal(size=(3, 3))
-    q = special_orthogonalize(m)
-    checks.append(("orthogonalize_is_rotation",
-                   np.abs(q.matrix() @ q.matrix().T - np.eye(3)).max() < 1e-10))
+    q = special_orthogonalize_matrices(a.matrix() + 0.05 * rng.normal(size=(3, 3)))
+    checks.append(("orthogonalize_is_rotation", np.abs(q @ q.T - np.eye(3)).max() < 1e-10))
     checks.append(("mean_of_duplicates",
-                   geodesic_distance(rotation_mean([a, a, a]), a) < 1e-6))
+                   geodesic_distance(matrix_to_quat(rotation_mean([a, a, a])), a) < 1e-6))
     return checks
 
 
@@ -92,8 +86,7 @@ def _suite_flow(rng):
                         k_transforms=8, n_sets=2, channels=16, blocks=1)
     model = fl.FlowModel(cfg, rng)
     ctx = rng.normal(size=4)
-    r = _random_rotation(rng)
-    r2 = _random_rotation(rng)
+    r, r2 = dist.uniform_sample(rng), dist.uniform_sample(rng)
     lp0 = model.flow_log_prob([r, r2], ctx)
     base = dist.pig_logpdf_batch(model.base, [r.q, r2.q]).sum()
     checks.append(("identity_init_equals_base", abs(lp0 - base) < 1e-9))
@@ -103,11 +96,10 @@ def _suite_flow(rng):
     out, ld = model.coupling_block(r, ctx)
     rec = model.coupling_block_inverse(out, ctx)
     checks.append(("coupling_roundtrip", geodesic_distance(rec, r) < 5e-4))
-    samples = model.flow_sample(ctx, 4, rng)
-    for i, s in enumerate(samples):
-        lp = model.flow_log_prob(s.joint_rotations, ctx)
+    draws = model.flow_sample(ctx, 4, rng)
+    for i, (mats, lp) in enumerate(zip(draws.rotations, draws.log_probs)):
         checks.append((f"sample_logprob_consistent_{i}",
-                       abs(lp - s.log_prob) < 1e-6))
+                       abs(model.flow_log_prob(mats, ctx) - lp) < 1e-6))
     return checks
 
 
@@ -118,7 +110,7 @@ def _suite_body(rng):
                         np.zeros(m.n_shape), np.zeros(3))
     v, j = body.forward_kinematics(m, st)
     checks.append(("fk_identity", np.abs(v - m.template).max() < 1e-12))
-    g = _random_rotation(rng)
+    g = dist.uniform_sample(rng)
     st_rot = body.BodyState([g] + [Rotation.identity()] * (m.n_joints - 1),
                             np.zeros(m.n_shape), np.zeros(3))
     v2, _ = body.forward_kinematics(m, st_rot)
@@ -178,7 +170,7 @@ def _suite_harness(rng):
                for a, b in zip(d1, d2))
     checks.append(("dataset_determinism", same))
     pts = rng.normal(size=(8, 3))
-    g = _random_rotation(rng)
+    g = dist.uniform_sample(rng)
     moved = 2.0 * pts @ g.matrix().T + np.array([1.0, -2.0, 0.5])
     aligned = metrics.procrustes_align(pts, moved)
     checks.append(("procrustes_recovery", np.abs(aligned - moved).max() < 1e-9))

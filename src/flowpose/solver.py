@@ -31,8 +31,7 @@ import numpy as np
 from . import autodiff as ag
 from .body import _world_rotations, pose_anchors
 from .checks import check_fields
-from .rotation import (DegenerateMeanError, DegenerateProjectionError, as_matrices,
-                       exp_matrices, special_orthogonalize_matrices)
+from .rotation import as_matrices, exp_matrices, rotation_mean
 
 
 class UnderdeterminedError(ValueError):
@@ -372,7 +371,7 @@ def solve_multi_view(model, per_view_poses, views, cfg: SolveConfig) -> SolveRes
 
     Each pose's root rotation is in its view's camera frame: the transposed
     extrinsic rotation carries it into the world frame (non-root joints are
-    parent-relative), and the solve starts from the per-joint chordal mean.
+    parent-relative), and the solve starts from their `rotation_mean`.
     """
     if not views:
         raise ValueError("need at least one view")
@@ -383,11 +382,7 @@ def solve_multi_view(model, per_view_poses, views, cfg: SolveConfig) -> SolveRes
     mats[:, 0] = np.swapaxes(np.stack([v.extrinsics_r for v in views]), -1, -2) @ mats[:, 0]
     if len(views) == 1:
         return solve(model, mats[0], views, cfg)
-    try:
-        pose_init = special_orthogonalize_matrices(mats.sum(axis=0))
-    except DegenerateProjectionError as e:
-        raise DegenerateMeanError("summed rotations of a joint are rank deficient") from e
-    return solve(model, pose_init, views, cfg)
+    return solve(model, rotation_mean(mats), views, cfg)
 
 
 def laplacian_nll(pred, scale, gt):

@@ -218,6 +218,7 @@ def scene_from_json(d) -> SceneRecord:
 def gen_dataset(model, n_scenes, rig: RigSpec, noise: NoiseSpec, seed,
                 path=None):
     """Generate scenes with per-scene RNG streams spawned from the seed."""
+    check_fields({"n_scenes": n_scenes}, int, least=1)
     seeds = np.random.SeedSequence(seed).generate_state(n_scenes)
     records = [make_scene(model, rig, noise, int(s)) for s in seeds]
     if path is not None:

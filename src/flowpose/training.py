@@ -152,6 +152,8 @@ def train(model: BodyModelDef, dataset, cfg: TrainConfig):
     The log is a list of dicts (one per epoch) with every loss term;
     callers serialize it as CSV.
     """
+    if not len(dataset):
+        raise ValueError("dataset must hold at least one scene")
     rng = np.random.default_rng(cfg.seed)
     n_s = len(model.anchor_indices)
     feat_dim = context_feature_dim(n_s)
@@ -248,11 +250,11 @@ def make_encoder(extra: ParamStore, blocks):
 # fixed-context toy distribution fit
 
 CAPTURE_DEG = 20.0   # geodesic radius of a mode's capture region
+_IDENTITY = Rotation.identity()     # the noise mode, built once
 
 def sample_targets(targets, n, noise_kappa, rng):
-    """Rotations near the target modes: mode composed with pig noise."""
-    base = ProjectedIsoGaussian(Rotation.identity(), noise_kappa)
-    noise = pig_sample_batch(base, n, rng)
+    """Quaternions (n,4) near the target modes: mode composed with pig noise."""
+    noise = pig_sample_batch(ProjectedIsoGaussian(_IDENTITY, noise_kappa), n, rng)
     which = rng.integers(len(targets), size=n)
     modes = np.stack([t.q for t in targets])[which]
     return quat_multiply(modes, noise)

@@ -675,3 +675,28 @@ def test_generated_configs_exit_0_1_or_2(workspace, toy_checkpoint, command, dat
     cfg = _write(workspace / "fuzz.json", doc)
     assert _run([command, "--config", cfg, "--out", str(workspace / "fuzz" / command),
                  "--no-timestamp"]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("eval", {"checkpoint": "checkpoint.json", "n_samples": 2}),
+    ("eval", {"experiment": "multi_view"}),
+    ("train", {"train": {"phase1_epochs": 1, "phase2_epochs": 0}})])
+def test_an_empty_dataset_exits_1_naming_it(workspace, tmp_path, capsys, command, keys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    keys = {k: str(workspace / v) if k == "checkpoint" else v for k, v in keys.items()}
+    cfg = _write(tmp_path / "c.json", {"model": str(workspace / "model.json"),
+                                       "dataset": str(empty), **keys})
+    capsys.readouterr()
+    assert _run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: dataset must hold at least one scene\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n_scenes", [-1, 0])
+def test_gen_data_without_scenes_exits_1_naming_n_scenes(workspace, tmp_path, capsys, n_scenes):
+    cfg = _write(tmp_path / "g.json", {"model": str(workspace / "model.json"),
+                                       "n_scenes": n_scenes})
+    capsys.readouterr()
+    assert _run(["gen-data", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: n_scenes must be an integer at least 1")

@@ -89,11 +89,6 @@ def test_igso3_small_eps_concentrates():
     assert dist.igso3_logpdf(0.05, 0.05) > dist.igso3_logpdf(1.5, 0.05)
 
 
-def test_igso3_accepts_rotation():
-    r = axis_angle_exp([0.4, 0.0, 0.0])
-    assert abs(dist.igso3_logpdf(r, 0.5) - dist.igso3_logpdf(0.4, 0.5)) < 1e-12
-
-
 def test_diag_gaussian_matches_scipy(rng):
     # the shape head's training NLL is the exact diagonal-Gaussian density
     from scipy.stats import norm

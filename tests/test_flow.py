@@ -310,12 +310,17 @@ def test_pose_batch_items_are_pose_samples(rng):
     assert isinstance(batch, fl.PoseBatch)
     assert batch.rotations.shape == (7, 3, 3, 3)
     assert batch.shapes.shape == (7, 1) and batch.log_probs.shape == (7,)
-    expect = [fl.PoseSample([matrix_to_quat(m) for m in batch.rotations[i]],
-                            batch.shapes[i], float(batch.log_probs[i]))
-              for i in range(len(batch))]
+    expect = [([matrix_to_quat(m) for m in batch.rotations[i]], batch.shapes[i],
+               float(batch.log_probs[i])) for i in range(len(batch))]
+
+    def same(sample, want):
+        rots, shape, log_prob = want
+        return (isinstance(sample, fl.PoseSample) and sample.joint_rotations == rots
+                and np.array_equal(sample.shape, shape) and sample.log_prob == log_prob)
+
     assert len(batch) == 7
-    assert list(batch) == expect
-    assert batch[-1] == expect[-1] and batch[2:4] == expect[2:4]
+    assert len(list(batch)) == 7 and all(map(same, batch, expect))
+    assert same(batch[-1], expect[-1]) and all(same(batch[j], expect[j]) for j in (2, 3))
     with pytest.raises(IndexError):
         batch[7]
     with pytest.raises(ValueError):
@@ -350,7 +355,7 @@ def test_mode_sample_is_first_and_most_likely(rng):
     assert geodesic_distance(samples[0].joint_rotations[0],
                              mode.joint_rotations[0]) < 1e-12
     # the base mode maps to the highest-density region: beat most draws
-    others = np.array([s.log_prob for s in samples[1:]])
+    others = samples.log_probs[1:]
     assert samples[0].log_prob >= np.median(others)
 
 
@@ -541,3 +546,13 @@ def test_joint_context_rows_layout_and_grads(rng):
     assert ag.finite_diff_check(
         lambda: ag.reduce_sum(fl.joint_context_rows(model, p, ctx) * w),
         [ctx, p["embed"]]) < 1e-6
+
+
+@pytest.mark.parametrize("ctx", [[0.1, np.nan, 0.3], [0.1, 0.2], [0.1, 0.2, 0.3, 0.4]])
+def test_coupling_blocks_name_a_bad_context(ctx):
+    model = _perturbed_model(np.random.default_rng(0))
+    r = dist.uniform_sample(np.random.default_rng(1))
+    with pytest.raises(ValueError, match="^context must be 3 finite numbers"):
+        model.coupling_block(r, ctx)
+    with pytest.raises(ValueError, match="^context must be 3 finite numbers"):
+        model.coupling_block_inverse(r, ctx)

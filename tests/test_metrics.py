@@ -285,3 +285,11 @@ def test_evaluate_multi_view_hands_solver_the_world_pose(trained_model, monkeypa
     assert len(inits) == len(draws)
     for got, want in zip(inits, draws):
         np.testing.assert_array_equal(got, want)
+
+
+def test_evaluate_and_multi_view_trend_reject_an_empty_dataset(trained_model):
+    model, _, flow, encode = trained_model
+    with pytest.raises(ValueError, match="^dataset must hold at least one scene$"):
+        metrics.evaluate(flow, encode, model, [], n_samples=2)
+    with pytest.raises(ValueError, match="^dataset must hold at least one scene$"):
+        metrics.multi_view_trend(model, [])

@@ -7,7 +7,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-SOURCES = sorted([*(ROOT / "src" / "flowpose").glob("*.py"), *(ROOT / "flowbench").rglob("*.py")])
+SOURCES = sorted([*(ROOT / "src" / "flowpose").glob("*.py"), *(ROOT / "flowbench").rglob("*.py"),
+                  *(ROOT / "tools").glob("*.py")])
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))

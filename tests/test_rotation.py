@@ -12,9 +12,8 @@ from flowpose.rotation import _exp_quats
 from flowpose.rotation import (DegenerateMeanError, DegenerateProjectionError,
                                InvalidRotationError, Rotation, as_matrices, axis_angle_exp,
                                axis_angle_log, cross3, exp_matrices, geodesic_distance,
-                               matrix_to_quat, matrix_to_quat_batch, matrix_to_quats, quat_multiply,
-                               quat_to_matrices, rotation_mean,
-                               special_orthogonalize, special_orthogonalize_matrices)
+                               matrix_to_quat, matrix_to_quats, quat_multiply, quat_to_matrices,
+                               rotation_mean, special_orthogonalize_matrices)
 
 unit_vec3 = st.lists(st.floats(-1, 1), min_size=3, max_size=3).filter(
     lambda v: 0.1 < np.linalg.norm(v) < 3.0)
@@ -130,10 +129,10 @@ def test_matrix_to_quat_batch_bitwise(rng):
     branch = np.where(tr > 0, 0, np.where((d[:, 0] > d[:, 1]) & (d[:, 0] > d[:, 2]), 1,
                                           np.where(d[:, 1] > d[:, 2], 2, 3)))
     assert set(branch[:4]) == {0, 1, 2, 3}
-    got = matrix_to_quat_batch(mats)
+    got = matrix_to_quats(mats)
     assert len(got) == len(mats)
-    for r, m in zip(got, mats):
-        assert np.array_equal(r.q, matrix_to_quat(m).q)
+    for q, m in zip(got, mats):
+        assert np.array_equal(q, matrix_to_quat(m).q)
 
 
 def _shepperd_reference(m):
@@ -168,8 +167,8 @@ def test_matrix_to_quat_batch_matches_shepperd_reference(rng):
     vs = np.concatenate([3.0 * axes / np.linalg.norm(axes, axis=1, keepdims=True),
                          rng.normal(size=(200, 3))])
     mats = np.stack([axis_angle_exp(v).matrix() for v in vs])
-    for r, m in zip(matrix_to_quat_batch(mats), mats):
-        assert r == _shepperd_reference(m)
+    for q, m in zip(matrix_to_quats(mats), mats):
+        assert np.array_equal(q, _shepperd_reference(m).q)
 
 
 def test_matrix_to_quat_batch_rejects_non_rotations(rng):
@@ -177,13 +176,13 @@ def test_matrix_to_quat_batch_rejects_non_rotations(rng):
     skewed = good.copy()
     skewed[1, 0, 0] += 1e-3
     with pytest.raises(InvalidRotationError):
-        matrix_to_quat_batch(skewed)
+        matrix_to_quats(skewed)
     reflected = good.copy()
     reflected[2] = -reflected[2]
     with pytest.raises(InvalidRotationError):
-        matrix_to_quat_batch(reflected)
+        matrix_to_quats(reflected)
     with pytest.raises(InvalidRotationError):
-        matrix_to_quat_batch(good[0])
+        matrix_to_quats(good[0])
 
 
 def test_quat_to_matrices_bitwise(rng):
@@ -260,12 +259,11 @@ def test_svd3_reconstruction(rng):
 def test_special_orthogonalize_projects(rng):
     r = axis_angle_exp(rng.normal(scale=0.5, size=3))
     noisy = r.matrix() + 0.05 * rng.normal(size=(3, 3))
-    q = special_orthogonalize(noisy)
-    m = q.matrix()
+    m = special_orthogonalize_matrices(noisy)
     np.testing.assert_allclose(m @ m.T, np.eye(3), atol=1e-12)
     assert np.linalg.det(m) > 0
     # projection of a clean rotation is that rotation
-    assert geodesic_distance(special_orthogonalize(r.matrix()), r) < 1e-7
+    assert geodesic_distance(matrix_to_quat(special_orthogonalize_matrices(r.matrix())), r) < 1e-7
 
 
 def test_special_orthogonalize_matrices_matches_svd3_projection(rng):
@@ -298,13 +296,29 @@ def test_rotation_mean_chordal(rng):
     base = axis_angle_exp(rng.normal(scale=0.5, size=3))
     rots = [base.compose(axis_angle_exp(rng.normal(scale=0.05, size=3)))
             for _ in range(40)]
-    m = rotation_mean(rots)
+    m = matrix_to_quat(rotation_mean(rots))
     assert geodesic_distance(m, base) < 0.05
     # scipy's quaternion mean is the same chordal L2 optimum
     qs = np.array([[r.q[1], r.q[2], r.q[3], r.q[0]] for r in rots])
     sp = ScipyRot.from_quat(qs).mean()
     w_last = sp.as_quat()
     assert geodesic_distance(m, Rotation([w_last[3], *w_last[:3]])) < 1e-8
+
+
+def test_rotation_mean_of_pose_stacks_is_per_joint(rng):
+    # V poses of K joints (V,K,3,3) average joint by joint, unweighted as the
+    # plain sum over V, weighted through one tensordot
+    mats = np.stack([[axis_angle_exp(0.3 * rng.normal(size=3)).matrix() for _ in range(5)]
+                     for _ in range(3)])
+    mean = rotation_mean(mats)
+    assert mean.shape == (5, 3, 3)
+    np.testing.assert_array_equal(mean, special_orthogonalize_matrices(mats.sum(axis=0)))
+    for j in range(5):
+        np.testing.assert_allclose(mean[j], rotation_mean(list(map(matrix_to_quat, mats[:, j]))),
+                                   rtol=0, atol=1e-12)
+    w = np.array([0.2, 0.5, 0.3])
+    np.testing.assert_array_equal(rotation_mean(mats, w),
+                                  special_orthogonalize_matrices(np.tensordot(w, mats, 1)))
 
 
 def test_rotation_mean_degenerate():
@@ -411,7 +425,7 @@ def test_matrix_to_quats_matches_per_object_canonicalization(rng, n):
     assert got.shape == (n, 4)
     want = np.array([_canonical_reference(_shepperd_quat(m)) for m in mats]).reshape(n, 4)
     _assert_bitwise(got, want)
-    _assert_bitwise(np.array([r.q for r in matrix_to_quat_batch(mats)]).reshape(n, 4), got)
+    _assert_bitwise(np.array([matrix_to_quat(m).q for m in mats]).reshape(n, 4), got)
 
 
 def test_canonicalization_matches_the_per_object_form(rng):
@@ -435,8 +449,7 @@ def test_rotation_quaternions_are_read_only(rng):
     want = r.q.copy()
     src[0] = 5.0                    # the input is copied, not aliased
     np.testing.assert_array_equal(r.q, want)
-    batch = matrix_to_quat_batch(np.stack([axis_angle_exp(v).matrix()
-                                           for v in rng.normal(size=(3, 3))]))
+    batch = [matrix_to_quat(axis_angle_exp(v).matrix()) for v in rng.normal(size=(3, 3))]
     before = batch[1].q.copy()
     with pytest.raises(ValueError):
         batch[0].q[:] = 0.0

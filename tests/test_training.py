@@ -182,6 +182,11 @@ def test_phase2_step_runs_each_rotation_layer_once(small_run, monkeypatch):
     assert per_step == [run_cfg.flow_sets] * (2 * steps_per_epoch)
 
 
+def test_train_rejects_an_empty_dataset(toy_model):
+    with pytest.raises(ValueError, match="^dataset must hold at least one scene$"):
+        training.train(toy_model, [], training.TrainConfig(phase1_epochs=1, phase2_epochs=0))
+
+
 def test_checkpoint_roundtrip(small_run, tmp_path):
     model, dataset, cfg, flow, extra, _ = small_run
     p = tmp_path / "ck.json"
@@ -215,7 +220,8 @@ def test_checkpoint_with_a_global_rotation_head_loads_and_samples(small_run, tmp
     ctx = np.zeros(cfg.context_dim)
     a = flow.flow_sample(ctx, 3, np.random.default_rng(0), include_mode=True)
     b = flow2.flow_sample(ctx, 3, np.random.default_rng(0), include_mode=True)
-    assert list(a) == list(b)
+    for x, y in ((a.rotations, b.rotations), (a.shapes, b.shapes), (a.log_probs, b.log_probs)):
+        np.testing.assert_array_equal(x, y)
 
 
 def test_checkpoint_idempotent_without_timestamp(small_run, tmp_path):
