@@ -3,10 +3,10 @@ conditioner-driven rotation layers.
 
 Direction convention: the analytic Möbius maps run pose -> base, which is the
 direction log-probabilities (and therefore training gradients) need. Sampling
-runs base -> pose by numerically inverting each coupling with Newton steps
-safeguarded by bisection; no gradient flows through the inverse. The Newton
-slope at each root is the coupling's forward Jacobian factor, so `flow_sample`
-scores its draws in the same pass and returns them as one `PoseBatch` of arrays.
+inverts each coupling from the weighted mean of its components' closed-form
+roots (the root when they coincide) by Newton steps safeguarded by bisection,
+with no gradient. Each root's Newton slope is the coupling's forward Jacobian
+factor, so `flow_sample` scores its draws in the same pass, as one `PoseBatch`.
 
 A pass over N pose rows takes the P rows `joint_context_rows` built (P divides
 N), and pose row r reads context row r mod P: the couplings see the rows
@@ -112,10 +112,13 @@ def _mobius_inv_batch(moved, held, ox, oy, oz, w):
     Row by row it solves h(M) = M + sum_j w_j 2 arg(1 + c_j e^{-iM}) = 0
     for the angle M that turns moved back into moving.  h rises from
     h(-pi) < 0 to h(pi) > 0 with slope dh/dM = sum_j w_j d_j > 0, the d_j of
-    the forward log-determinant, so the root is unique and bracketed.  Each
-    iteration takes the Newton step where it lands inside the bracket and
-    is shorter than half the row's previous step, and bisects otherwise
-    (after rtsafe, Numerical Recipes §9.4).  A row stops once |h| < INVERSE_EPS.
+    the forward log-determinant, so the root is unique and bracketed.  One
+    component's term, 2 arg(e^{iM} + c_j) - M, vanishes where e^{iM} =
+    (1 - c_j) / (1 - conj c_j), so the iteration starts at the weighted mean
+    sum_j w_j 2 arg(1 - c_j): the root itself when the components coincide.
+    For distinct ones each iteration takes the Newton step where it lands
+    inside the bracket and is shorter than half the row's previous step,
+    and bisects otherwise (rtsafe, Numerical Recipes §9.4) until |h| < INVERSE_EPS.
 
     Returns (moving, per-row iteration counts, log slope at each root): the
     last is the forward log-determinant of the step at the returned point."""
@@ -127,7 +130,8 @@ def _mobius_inv_batch(moved, held, ox, oy, oz, w):
     n = moved.shape[0]
     iters, root, root_slope = np.zeros(n, dtype=int), np.zeros(n), np.ones(n)
     # the working arrays hold only the rows still iterating
-    rows, x, last = np.arange(n), np.zeros(n), np.full(n, 2.0 * np.pi)
+    x = (w * 2.0 * np.arctan2(-c0im, 1.0 - c0re)).sum(axis=1)
+    rows, last = np.arange(n), np.full(n, 2.0 * np.pi)
     lo, hi = np.full(n, -np.pi), np.full(n, np.pi)
     for it in range(1, INVERSE_MAX_ITER + 1):
         cm, sm = np.cos(x)[:, None], np.sin(x)[:, None]
@@ -137,13 +141,14 @@ def _mobius_inv_batch(moved, held, ox, oy, oz, w):
         h = (w * 2.0 * np.arctan2(cim, one_re)).sum(axis=1) + x
         slope = (w * (1.0 - (cre * cre + cim * cim)) / (one_re * one_re + cim * cim)).sum(axis=1)
         conv = np.abs(h) < INVERSE_EPS
+        if conv.all():
+            iters[rows], root[rows], root_slope[rows] = it, x, slope
+            break
         if conv.any():
             hit, go = rows[conv], ~conv
             iters[hit], root[hit], root_slope[hit] = it, x[conv], slope[conv]
             rows, x, h, slope, lo, hi, last, c0re, c0im, w = (
                 v[go] for v in (rows, x, h, slope, lo, hi, last, c0re, c0im, w))
-        if not rows.size:
-            break
         neg = h < 0
         lo = np.where(neg, x, lo)
         hi = np.where(neg, hi, x)
@@ -153,8 +158,10 @@ def _mobius_inv_batch(moved, held, ox, oy, oz, w):
         nxt = np.where(take, newton, 0.5 * (lo + hi))
         last = np.abs(nxt - x)
         x = nxt
-    if rows.size:
-        raise NonConvergenceError("Möbius inverse failed to reach tolerance")
+    else:
+        bad = (~np.isfinite(c0re + c0im + w)).any(axis=1).sum()
+        raise NonConvergenceError(f"Möbius inverse: {rows.size} of {n} rows missed tolerance, "
+                                  f"{bad} of them with a non-finite coefficient or weight")
     moving = moved * np.cos(root)[:, None] + u3 * np.sin(root)[:, None]
     return moving, iters, np.log(root_slope)
 
@@ -221,6 +228,8 @@ class PoseBatch(Sequence):
         return len(self.log_probs)
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            raise TypeError("PoseBatch takes integer indices; slice rotations, shapes or log_probs")
         i = range(len(self))[i]
         k = self.rotations.shape[1]
         return PoseSample(self._joint_rotations[i * k:(i + 1) * k],
