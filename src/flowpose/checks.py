@@ -1,5 +1,6 @@
-"""Type and range checks on config fields and on sized arguments, naming the field."""
+"""Checks that name the field or argument: types and ranges of fields, shapes of finite arrays."""
 
+import reprlib
 import sys
 
 import numpy as np
@@ -19,3 +20,21 @@ def check_fields(values, kind, names=None, least=0, above=False):
                 or (v <= least if above else v < least)):
             raise ValueError(f"{name} must be {'an integer' if kind is int else 'a finite number'}"
                              f" {'above' if above else 'at least'} {least}, got {v!r}")
+
+
+def check_array(name, value, *shapes):
+    """``value`` as a float array (a float64 array itself), or ValueError naming
+    ``name`` unless it is finite and of one of ``shapes``, tuples in which None
+    matches any length."""
+    try:
+        a = np.asarray(value, float)
+    except (TypeError, ValueError):
+        a = None
+    # exact shapes first: the per-solve checks take this path
+    if a is None or a.shape not in shapes and not any(
+            a.ndim == len(s) and all(n in (None, m) for n, m in zip(s, a.shape)) for s in shapes):
+        raise ValueError(f"{name} must be numbers of shape {' or '.join(map(str, shapes))}, "
+                         f"got {reprlib.repr(value)}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite, got {reprlib.repr(value)}")
+    return a

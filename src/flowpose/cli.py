@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from . import autodiff as ag
 from . import body, checkpoint, metrics, selftest as selftest_mod, synth, training
-from .checks import check_fields
+from .checks import check_array, check_fields
 from .distributions import uniform_sample
 from .flow import FlowConfig, NonConvergenceError
 from .rotation import Rotation, matrix_to_quats
@@ -108,21 +108,6 @@ def _given(cfg, *keys):
     return {k: cfg[k] for k in keys if k in cfg}
 
 
-def _floats(key, value, *shapes):
-    """value as a finite float array of one of shapes, None matching any length."""
-    try:
-        a = np.asarray(value, float)
-    except (TypeError, ValueError):
-        a = np.empty(())
-    if not any(a.ndim == len(s) and all(n in (None, m) for n, m in zip(s, a.shape))
-               for s in shapes):
-        raise ValidationError(f"{key} must be numbers of shape "
-                              f"{' or '.join(str(s) for s in shapes)}, got {reprlib.repr(value)}")
-    if not np.isfinite(a).all():
-        raise ValidationError(f"{key} must be finite, got {reprlib.repr(value)}")
-    return a
-
-
 def _outdir(args):
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
@@ -205,7 +190,7 @@ def cmd_sample(args):
         raise ValidationError("sample config needs a checkpoint path")
     flow, extra, tcfg = checkpoint.load_checkpoint(cfg["checkpoint"])
     if "context" in cfg:
-        ctx = _floats("context", cfg["context"], (flow.cfg.context_dim,))
+        ctx = check_array("context", cfg["context"], (flow.cfg.context_dim,))
     elif "dataset" in cfg:
         dataset = synth.load_dataset(cfg["dataset"])
         scene = cfg.get("scene", 0)
@@ -233,7 +218,7 @@ def cmd_solve(args):
         raise ValidationError("solve config needs pose_init and observations")
     obs = [synth.observation_from_json(o) for o in cfg["observations"]]
     scfg = cfg.get("solve", SolveConfig())
-    pose = _floats("pose_init", cfg["pose_init"], (None, 4), (None, None, 4))
+    pose = check_array("pose_init", cfg["pose_init"], (None, 4), (None, None, 4))
     if pose.ndim == 3:
         res = solve_multi_view(m, [[Rotation(q) for q in view] for view in pose], obs, scfg)
     else:
@@ -278,7 +263,7 @@ def cmd_toy_fit(args):
     seed = args.seed if args.seed is not None else 0
     rng = np.random.default_rng(seed)
     if "targets" in cfg:
-        targets = [Rotation(q) for q in _floats("targets", cfg["targets"], (None, 4))]
+        targets = [Rotation(q) for q in check_array("targets", cfg["targets"], (None, 4))]
     else:
         n_modes = cfg.get("n_modes", 4)
         check_fields({"n_modes": n_modes}, int, least=1)

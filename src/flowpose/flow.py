@@ -15,7 +15,6 @@ repeated to N, the rotation layers the P rows themselves.
 
 from __future__ import annotations
 
-import reprlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import autodiff as ag
-from .checks import check_fields
+from .checks import check_array, check_fields
 from .distributions import (ProjectedIsoGaussian, pig_logpdf_batch, pig_logpdf_from_qdot,
                             pig_sample_batch)
 from .nets import ParamStore, mlp_apply, mlp_init
@@ -196,6 +195,7 @@ class FlowConfig:
     def __post_init__(self):
         check_fields(vars(self), int, ("n_joints", "k_transforms", "n_sets", "channels"), 1)
         check_fields(vars(self), int, ("context_dim", "shape_dim", "blocks", "embed_dim"))
+        check_fields(vars(self), float, ("kappa",), above=True)
 
 
 @dataclass(eq=False)
@@ -273,11 +273,7 @@ class FlowModel:
 
     def _context(self, context):
         """One context as a float vector of the configured size, checked finite."""
-        ctx = np.asarray(context, float)
-        if ctx.shape != (self.cfg.context_dim,) or not np.isfinite(ctx).all():
-            raise ValueError(f"context must be {self.cfg.context_dim} finite numbers, "
-                             f"got {reprlib.repr(ctx.tolist())}")
-        return ctx
+        return check_array("context", context, (self.cfg.context_dim,))
 
     def shape_params(self, p, ctx):
         """The shape head's means (B,S) and log-stds (B,S), clamped to [-6, 6], for

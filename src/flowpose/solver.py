@@ -23,14 +23,14 @@ as an array (K,3,3), and a SolveResult holds (K,3,3) arrays.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ag
 from .body import _world_rotations, pose_anchors
-from .checks import check_fields
+from .checks import check_array, check_fields
 from .rotation import as_matrices, exp_matrices, rotation_mean
 
 
@@ -73,22 +73,13 @@ class Observation:
     extrinsics_t: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.name == "aux_weight" and self.aux_weight is None:   # anchors_2d comes first
-                self.aux_weight = np.ones(self.anchors_2d.shape[:1])
-            try:
-                setattr(self, f.name, np.asarray(getattr(self, f.name), float))
-            except (TypeError, ValueError) as e:
-                raise ValueError(f"{f.name} must hold numbers: {e}")
-        n = len(self.anchors_2d) if self.anchors_2d.ndim else 0
-        for name, shape in (("anchors_2d", (n, 2)), ("laplace_scale", (n,)),
-                            ("aux_weight", (n,)), ("intrinsics", (3, 4)),
+        self.anchors_2d = check_array("anchors_2d", self.anchors_2d, (None, 2))
+        n = len(self.anchors_2d)
+        if self.aux_weight is None:
+            self.aux_weight = np.ones(n)
+        for name, shape in (("laplace_scale", (n,)), ("aux_weight", (n,)), ("intrinsics", (3, 4)),
                             ("extrinsics_r", (3, 3)), ("extrinsics_t", (3,))):
-            if getattr(self, name).shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, "
-                                 f"got {getattr(self, name).shape}")
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} must be finite")
+            setattr(self, name, check_array(name, getattr(self, name), shape))
         if not np.allclose(self.intrinsics[2], [0.0, 0.0, 1.0, 0.0]):
             raise ValueError("intrinsics row 3 must be (0,0,1,0)")
         if (self.laplace_scale <= 0).any():
@@ -307,12 +298,7 @@ def _residual_report(table, beta, t, observations, rows: _DltConstants):
 
 def _pose_matrices(model, pose, name):
     """A pose's matrices (K,3,3), checked to hold one finite rotation per joint."""
-    mats = as_matrices(pose)
-    if mats.shape != (model.n_joints, 3, 3):
-        raise ValueError(f"pose must have shape {(model.n_joints, 3, 3)}, got {mats.shape}")
-    if not np.isfinite(mats).all():
-        raise ValueError(f"{name} must be finite")
-    return mats
+    return check_array(name, as_matrices(pose), (model.n_joints, 3, 3))
 
 
 # an overflow surfaces once, as the non-finite step check's SolverFailure
@@ -321,10 +307,7 @@ def solve(model, pose_init, observations, cfg: SolveConfig) -> SolveResult:
     """Shared (delta, beta, t) over the stacked views from a world-frame pose."""
     k, s = model.n_joints, model.n_shape
     beta_lin = np.zeros(s) if cfg.beta_prior is None else cfg.beta_prior
-    if beta_lin.shape != (s,):
-        raise ValueError(f"beta_prior must have shape ({s},), got {beta_lin.shape}")
-    if not np.isfinite(beta_lin).all():
-        raise ValueError("beta_prior must be finite")
+    beta_lin = check_array("beta_prior", beta_lin, (s,))
     world = _world_rotations(model, _pose_matrices(model, pose_init, "pose_init"))
     rows = _dlt_constants(model, observations, cfg)
     # each state's posed anchor table serves its residual and the next linearization

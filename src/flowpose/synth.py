@@ -57,15 +57,16 @@ class RigSpec:
     pose_sigma: float = 0.3      # per-joint axis-angle std, radians
     shape_sigma: float = 0.5
 
+    @np.errstate(over="ignore", invalid="ignore")   # hi - lo below may overflow or be NaN
     def __post_init__(self):
         self.cameras = [c if isinstance(c, Camera) else Camera(**c) for c in self.cameras]
         if not self.cameras:
             raise RigError("rig needs at least one camera")
-        self.translation_lo = np.asarray(self.translation_lo, float)
-        self.translation_hi = np.asarray(self.translation_hi, float)
-        if (self.translation_lo.shape != (3,) or self.translation_hi.shape != (3,)
-                or (self.translation_hi < self.translation_lo).any()):
-            raise RigError("translation_lo and translation_hi must be 3-vectors, lo <= hi")
+        lo = self.translation_lo = np.asarray(self.translation_lo, float)
+        hi = self.translation_hi = np.asarray(self.translation_hi, float)
+        # a finite span hi - lo is what sample_state's rng.uniform draws from
+        if lo.shape != (3,) or hi.shape != (3,) or not (np.isfinite(hi - lo) & (lo <= hi)).all():
+            raise RigError("translation_lo and translation_hi must be finite 3-vectors, lo <= hi")
         check_fields(vars(self), float, ("pose_sigma", "shape_sigma"))
         for cam in self.cameras:   # Observation's checks of the camera fields, on no anchors
             Observation(np.zeros((0, 2)), np.zeros(0), None, cam.intrinsics(), cam.rot, cam.t)

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import re
+import reprlib
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from flowpose import autodiff as ag
 from flowpose import cli, training
+from flowpose.rotation import Rotation, as_matrices
 
 
 def _run(args):
@@ -184,7 +186,8 @@ def test_solve_rejects_a_pose_with_a_joint_missing(workspace, tmp_path, capsys):
     capsys.readouterr()
     assert _run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: pose must have shape (8, 3, 3), got (7, 3, 3)"]
+    mats = as_matrices([Rotation(r.to_json()) for r in rec.gt_state.pose[:7]])
+    assert err == [f"error: pose_init must be numbers of shape (8, 3, 3), got {reprlib.repr(mats)}"]
     assert not (tmp_path / "solve_result.json").exists()
 
 
@@ -358,7 +361,8 @@ def test_solve_nan_anchor_exit_1(workspace, tmp_path, capsys):
     _write(cfg, doc)
     capsys.readouterr()
     assert _run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == "error: anchors_2d must be finite\n"
+    anchors = reprlib.repr(doc["observations"][0]["anchors"])
+    assert capsys.readouterr().err == f"error: anchors_2d must be finite, got {anchors}\n"
     assert not (tmp_path / "solve_result.json").exists()
 
 
@@ -465,6 +469,7 @@ def test_misread_configs_exit_1_naming_the_key(workspace, toy_checkpoint, tmp_pa
     cases = [
         ("toy-fit", {"steps": 1, "flow": {**flow, "k_transform": 4}}, "k_transform"),
         ("toy-fit", {"steps": 1, "flow": {**flow, "k_transforms": 0}}, "k_transforms"),
+        ("toy-fit", {"steps": 1, "flow": {**flow, "kappa": "2"}}, "kappa"),
         ("toy-fit", {"steps": 1, "batch": 0}, "batch"),
         ("toy-fit", {"steps": 1, "lr": 10 ** 400}, "lr"),
         ("gen-model", {"n_per_joint": 3}, "n_per_joint"),
@@ -531,7 +536,8 @@ def test_solve_ragged_anchors_exit_1(workspace, tmp_path, capsys):
     _write(cfg, doc)
     capsys.readouterr()
     assert _run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.startswith("error: anchors_2d must hold numbers: ")
+    assert capsys.readouterr().err.startswith(
+        "error: anchors_2d must be numbers of shape (None, 2), got ")
     assert not (tmp_path / "solve_result.json").exists()
 
 
@@ -572,18 +578,28 @@ def test_multi_view_init_sigma_deg_exit_code(workspace, two_view_dataset, tmp_pa
 
 def test_non_finite_numbers_exit_1_naming_the_key(workspace, toy_checkpoint, tmp_path, capsys):
     pose = [[float("nan"), 0.0, 0.0, 0.0]] + [[1.0, 0.0, 0.0, 0.0]] * 7
+    finite = "{} must be finite, got ".format
     cases = [
-        ("sample", {"checkpoint": toy_checkpoint, "context": [float("nan")]}, "context"),
-        ("sample", {"checkpoint": toy_checkpoint, "context": [float("inf")]}, "context"),
-        ("toy-fit", {"steps": 1, "targets": [[1.0, 0.0, float("-inf"), 0.0]]}, "targets"),
-        ("solve", json.loads(open(_solve_config(workspace, tmp_path, pose)).read()), "pose_init"),
+        ("sample", {"checkpoint": toy_checkpoint, "context": [float("nan")]}, finite("context")),
+        ("sample", {"checkpoint": toy_checkpoint, "context": [float("inf")]}, finite("context")),
+        ("toy-fit", {"steps": 1, "targets": [[1.0, 0.0, float("-inf"), 0.0]]},
+         finite("targets")),
+        ("solve", json.loads(open(_solve_config(workspace, tmp_path, pose)).read()),
+         finite("pose_init")),
+        ("gen-data", {"model": str(workspace / "model.json"), "n_scenes": 1,
+                      "rig": {"cameras": [{"fx": 800, "fy": 800, "cx": 320, "cy": 240}],
+                              "translation_lo": [0, 0, 2], "translation_hi": [0, 0, np.inf]}},
+         "bad rig config: translation_lo and translation_hi must be finite 3-vectors"),
+        ("toy-fit", {"steps": 1, "flow": {"n_joints": 1, "context_dim": 1, "shape_dim": 1,
+                                          "kappa": np.inf}},
+         "bad flow config: kappa must be a finite number above 0, got inf"),
     ]
-    for command, doc, key in cases:
+    for command, doc, expected in cases:
         out = tmp_path / command
         capsys.readouterr()
         assert _run([command, "--config", _write(tmp_path / "c.json", doc),
                      "--out", str(out)]) == 1, doc
-        assert capsys.readouterr().err.startswith(f"error: {key} must be finite, got ")
+        assert capsys.readouterr().err.startswith(f"error: {expected}")
         assert not out.exists() or not any(out.iterdir())
 
 

@@ -34,7 +34,8 @@ def _orthonormal_pair(rng):
 @pytest.mark.parametrize("field, value", [
     ("n_joints", 0), ("k_transforms", 0), ("n_sets", 0), ("channels", 0),
     ("k_transforms", 2.5), ("n_sets", True), ("blocks", -1), ("context_dim", -1),
-    ("embed_dim", 1.0)])
+    ("embed_dim", 1.0), ("kappa", True), ("kappa", "2"), ("kappa", np.inf), ("kappa", np.nan),
+    ("kappa", 0)])
 def test_flow_config_rejects_bad_sizes(field, value):
     sizes = dict(n_joints=1, context_dim=1, shape_dim=1)
     with pytest.raises(ValueError, match=field):
@@ -602,7 +603,8 @@ def test_joint_context_rows_layout_and_grads(rng):
 def test_coupling_blocks_name_a_bad_context(ctx):
     model = _perturbed_model(np.random.default_rng(0))
     r = dist.uniform_sample(np.random.default_rng(1))
-    with pytest.raises(ValueError, match="^context must be 3 finite numbers"):
+    msg = "must be finite" if len(ctx) == 3 else r"must be numbers of shape \(3,\)"
+    with pytest.raises(ValueError, match=f"^context {msg}"):
         model.coupling_block(r, ctx)
-    with pytest.raises(ValueError, match="^context must be 3 finite numbers"):
+    with pytest.raises(ValueError, match=f"^context {msg}"):
         model.coupling_block_inverse(r, ctx)

@@ -226,6 +226,6 @@ def test_observation_from_json_converts_anchors_before_the_aux_default():
     obs = synth.observation_from_json({"anchors": [[1, 2], [3, 4]], "scale": [1, 1],
                                        "intrinsics": k})
     np.testing.assert_array_equal(obs.aux_weight, [1.0, 1.0])
-    with pytest.raises(ValueError, match="anchors_2d must hold numbers"):
+    with pytest.raises(ValueError, match=r"anchors_2d must be numbers of shape \(None, 2\)"):
         synth.observation_from_json({"anchors": [[1, 2], [3]], "scale": [1, 1],
                                      "intrinsics": k})

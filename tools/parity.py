@@ -18,7 +18,10 @@ commands, each in a fresh interpreter with one BLAS thread
 * solve: from a world-frame pose_init over both views of a two-view
   scene, and from a per-view pose_init;
 * toy-fit: 60 steps;
-* selftest.
+* selftest;
+* three rejected inputs, whose stderr and exit code are compared: a solve
+  whose pose_init lacks a joint, a sample from a NaN context, and gen-data
+  on a rig with an infinite translation bound.
 
 Every command runs from its own
 run directory with relative paths, so no output names a location.  The
@@ -69,6 +72,11 @@ def _solve(dataset, scene, per_view=False):
     return config
 
 
+def _missing_joint(run):
+    doc = _solve("two_view/dataset.jsonl", 0)(run)
+    return {**doc, "pose_init": doc["pose_init"][:-1]}
+
+
 def _train(epochs, **extra):
     return {"model": MODEL, "dataset": "one_view/dataset.jsonl",
             "train": {"phase1_epochs": epochs[0], "phase2_epochs": epochs[1], **extra}}
@@ -102,6 +110,13 @@ FULL = [
     ("solve_per_view", "solve", _solve("two_view/dataset.jsonl", 1, per_view=True), None),
     ("toy", "toy-fit", {"steps": 60, "batch": 32, "n_modes": 3, "report_samples": 500}, 0),
     ("selftest", "selftest", None, 0),
+    ("bad_pose", "solve", _missing_joint, None),
+    ("bad_context", "sample", {"checkpoint": "sgd/checkpoint.json",
+                               "context": [float("nan")] + [0.0] * 15}, 0),
+    ("bad_rig", "gen-data", {"model": MODEL, "n_scenes": 2,
+                             "rig": {"cameras": [{"fx": 800, "fy": 800, "cx": 320, "cy": 240}],
+                                     "translation_lo": [0, 0, 2],
+                                     "translation_hi": [0, 0, float("inf")]}}, 0),
 ]
 # the reduced set of the tier-1 test (tests/test_parity.py)
 QUICK = [
