@@ -66,7 +66,8 @@ class RigSpec:
         hi = self.translation_hi = np.asarray(self.translation_hi, float)
         # a finite span hi - lo is what sample_state's rng.uniform draws from
         if lo.shape != (3,) or hi.shape != (3,) or not (np.isfinite(hi - lo) & (lo <= hi)).all():
-            raise RigError("translation_lo and translation_hi must be finite 3-vectors, lo <= hi")
+            raise RigError("translation_lo and translation_hi must be 3-vectors, lo <= hi, "
+                           "hi - lo finite")
         check_fields(vars(self), float, ("pose_sigma", "shape_sigma"))
         for cam in self.cameras:   # Observation's checks of the camera fields, on no anchors
             Observation(np.zeros((0, 2)), np.zeros(0), None, cam.intrinsics(), cam.rot, cam.t)

@@ -589,7 +589,8 @@ def test_non_finite_numbers_exit_1_naming_the_key(workspace, toy_checkpoint, tmp
         ("gen-data", {"model": str(workspace / "model.json"), "n_scenes": 1,
                       "rig": {"cameras": [{"fx": 800, "fy": 800, "cx": 320, "cy": 240}],
                               "translation_lo": [0, 0, 2], "translation_hi": [0, 0, np.inf]}},
-         "bad rig config: translation_lo and translation_hi must be finite 3-vectors"),
+         "bad rig config: translation_lo and translation_hi must be 3-vectors, lo <= hi, hi - lo "
+         "finite\n"),
         ("toy-fit", {"steps": 1, "flow": {"n_joints": 1, "context_dim": 1, "shape_dim": 1,
                                           "kappa": np.inf}},
          "bad flow config: kappa must be a finite number above 0, got inf"),
