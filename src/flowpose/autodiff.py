@@ -14,8 +14,9 @@ one gradient per output.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import ndtr
 
 from .rotation import cross3
 
@@ -243,8 +244,97 @@ def clip(x, lo, hi):
     return _unary(x, lambda a: np.clip(a, lo, hi), vjp)
 
 
+# Cephes ndtr (Moshier 1989), the normal CDF of SciPy's special functions. With x = a / sqrt(2),
+# Phi(a) = (1 + erf(x)) / 2 for |x| < 1/sqrt(2), else erfc(|x|) / 2, mirrored for x > 0;
+# erf(x) = x T(x^2) / U(x^2), and erfc(x) = 1 - erf(x) below 1, exp(-x^2) P(x) / Q(x) below 8,
+# exp(-x^2) R(x) / S(x) above, and 0 once x^2 > MAXLOG
+_SQRT1_2 = 0.70710678118654752440
+_MAXLOG = 7.09782712893383996843e2
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+
+
+def _polevl(w, coef):
+    """Cephes polevl: the polynomial coef[0] w^N + ... + coef[N], in its order of operations."""
+    p = coef[0] * w
+    p += coef[1]
+    for c in coef[2:]:
+        p *= w
+        p += c
+    return p
+
+
+def _p1evl(w, coef):
+    """Cephes p1evl: polevl with a leading coefficient 1 that coef leaves out."""
+    p = w + coef[0]
+    for c in coef[1:]:
+        p *= w
+        p += c
+    return p
+
+
+def _erf(x, w):
+    """erf(x) where |x| < 1, for w = x^2."""
+    erf = x * _polevl(w, _T)
+    erf /= _p1evl(w, _U)
+    return erf
+
+
+def _erfc_tail(z):
+    """erfc(z) for z >= 1; exp(-z^2) from libm, whose rounding numpy's SIMD exp does not share."""
+    zc = np.minimum(z, 27.0)        # past sqrt(MAXLOG): keeps the rationals finite
+    num, den = _polevl(zc, _P), _p1evl(zc, _Q)
+    if zc.max() >= 8.0:
+        far = zc >= 8.0
+        num = np.where(far, _polevl(zc, _R), num)
+        den = np.where(far, _p1evl(zc, _S), den)
+    arg = np.negative(zc * zc)
+    e = np.fromiter(map(math.exp, arg.tolist()), float, len(arg))
+    e[arg < -_MAXLOG] = 0.0
+    num *= e
+    num /= den
+    return num
+
+
+def _ndtr(a):
+    """The standard normal CDF of a float array, bit for bit Cephes ndtr's."""
+    x = a.reshape(-1) * _SQRT1_2
+    z = np.abs(x)
+    if z.max(initial=0.0) < _SQRT1_2:       # False on a NaN
+        y = _erf(x, x * x)
+        y *= 0.5
+        y += 0.5
+        return y.reshape(a.shape)
+    erf = None
+    if z.min() >= 1.0:                      # tails alone: no erf to form
+        erfc = _erfc_tail(z)
+    else:
+        erf = _erf(x, np.square(np.minimum(z, 1.0)))
+        erfc = 1.0 - np.abs(erf)
+        tail = np.flatnonzero(z >= 1.0)
+        if tail.size:
+            erfc[tail] = _erfc_tail(z[tail])
+    half = 0.5 * erfc
+    y = np.where(x > 0, 1.0 - half, half)
+    if erf is not None:
+        np.copyto(y, 0.5 + 0.5 * erf, where=z < _SQRT1_2)
+    return y.reshape(a.shape)
+
+
 def normal_cdf(x):
-    return _unary(x, ndtr, lambda g, a, o: g * np.exp(-0.5 * a * a) / np.sqrt(2.0 * np.pi))
+    return _unary(x, _ndtr, lambda g, a, o: g * np.exp(-0.5 * a * a) / np.sqrt(2.0 * np.pi))
 
 
 def normal_pdf(x):

@@ -22,19 +22,30 @@ def check_fields(values, kind, names=None, least=0, above=False):
                              f" {'above' if above else 'at least'} {least}, got {v!r}")
 
 
-def check_array(name, value, *shapes):
+def check_numbers(name, value, *shapes):
     """``value`` as a float array (a float64 array itself), or ValueError naming
-    ``name`` unless it is finite and of one of ``shapes``, tuples in which None
-    matches any length."""
+    ``name`` unless it holds numbers, not strings, in one of ``shapes``, tuples in
+    which None matches any length."""
     try:
-        a = np.asarray(value, float)
-    except (TypeError, ValueError):
+        a = np.asarray(value)
+        # numpy would parse strings of digits: "1" is not a number here
+        strings = a.dtype.kind in "SU" or a.dtype.kind == "O" and any(
+            isinstance(v, (str, bytes)) for v in a.flat)
+        a = None if strings else a.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
         a = None
     # exact shapes first: the per-solve checks take this path
     if a is None or a.shape not in shapes and not any(
             a.ndim == len(s) and all(n in (None, m) for n, m in zip(s, a.shape)) for s in shapes):
+        got = reprlib.repr(value) if a is None or not a.ndim else f"shape {a.shape}"
         raise ValueError(f"{name} must be numbers of shape {' or '.join(map(str, shapes))}, "
-                         f"got {reprlib.repr(value)}")
+                         f"got {got}")
+    return a
+
+
+def check_array(name, value, *shapes):
+    """``check_numbers``, then ValueError naming ``name`` unless the array is finite."""
+    a = check_numbers(name, value, *shapes)
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite, got {reprlib.repr(value)}")
     return a

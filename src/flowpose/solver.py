@@ -30,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ag
 from .body import _world_rotations, pose_anchors
-from .checks import check_array, check_fields
+from .checks import check_array, check_fields, check_numbers
 from .rotation import as_matrices, exp_matrices, rotation_mean
 
 
@@ -109,8 +109,9 @@ class SolveConfig:
     def __post_init__(self):
         check_fields(vars(self), float, ("omega_beta", "gamma"))
         check_fields(vars(self), int, ("max_relinearizations",))
+        # finiteness is solve's check, against the model's shape count
         if self.beta_prior is not None:
-            self.beta_prior = np.asarray(self.beta_prior, float)
+            self.beta_prior = check_numbers("beta_prior", self.beta_prior, (None,))
 
 
 @dataclass

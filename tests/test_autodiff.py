@@ -1,5 +1,7 @@
 """Reverse-mode tape checked against finite differences and numpy."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,6 +116,46 @@ def test_add_mul_grads_property(a, b):
     ag.backward(ag.reduce_sum(x * y + x))
     np.testing.assert_allclose(x.grad, b + 1.0, atol=1e-12)
     np.testing.assert_allclose(y.grad, a, atol=1e-12)
+
+
+def _ndtr_inputs(name):
+    """A dense grid, scaled normal draws, or the edges of Cephes ndtr's branches in
+    a = sqrt(2) x (|x| = 1/sqrt(2), 1 and 8, the MAXLOG underflow at |a| ~ 37.7) with the
+    special values."""
+    if name == "grid":
+        return np.linspace(-40.0, 40.0, 1_600_001)
+    rng = np.random.default_rng(0)
+    if name == "draws":
+        return rng.normal(size=1_000_000) * np.exp(rng.uniform(-4.0, 4.0, 1_000_000))
+    edges = np.array([1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0), 1.0 / np.sqrt(2.0), 8.0])
+    edges = edges[:, None] + np.arange(-8, 9) * np.spacing(edges)[:, None]
+    special = [0.0, 5e-324, 1e-310, np.finfo(float).tiny, 1e200, np.inf]
+    half = np.concatenate([edges.ravel(), np.linspace(37.5, 38.6, 20_001), special])
+    return np.concatenate([half, -half, [np.nan]])
+
+
+@pytest.mark.parametrize("name", ["grid", "draws", "edges"])
+def test_normal_cdf_is_scipy_ndtr_bit_for_bit(name):
+    from scipy.special import ndtr
+    a = _ndtr_inputs(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ag.normal_cdf(a)
+        want = ndtr(a)
+    assert got.dtype == np.float64 and got.shape == a.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), a[got != want][:5]
+
+
+def test_normal_cdf_keeps_the_shape(rng):
+    from scipy.special import ndtr
+    for a in (np.array(0.3), np.array(3.0), np.zeros(0), rng.normal(scale=3.0, size=(4, 5))):
+        got = ag.normal_cdf(a)
+        assert got.shape == a.shape and np.array_equal(got, ndtr(a))
+
+
+def test_normal_cdf_grad(rng):
+    x = ag.leaf(rng.normal(scale=2.0, size=(3, 4)))
+    assert ag.finite_diff_check(lambda: ag.reduce_sum(ag.normal_cdf(x)), [x]) < 1e-6
 
 
 def test_log_domain_error():

@@ -2,7 +2,6 @@
 
 import dataclasses
 import re
-import reprlib
 import warnings
 
 import numpy as np
@@ -124,7 +123,7 @@ def test_solve_rejects_a_pose_with_the_wrong_joint_count(toy_model, rng, extra):
     init, obs, cfg = _perturbed_solve_inputs(toy_model, rng)
     k = toy_model.n_joints
     pose = (init + init)[:k + extra]
-    msg = f" must be numbers of shape ({k}, 3, 3), got {reprlib.repr(as_matrices(pose))}"
+    msg = f" must be numbers of shape ({k}, 3, 3), got shape ({k + extra}, 3, 3)"
     with pytest.raises(ValueError, match=re.escape("pose_init" + msg)):
         solver.solve_single_view(toy_model, pose, obs, cfg)
     with pytest.raises(ValueError, match=re.escape("per_view_poses" + msg)):
