@@ -296,7 +296,7 @@ def _erfc_tail(z):
     """erfc(z) for z >= 1; exp(-z^2) from libm, whose rounding numpy's SIMD exp does not share."""
     zc = np.minimum(z, 27.0)        # past sqrt(MAXLOG): keeps the rationals finite
     num, den = _polevl(zc, _P), _p1evl(zc, _Q)
-    if zc.max() >= 8.0:
+    if zc.max(initial=0.0) >= 8.0:
         far = zc >= 8.0
         num = np.where(far, _polevl(zc, _R), num)
         den = np.where(far, _p1evl(zc, _S), den)
@@ -312,24 +312,14 @@ def _ndtr(a):
     """The standard normal CDF of a float array, bit for bit Cephes ndtr's."""
     x = a.reshape(-1) * _SQRT1_2
     z = np.abs(x)
-    if z.max(initial=0.0) < _SQRT1_2:       # False on a NaN
-        y = _erf(x, x * x)
-        y *= 0.5
-        y += 0.5
-        return y.reshape(a.shape)
-    erf = None
-    if z.min() >= 1.0:                      # tails alone: no erf to form
-        erfc = _erfc_tail(z)
-    else:
-        erf = _erf(x, np.square(np.minimum(z, 1.0)))
-        erfc = 1.0 - np.abs(erf)
-        tail = np.flatnonzero(z >= 1.0)
-        if tail.size:
-            erfc[tail] = _erfc_tail(z[tail])
+    xc = np.clip(x, -1.0, 1.0)              # x where erf is kept; no overflow on the tail rows
+    erf = _erf(xc, xc * xc)
+    erfc = 1.0 - np.abs(erf)
+    tail = np.flatnonzero(z >= 1.0)
+    erfc[tail] = _erfc_tail(z[tail])
     half = 0.5 * erfc
     y = np.where(x > 0, 1.0 - half, half)
-    if erf is not None:
-        np.copyto(y, 0.5 + 0.5 * erf, where=z < _SQRT1_2)
+    np.copyto(y, 0.5 + 0.5 * erf, where=z < _SQRT1_2)
     return y.reshape(a.shape)
 
 

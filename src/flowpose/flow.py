@@ -15,9 +15,7 @@ repeated to N, the rotation layers the P rows themselves.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -206,14 +204,13 @@ class PoseSample:
 
 
 @dataclass(frozen=True, eq=False)
-class PoseBatch(Sequence):
+class PoseBatch:
     """N flow draws for one context, as arrays: relative rotation matrices
     (N,K,3,3), shapes (N,S) and total log-densities (N,).
 
-    A read-only sequence indexed by integers: item i is draw i as a PoseSample
-    of Rotations, built on first access from one `matrix_to_quats` call; each
-    Rotation is a row of that read-only buffer, so a write to one draw's
-    quaternion raises instead of altering the cached rotations.
+    Iterated, it yields each draw as a PoseSample of Rotations, all built from
+    one `matrix_to_quats` call; each Rotation is a row of that read-only buffer,
+    so a write to one draw's quaternion raises.
     """
 
     rotations: np.ndarray
@@ -227,19 +224,13 @@ class PoseBatch(Sequence):
     def __len__(self):
         return len(self.log_probs)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            raise TypeError("PoseBatch takes integer indices; slice rotations, shapes or log_probs")
-        i = range(len(self))[i]
-        k = self.rotations.shape[1]
-        return PoseSample(self._joint_rotations[i * k:(i + 1) * k],
-                          self.shapes[i].copy(), float(self.log_probs[i]))
-
-    @cached_property
-    def _joint_rotations(self):
+    def __iter__(self):
         q = matrix_to_quats(self.rotations.reshape(-1, 3, 3))
         q.setflags(write=False)
-        return [Rotation._of_canonical(qi) for qi in q]
+        for qs, shape, log_prob in zip(q.reshape(*self.rotations.shape[:2], 4), self.shapes,
+                                       self.log_probs):
+            yield PoseSample([Rotation._of_canonical(qi) for qi in qs], shape.copy(),
+                             float(log_prob))
 
 
 _EYE9 = np.eye(3).ravel()
@@ -422,7 +413,8 @@ class FlowModel:
                          lp_rows.reshape(total, K).sum(axis=1))
 
     def mode_sample(self, context):
-        return self.flow_sample(context, 0, np.random.default_rng(0), include_mode=True)[0]
+        """The mode as a PoseSample; kept for the benchmark's hook until ROADMAP item 4(b)."""
+        return next(iter(self.flow_sample(context, 0, np.random.default_rng(0), include_mode=True)))
 
     def mode_rotations(self, pv, ctx_rows, qs=None):
         """Relative rotation matrices (N,3,3) of the mode, the base identity

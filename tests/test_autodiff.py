@@ -129,7 +129,7 @@ def _ndtr_inputs(name):
         return rng.normal(size=1_000_000) * np.exp(rng.uniform(-4.0, 4.0, 1_000_000))
     edges = np.array([1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0), 1.0 / np.sqrt(2.0), 8.0])
     edges = edges[:, None] + np.arange(-8, 9) * np.spacing(edges)[:, None]
-    special = [0.0, 5e-324, 1e-310, np.finfo(float).tiny, 1e200, np.inf]
+    special = [0.0, 5e-324, 1e-310, np.finfo(float).tiny, 1e200, 1e308, np.inf]
     half = np.concatenate([edges.ravel(), np.linspace(37.5, 38.6, 20_001), special])
     return np.concatenate([half, -half, [np.nan]])
 

@@ -369,11 +369,6 @@ def test_pose_batch_items_are_pose_samples(rng):
 
     assert len(batch) == 7
     assert len(list(batch)) == 7 and all(map(same, batch, expect))
-    assert same(batch[-1], expect[-1]) and all(same(batch[j], expect[j]) for j in (2, 3))
-    with pytest.raises(IndexError):
-        batch[7]
-    with pytest.raises(TypeError, match=r"integer indices.*rotations, shapes or log_probs"):
-        batch[1:3]
     with pytest.raises(ValueError):
         batch.rotations[0, 0] = np.eye(3)
 
@@ -384,10 +379,11 @@ def test_pose_batch_quaternions_are_one_read_only_buffer(rng):
     quats = np.array([[r.q for r in d.joint_rotations] for d in batch])
     np.testing.assert_array_equal(quats.reshape(-1, 4),
                                   matrix_to_quats(batch.rotations.reshape(-1, 3, 3)))
-    # a write to one draw's quaternion cannot alter the cached rotations
+    # a write to a yielded quaternion raises and leaves the rotation as it was
+    draw = list(batch)[1]
     with pytest.raises(ValueError):
-        batch[1].joint_rotations[2].q[0] = 0.0
-    np.testing.assert_array_equal(batch[1].joint_rotations[2].q, quats[1, 2])
+        draw.joint_rotations[2].q[0] = 0.0
+    np.testing.assert_array_equal(draw.joint_rotations[2].q, quats[1, 2])
 
 
 def test_flow_samples_depend_on_context(rng):
@@ -403,11 +399,11 @@ def test_mode_sample_is_first_and_most_likely(rng):
     ctx = rng.normal(size=3)
     samples = model.flow_sample(ctx, 20, rng, include_mode=True)
     mode = model.mode_sample(ctx)
-    assert geodesic_distance(samples[0].joint_rotations[0],
-                             mode.joint_rotations[0]) < 1e-12
+    first = next(iter(samples))
+    assert geodesic_distance(first.joint_rotations[0], mode.joint_rotations[0]) < 1e-12
     # the base mode maps to the highest-density region: beat most draws
     others = samples.log_probs[1:]
-    assert samples[0].log_prob >= np.median(others)
+    assert first.log_prob >= np.median(others)
 
 
 def test_context_rows_repeat_mod_p(rng):

@@ -1,5 +1,5 @@
-"""tools/parity.py: one tree run twice is identical, and a changed number
-is named with its file."""
+"""tools/parity.py: one tree run twice is identical, a changed number is
+named with its file, and a tree's source lines are counted as `wc -l` does."""
 
 import importlib.util
 import re
@@ -47,6 +47,19 @@ def test_a_checkout_directory_or_the_working_tree_is_its_own_source(tmp_path):
     parity = _parity()
     assert parity.source_tree(None, tmp_path) == ROOT / "src"
     assert parity.source_tree(str(ROOT), tmp_path) == ROOT / "src"
+
+
+def test_src_lines_counts_the_package_modules_as_wc_does(tmp_path):
+    parity = _parity()
+    package = ROOT / "src" / "flowpose"
+    assert parity.src_lines(ROOT / "src") == sum(len(p.read_text().splitlines())
+                                                 for p in package.glob("*.py"))
+    (tmp_path / "flowpose" / "sub").mkdir(parents=True)
+    (tmp_path / "flowpose" / "a.py").write_text("x = 1\n\ny = 2\n")
+    (tmp_path / "flowpose" / "b.py").write_text("z = 3")       # no final newline
+    (tmp_path / "flowpose" / "notes.txt").write_text("one\ntwo\n")
+    (tmp_path / "flowpose" / "sub" / "c.py").write_text("w = 4\n")
+    assert parity.src_lines(tmp_path) == 3
 
 
 def test_verdicts():

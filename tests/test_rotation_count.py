@@ -1,13 +1,16 @@
 """Rotation objects are built only where a caller hands rotations in: the
 number a toy fit, a `train` or an `evaluate` builds does not grow with the
-steps, scenes or draws it runs."""
+steps, scenes or draws it runs, and iterating a `PoseBatch` wraps rows of its
+quaternion buffer without building any."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from flowpose import body, metrics, synth, training
 from flowpose.distributions import uniform_sample
-from flowpose.flow import FlowConfig
+from flowpose.flow import FlowConfig, FlowModel
 from flowpose.rotation import Rotation
 
 SMALL_FLOW = FlowConfig(n_joints=1, context_dim=1, shape_dim=1, k_transforms=4, n_sets=2,
@@ -62,3 +65,14 @@ def test_evaluate_with_the_solver_builds_as_many_rotations_at_3_and_9_draws(buil
                                                      n_samples=n, use_solver=True))
               for n in (3, 9)]
     assert counts[0] == counts[1]
+
+
+def test_iterating_a_batch_of_3_or_9_draws_calls_no_rotation_init(built):
+    flow = FlowModel(dataclasses.replace(SMALL_FLOW, n_joints=3), np.random.default_rng(0))
+    for n in (3, 9):
+        batch = flow.flow_sample(np.zeros(1), n, np.random.default_rng(n))
+        draws = []
+        assert _count(built, lambda: draws.extend(batch)) == 0
+        assert len(draws) == n
+        assert all(type(r) is Rotation for d in draws for r in d.joint_rotations)
+        assert all(len(d.joint_rotations) == 3 for d in draws)

@@ -29,7 +29,8 @@ compared files are everything the commands write, plus each command's
 stdout, stderr and exit code.  For each file it prints `identical`; or,
 when the two files differ only in their numbers, the largest absolute
 and relative difference between them; or `differs`.  It exits 1 on any
-difference, 0 otherwise.
+difference, 0 otherwise.  Last it prints the line count of each tree's
+`src/flowpose/*.py`, the measure of a change's size in code.
 """
 
 from __future__ import annotations
@@ -205,6 +206,11 @@ def source_tree(rev, into):
     return Path(into) / "src"
 
 
+def src_lines(src):
+    """Lines in the `flowpose/*.py` files of a source tree, as `wc -l` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (Path(src) / "flowpose").glob("*.py"))
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", help="git revision or directory")
@@ -212,11 +218,12 @@ def main(argv=None):
     args = p.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
         tmp = Path(tmp)
-        runs = []
+        runs, lines = [], []
         for label, rev in (("parent", args.parent), ("change", args.change)):
-            run = tmp / label / "run"
-            run_set(source_tree(rev, tmp / label), run, FULL)
+            src, run = source_tree(rev, tmp / label), tmp / label / "run"
+            run_set(src, run, FULL)
             runs.append(run)
+            lines.append(src_lines(src))
         rows = compare(*runs)
     width = max(len(name) for name, _ in rows)
     for name, v in rows:
@@ -224,6 +231,7 @@ def main(argv=None):
     n_same = sum(v == "identical" for _, v in rows)
     print(f"{n_same} of {len(rows)} files identical "
           f"({args.parent} vs {args.change or 'the working tree'}, {len(FULL)} commands)")
+    print(f"src lines: {lines[0]} -> {lines[1]}")
     return 0 if n_same == len(rows) else 1
 
 
