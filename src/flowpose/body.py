@@ -10,12 +10,13 @@ licensed assets involved.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from .checks import check_fields
+from .checks import check_array, check_fields
 from .rotation import as_matrices
 
 
@@ -87,13 +88,13 @@ class BodyState:
 
 def _validate(template, shape_basis, joint_regressor, blend_weights,
               parents, anchor_indices):
-    # each rank is checked before a size is read from it
-    if template.ndim != 2 or template.shape[1] != 3:
+    # `_model_array` has checked each rank
+    if template.shape[1] != 3:
         raise ModelLoadError("template must be (N,3)")
     n = template.shape[0]
-    if shape_basis.ndim != 2 or shape_basis.shape[1] != 3 * n:
+    if shape_basis.shape[1] != 3 * n:
         raise ModelLoadError("shape_basis must be (S,3N)")
-    if joint_regressor.ndim != 2 or joint_regressor.shape[1] != n or not len(joint_regressor):
+    if joint_regressor.shape[1] != n or not len(joint_regressor):
         raise ModelLoadError("joint_regressor must be (K,N) with K >= 1")
     k = joint_regressor.shape[0]
     if blend_weights.shape != (k, n):
@@ -110,10 +111,21 @@ def _validate(template, shape_basis, joint_regressor, blend_weights,
     # come first; this also rules out cycles
     if ((parents[1:] < 0) | (parents[1:] >= np.arange(1, k))).any():
         raise ModelLoadError("parents must satisfy 0 <= parents[j] < j for every joint j >= 1")
-    if anchor_indices.ndim != 1:
-        raise ModelLoadError("anchor_indices must be a list of vertex indices")
-    if anchor_indices.size and (anchor_indices.min() < 0 or anchor_indices.max() >= n):
+    if not anchor_indices.size:
+        raise ModelLoadError("anchor_indices must hold at least one vertex index")
+    if anchor_indices.min() < 0 or anchor_indices.max() >= n:
         raise ModelLoadError("anchor indices out of range")
+
+
+def _model_array(doc, name):
+    """doc[name] through `check_array`: a finite matrix, or, for the index
+    arrays, a list of whole numbers (no fractional part, no bool)."""
+    if name not in ("parents", "anchor_indices"):
+        return check_array(name, doc[name], (None, None))
+    a = check_array(name, doc[name], (None,))
+    if (a != np.trunc(a)).any() or any(isinstance(v, bool) for v in doc[name]):
+        raise ValueError(f"{name} must be integers, got {reprlib.repr(doc[name])}")
+    return a
 
 
 def load_model(path) -> BodyModelDef:
@@ -126,14 +138,14 @@ def load_model(path) -> BodyModelDef:
     if not isinstance(doc, dict) or doc.get("format_version") != 1:
         raise ModelLoadError("unsupported or missing format_version")
     try:
-        arrays = [np.asarray(doc[f.name], int if f.name in ("parents", "anchor_indices") else float)
-                  for f in fields(BodyModelDef)]
+        arrays = [_model_array(doc, f.name) for f in fields(BodyModelDef)]
     except KeyError as e:
         raise ModelLoadError(f"missing model key {e}")
-    except (TypeError, ValueError) as e:
-        raise ModelLoadError(f"malformed model array: {e}")
+    except ValueError as e:
+        raise ModelLoadError(str(e))
     _validate(*arrays)
-    return BodyModelDef(*arrays)
+    # validated in range, the index arrays convert exactly
+    return BodyModelDef(*arrays[:4], *(a.astype(int) for a in arrays[4:]))
 
 
 def save_model(model: BodyModelDef, path):

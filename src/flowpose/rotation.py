@@ -258,20 +258,13 @@ def special_orthogonalize_matrices(m) -> np.ndarray:
     return u @ vt
 
 
-def rotation_mean(rotations, weights=None) -> np.ndarray:
+def rotation_mean(rotations) -> np.ndarray:
     """Chordal L2 mean (Hartley et al. 2013) of V Rotations or matrices (V,...,3,3):
-    the (weighted) sum over V projected onto SO(3), as matrices (...,3,3)."""
+    the sum over V projected onto SO(3), as matrices (...,3,3)."""
     mats = as_matrices(rotations)
     if len(mats) == 0:
         raise ValueError("rotation_mean needs at least one rotation")
-    if weights is None:
-        total = mats.sum(axis=0)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if np.any(weights < 0) or weights.sum() <= 0:
-            raise ValueError("weights must be nonnegative with positive sum")
-        total = np.tensordot(weights, mats, 1)
     try:
-        return special_orthogonalize_matrices(total)
+        return special_orthogonalize_matrices(mats.sum(axis=0))
     except DegenerateProjectionError as e:
         raise DegenerateMeanError("summed rotations are rank deficient") from e

@@ -8,13 +8,13 @@ system is solved by Cholesky (LAPACK potrf/potrs) on the normal
 equations, optionally relinearizing; each step applies exp(delta) to all
 joints at once.  Each view's weighted DLT rows are built once and kept on
 its `Observation` until one of its arrays changes, so the many solves of
-one view's draws share them (`Observation.view_rows`; `_dlt_constants` adds
-a call's regularizers and stacks its views).  A solve poses the anchor
-table c + sum_k R_k L_k of `body.pose_anchors` once per state: the
-residual after a step and the next linearization share it.  `solve`
-stacks every view's rows from one initial pose in the world frame;
-`solve_multi_view` starts instead from the chordal mean of per-view poses
-whose root is in each camera's frame.
+one view's draws share them (`Observation.view_rows`; `_dlt_constants`
+stacks a solve's views; `assemble_system` adds its config's regularizers).
+A solve poses the anchor table c + sum_k R_k L_k of `body.pose_anchors`
+once per state: the residual after a step and the next linearization
+share it.  `solve` stacks every view's rows from one initial pose in the
+world frame; `solve_multi_view` starts instead from the chordal mean of
+per-view poses whose root is in each camera's frame.
 
 Rotations are matrices throughout: a pose may come in as K Rotations or
 as an array (K,3,3), and a SolveResult holds (K,3,3) arrays.
@@ -144,13 +144,13 @@ def _relative_from_world(model, world):
 
 
 class _ViewRows(NamedTuple):
-    """One view's kept, weighted DLT rows.  Row r reads anchor `anchor[r]`;
-    at its world point q, m[r] . q + const[r] vanishes on the observed pixel."""
+    """One view's kept, weighted DLT rows, or several stacked.  Row r reads anchor
+    `anchor[r]`; at its world point q, m[r] . q + const[r] vanishes on the pixel."""
     anchor: np.ndarray      # (R,) anchor of each kept row
     m: np.ndarray           # (R,3) weighted row on the world point
     m_cross: np.ndarray     # (R,3,3) [m]x, so that y @ [m]x = y x m
     const: np.ndarray       # (R,)
-    weights: np.ndarray     # (A,) anchor weights for the residual
+    weights: np.ndarray     # (A,) anchor weights for the residual; stacked, one per view
     weight_sum: float
 
 
@@ -175,25 +175,11 @@ def _view_rows(obs) -> _ViewRows:
     return view
 
 
-class _DltConstants(NamedTuple):
-    """What a solve holds fixed: every view's kept, weighted DLT rows
-    (`_ViewRows`, stacked) and the regularizers."""
-    anchor: np.ndarray      # (R,) anchor of each kept row
-    m: np.ndarray           # (R,3) weighted row on the world point
-    m_cross: np.ndarray     # (R,3,3) [m]x, so that y @ [m]x = y x m
-    const: np.ndarray       # (R,)
-    reg: np.ndarray         # (D,) regularizer weight on each unknown's diagonal
-    reg_b: np.ndarray       # (D,) omega_beta * prior in the beta slots
-    weights: list           # per view, (A,) anchor weights for the residual
-    weight_sum: float
-
-
-def _dlt_constants(model, observations, cfg: SolveConfig) -> _DltConstants:
-    """Each view's kept DLT rows (`Observation.view_rows`, built once per
-    view), stacked over the views, and the regularizers of cfg."""
+def _dlt_constants(model, observations) -> _ViewRows:
+    """What a solve holds fixed: its views' kept DLT rows (`Observation.view_rows`,
+    built once per view), one view's own or several stacked, weights per view."""
     if not observations:
         raise ValueError("need at least one observation")
-    k, s = model.n_joints, model.n_shape
     n_a = len(model.anchor_indices)
     views = []
     for obs in observations:
@@ -201,20 +187,9 @@ def _dlt_constants(model, observations, cfg: SolveConfig) -> _DltConstants:
             raise ValueError(f"a view has {len(obs.anchors_2d)} anchors, the model {n_a}")
         views.append(obs.view_rows())
     if len(views) == 1:
-        anchor, m, m_cross, const = views[0][:4]
-    else:
-        anchor, m, m_cross, const = (np.concatenate(c) for c in list(zip(*views))[:4])
-    dim = 3 * k + s + 3
-    n_reg = (s if cfg.omega_beta > 0 else 0) + (3 * k if cfg.gamma > 0 else 0)
-    if len(m) + n_reg < dim:
-        raise UnderdeterminedError(f"{len(m) + n_reg} rows for {dim} unknowns")
-    # each regularizer's rows are a scaled identity: its weight adds to a diagonal
-    reg, reg_b = np.zeros(dim), np.zeros(dim)
-    reg[:3 * k], reg[3 * k:3 * k + s] = cfg.gamma, cfg.omega_beta
-    if cfg.beta_prior is not None:
-        reg_b[3 * k:3 * k + s] = cfg.omega_beta * cfg.beta_prior
-    return _DltConstants(anchor, m, m_cross, const, reg, reg_b, [v.weights for v in views],
-                         sum(v.weight_sum for v in views))
+        return views[0]
+    *cols, weights, weight_sums = zip(*views)
+    return _ViewRows(*map(np.concatenate, cols), weights, sum(weight_sums))
 
 
 def _linearized_anchors(model, world_rot, beta_lin):
@@ -228,7 +203,7 @@ def _linearized_anchors(model, world_rot, beta_lin):
     return np.swapaxes(lev, 0, 1) @ np.swapaxes(world_rot, -1, -2)
 
 
-def _dlt_rows(model, world, beta_lin, table, rows: _DltConstants):
+def _dlt_rows(model, world, beta_lin, table, rows: _ViewRows):
     """The weighted DLT rows (J (R,D), r (R,)) linearized about the world
     rotations (K,3,3) at shape beta_lin; `table` (1+S,A,3) holds the anchors
     of the rest stack [template; shape basis] posed by `world`.  Unknown
@@ -242,14 +217,19 @@ def _dlt_rows(model, world, beta_lin, table, rows: _DltConstants):
     return np.concatenate([j_delta, mq[:, 1:], rows.m], axis=1), -(mq[:, 0] + rows.const)
 
 
-def assemble_system(model, world, beta_lin, table, rows: _DltConstants):
-    """Normal equations (A, b) of `_dlt_rows` plus the regularizers:
-    A = J^T J + diag(reg), b = J^T r + reg_b."""
+def assemble_system(model, world, beta_lin, table, rows: _ViewRows, cfg: SolveConfig):
+    """Normal equations (A, b) of `_dlt_rows` plus the regularizers of cfg, each
+    a scaled identity on its unknowns: gamma adds to the delta diagonal,
+    omega_beta to the beta diagonal, and omega_beta * beta_prior to b."""
+    k, s = model.n_joints, model.n_shape
     jmat, r = _dlt_rows(model, world, beta_lin, table, rows)
-    a = jmat.T @ jmat
+    a, b = jmat.T @ jmat, jmat.T @ r
     diag = a.reshape(-1)[::len(a) + 1]      # a view: the product is C-contiguous
-    diag += rows.reg
-    return a, jmat.T @ r + rows.reg_b
+    diag[:3 * k] += cfg.gamma
+    diag[3 * k:3 * k + s] += cfg.omega_beta
+    if cfg.beta_prior is not None:
+        b[3 * k:3 * k + s] += cfg.omega_beta * cfg.beta_prior
+    return a, b
 
 
 @functools.cache
@@ -284,7 +264,7 @@ def reproject(model, world_rot, beta, translation, obs: Observation):
                    pose_anchors(model, world_rot, np.concatenate([[1.0], beta])) + translation)
 
 
-def _residual_report(table, beta, t, observations, rows: _DltConstants):
+def _residual_report(table, beta, t, observations, rows: _ViewRows):
     # [1, beta] @ table is `pose_anchors` at shape beta, done on its posed table
     pts = (np.concatenate([[1.0], beta])[None] @ table.reshape(len(table), -1)).reshape(-1, 3) + t
     per = []
@@ -292,7 +272,8 @@ def _residual_report(table, beta, t, observations, rows: _DltConstants):
         d = project(obs.intrinsics, obs.extrinsics_r, obs.extrinsics_t, pts) - obs.anchors_2d
         d *= d
         per.append(np.sqrt(d[:, 0] + d[:, 1]))      # np.linalg.norm(axis=1)'s arithmetic
-    sq = sum(float((w * err ** 2).sum()) for w, err in zip(rows.weights, per))
+    weights = rows.weights if len(per) > 1 else [rows.weights]
+    sq = sum(float((w * err ** 2).sum()) for w, err in zip(weights, per))
     return (np.sqrt(sq / max(rows.weight_sum, 1e-30)),
             per[0] if len(per) == 1 else np.concatenate(per))
 
@@ -310,7 +291,10 @@ def solve(model, pose_init, observations, cfg: SolveConfig) -> SolveResult:
     beta_lin = np.zeros(s) if cfg.beta_prior is None else cfg.beta_prior
     beta_lin = check_array("beta_prior", beta_lin, (s,))
     world = _world_rotations(model, _pose_matrices(model, pose_init, "pose_init"))
-    rows = _dlt_constants(model, observations, cfg)
+    rows = _dlt_constants(model, observations)
+    n_reg = (s if cfg.omega_beta > 0 else 0) + (3 * k if cfg.gamma > 0 else 0)
+    if len(rows.m) + n_reg < 3 * k + s + 3:
+        raise UnderdeterminedError(f"{len(rows.m) + n_reg} rows for {3 * k + s + 3} unknowns")
     # each state's posed anchor table serves its residual and the next linearization
     stack = np.eye(s + 1)
     table = pose_anchors(model, world, stack)
@@ -319,7 +303,7 @@ def solve(model, pose_init, observations, cfg: SolveConfig) -> SolveResult:
     total_delta = np.zeros((k, 3))
     n_lin = 0
     while True:
-        x = _chol_solve(*assemble_system(model, world, beta_lin, table, rows))
+        x = _chol_solve(*assemble_system(model, world, beta_lin, table, rows, cfg))
         if not np.isfinite(x).all():
             raise SolverFailure(f"non-finite step at linearization {n_lin}")
         delta = x[:3 * k].reshape(k, 3)

@@ -209,6 +209,8 @@ def scene_to_json(rec: SceneRecord):
 def scene_from_json(d) -> SceneRecord:
     pose = [Rotation(np.asarray(q, float)) for q in d["gt"]["pose"]]
     state = BodyState(pose, d["gt"]["shape"], d["gt"]["translation"])
+    if not d["views"]:
+        raise ValueError("a scene record's views must hold at least one view")
     views, gts = [], []
     for v in d["views"]:
         views.append(observation_from_json(v))

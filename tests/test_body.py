@@ -180,6 +180,8 @@ def test_model_json_roundtrip(toy_model, tmp_path):
     np.testing.assert_array_equal(m2.blend_weights, toy_model.blend_weights)
     np.testing.assert_array_equal(m2.parents, toy_model.parents)
     np.testing.assert_array_equal(m2.anchor_indices, toy_model.anchor_indices)
+    for f in dataclasses.fields(body.BodyModelDef):
+        assert getattr(m2, f.name).dtype == getattr(toy_model, f.name).dtype, f.name
 
 
 def test_load_rejects_bad_format(tmp_path):
@@ -232,6 +234,33 @@ def test_validation_rejects_nonconvex_regressor(toy_model, tmp_path):
         doc["joint_regressor"][0] = [2 * x for x in doc["joint_regressor"][0]]
 
     with pytest.raises(body.ModelLoadError):
+        _corrupt_and_load(toy_model, tmp_path, mutate)
+
+
+def _set(key, index, value):
+    def mutate(doc):
+        row = doc[key]
+        for i in index[:-1]:
+            row = row[i]
+        row[index[-1]] = value
+    return mutate
+
+
+@pytest.mark.parametrize("key, mutate", [
+    ("parents", _set("parents", (1,), 0.9)),
+    ("anchor_indices", lambda doc: doc.update(
+        anchor_indices=[a + 0.5 for a in doc["anchor_indices"]])),
+    ("anchor_indices", _set("anchor_indices", (0,), True)),
+    ("parents", _set("parents", (1,), "0")),
+    ("template", _set("template", (0, 0), "0")),
+    ("template", _set("template", (3, 1), float("nan"))),
+    ("shape_basis", _set("shape_basis", (1, 5), float("inf"))),
+    ("anchor_indices", lambda doc: doc.update(anchor_indices=[]))],
+    ids=["fractional-parent", "half-shifted-anchors", "bool-anchor", "quoted-parent",
+         "quoted-template", "nan-template", "inf-shape-basis", "no-anchors"])
+def test_load_rejects_a_model_array_naming_its_key(toy_model, tmp_path, key, mutate):
+    # fractional or boolean indices, quoted numbers, non-finite values, no anchor
+    with pytest.raises(body.ModelLoadError, match=f"^{key} must "):
         _corrupt_and_load(toy_model, tmp_path, mutate)
 
 

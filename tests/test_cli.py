@@ -518,6 +518,40 @@ def test_gen_data_with_a_model_of_plain_numbers_exit_1(workspace, tmp_path, caps
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("key", ["template", "anchor_indices"])
+def test_gen_data_with_a_nan_template_or_no_anchors_exit_1_naming_the_key(
+        workspace, tmp_path, capsys, key):
+    doc = json.loads((workspace / "model.json").read_text())
+    if key == "template":
+        doc["template"][0][0] = float("nan")
+    else:
+        doc["anchor_indices"] = []
+    model = _write(tmp_path / "model.json", doc)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert _run(["gen-data", "--config", _write(tmp_path / "g.json", {"model": model}),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key} must "), err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_train_on_a_scene_without_views_exit_1(workspace, tmp_path, capsys):
+    lines = (workspace / "dataset.jsonl").read_text().splitlines()
+    scene = json.loads(lines[1])
+    scene["views"] = []
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("\n".join([lines[0], json.dumps(scene), *lines[2:]]) + "\n")
+    tcfg = _write(tmp_path / "t.json", {"model": str(workspace / "model.json"),
+                                        "dataset": str(dataset),
+                                        "train": {"phase1_epochs": 1, "phase2_epochs": 0}})
+    capsys.readouterr()
+    assert _run(["train", "--config", tcfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "views" in err[0], err
+    assert not (tmp_path / "checkpoint.json").exists()
+
+
 def test_toy_fit_without_modes_exit_1_naming_the_bound(tmp_path, capsys):
     out = tmp_path / "out"
     capsys.readouterr()

@@ -211,7 +211,7 @@ def test_dlt_rows_match_per_anchor_reference(toy_model, rng):
             np.array([[810.0, 0, 330, 0], [0, 790.0, 250, 0], [0, 0, 1, 0]]),
             axis_angle_exp(rng.normal(size=3)).matrix(), rng.normal(size=3))
         wts = solver.anchor_weights(obs.laplace_scale, obs.aux_weight)
-        rows = solver._dlt_constants(toy_model, [obs], solver.SolveConfig())
+        rows = solver._dlt_constants(toy_model, [obs])
         got = solver._dlt_rows(toy_model, world, beta, table, rows)
         want = _dlt_rows_reference(obs, *lin, beta, wts)
         # rows of a zero-weight anchor are zero in the reference and dropped here
@@ -253,7 +253,7 @@ def test_assemble_rejects_anchor_count_mismatch(toy_model, rng):
     obs = solver.Observation(np.zeros((n, 2)), np.ones(n), np.ones(n), K_MAT)
     msg = f"a view has {n} anchors, the model {n + 1}"
     with pytest.raises(ValueError, match=msg):
-        solver._dlt_constants(toy_model, [obs], solver.SolveConfig())
+        solver._dlt_constants(toy_model, [obs])
     with pytest.raises(ValueError, match=msg):
         solver.solve(toy_model, pose, [obs], solver.SolveConfig())
 
@@ -296,17 +296,16 @@ def test_assemble_adds_regularizers_to_the_normal_equations(toy_model, rng, omeg
     beta_lin = beta + rng.normal(scale=0.1, size=beta.shape)
     table = body.pose_anchors(toy_model, world, np.eye(toy_model.n_shape + 1))
     got = solver.assemble_system(toy_model, world, beta_lin, table,
-                                 solver._dlt_constants(toy_model, views, cfg))
+                                 solver._dlt_constants(toy_model, views), cfg)
     want = _stacked_normal_equations(toy_model, world, beta_lin, views, cfg)
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
-def _parent_dlt_constants(model, observations, cfg):
+def _parent_dlt_constants(model, observations):
     """`_dlt_constants` as one loop over the views, built afresh on each call:
     the reference the kept per-view rows must equal to the bit."""
-    k, s = model.n_joints, model.n_shape
     anchor, m, const, weights = [], [], [], []
     for obs in observations:
         wts = solver.anchor_weights(obs.laplace_scale, obs.aux_weight)
@@ -317,34 +316,37 @@ def _parent_dlt_constants(model, observations, cfg):
         m.append((rows[..., :3] @ obs.extrinsics_r).reshape(-1, 3))
         const.append((rows[..., :3] @ obs.extrinsics_t + rows[..., 3]).reshape(-1))
         weights.append(wts)
-    m, dim = np.concatenate(m), 3 * k + s + 3
-    reg = np.concatenate([np.full(3 * k, cfg.gamma), np.full(s, cfg.omega_beta), np.zeros(3)])
-    reg_b = np.zeros(dim)
-    if cfg.beta_prior is not None:
-        reg_b[3 * k:3 * k + s] = cfg.omega_beta * cfg.beta_prior
+    m = np.concatenate(m)
     m_cross = np.zeros((len(m), 3, 3))
     m_cross[:, [2, 0, 1], [1, 2, 0]] = m
     m_cross[:, [1, 2, 0], [2, 0, 1]] = -m
-    return solver._DltConstants(np.concatenate(anchor), m, m_cross, np.concatenate(const), reg,
-                                reg_b, weights, sum(float(w.sum()) for w in weights))
+    return solver._ViewRows(np.concatenate(anchor), m, m_cross, np.concatenate(const), weights,
+                            sum(float(w.sum()) for w in weights))
 
 
-def _parent_assemble_system(model, world, beta_lin, table, rows):
+def _parent_assemble_system(model, world, beta_lin, table, rows, cfg):
     """`assemble_system` adding the regularizers through `a.flat`."""
+    k, s = model.n_joints, model.n_shape
+    reg = np.concatenate([np.full(3 * k, cfg.gamma), np.full(s, cfg.omega_beta), np.zeros(3)])
+    reg_b = np.zeros(3 * k + s + 3)
+    if cfg.beta_prior is not None:
+        reg_b[3 * k:3 * k + s] = cfg.omega_beta * cfg.beta_prior
     jmat, r = solver._dlt_rows(model, world, beta_lin, table, rows)
     a = jmat.T @ jmat
-    a.flat[::len(a) + 1] += rows.reg
-    return a, jmat.T @ r + rows.reg_b
+    a.flat[::len(a) + 1] += reg
+    return a, jmat.T @ r + reg_b
 
 
 def _parent_residual_report(table, beta, t, observations, rows):
     """`_residual_report` through `np.linalg.norm`, translating per view and
-    concatenating even one view's residuals."""
+    concatenating even one view's residuals.  One view's rows hold its
+    weights as one array."""
     pts = (np.concatenate([[1.0], beta])[None] @ table.reshape(len(table), -1)).reshape(-1, 3)
     per = [np.linalg.norm(solver.project(obs.intrinsics, obs.extrinsics_r, obs.extrinsics_t,
                                          pts + t) - obs.anchors_2d, axis=1)
            for obs in observations]
-    sq = sum(float((w * err ** 2).sum()) for w, err in zip(rows.weights, per))
+    weights = rows.weights if len(per) > 1 else [rows.weights]
+    sq = sum(float((w * err ** 2).sum()) for w, err in zip(weights, per))
     return np.sqrt(sq / max(rows.weight_sum, 1e-30)), np.concatenate(per)
 
 
@@ -375,13 +377,14 @@ def test_kept_rows_and_trimmed_kernels_equal_the_parent_ones(toy_model, rng, n_v
     views = views[:n_views]
     cfg = solver.SolveConfig(omega_beta=1e-3, gamma=1e-4,
                              beta_prior=rng.normal(size=toy_model.n_shape))
-    rows = solver._dlt_constants(toy_model, views, cfg)
+    rows = solver._dlt_constants(toy_model, views)
     for _ in range(2):                              # built, then kept
-        again = solver._dlt_constants(toy_model, views, cfg)
-        want = _parent_dlt_constants(toy_model, views, cfg)
-        for name in ("anchor", "m", "m_cross", "const", "reg", "reg_b", "weight_sum"):
+        again = solver._dlt_constants(toy_model, views)
+        want = _parent_dlt_constants(toy_model, views)
+        for name in ("anchor", "m", "m_cross", "const", "weight_sum"):
             _assert_bitwise_equal(getattr(again, name), getattr(want, name))
-        for g, w in zip(again.weights, want.weights):
+        for g, w in zip(again.weights if n_views > 1 else [again.weights], want.weights,
+                        strict=True):
             _assert_bitwise_equal(g, w)
     assert again.m is rows.m if n_views == 1 else again.m is not rows.m
     for _ in range(3):
@@ -389,8 +392,8 @@ def test_kept_rows_and_trimmed_kernels_equal_the_parent_ones(toy_model, rng, n_v
             rng.normal(scale=0.2, size=(toy_model.n_joints, 3))) @ as_matrices(pose))
         beta_lin = beta + rng.normal(scale=0.1, size=beta.shape)
         table = body.pose_anchors(toy_model, world, np.eye(toy_model.n_shape + 1))
-        for g, w in zip(solver.assemble_system(toy_model, world, beta_lin, table, rows),
-                        _parent_assemble_system(toy_model, world, beta_lin, table, rows)):
+        for g, w in zip(solver.assemble_system(toy_model, world, beta_lin, table, rows, cfg),
+                        _parent_assemble_system(toy_model, world, beta_lin, table, rows, cfg)):
             _assert_bitwise_equal(g, w)
         t_est = t + rng.normal(scale=0.05, size=3)
         for g, w in zip(solver._residual_report(table, beta_lin, t_est, views, rows),
@@ -452,16 +455,36 @@ def test_a_two_view_solve_after_a_one_view_solve_builds_only_the_second_view(
 
 
 def test_kept_rows_are_read_only(toy_model, rng):
-    _, obs, cfg = _perturbed_solve_inputs(toy_model, rng)
+    _, obs, _ = _perturbed_solve_inputs(toy_model, rng)
     view = obs.view_rows()
     assert obs.view_rows() is view
-    rows = solver._dlt_constants(toy_model, [obs], cfg)
     for name in ("anchor", "m", "m_cross", "const", "weights"):
         kept = getattr(view, name)
         assert not kept.flags.writeable, name
         with pytest.raises(ValueError, match="read-only"):
             kept[0] = 1
-    assert rows.m is view.m and rows.weights[0] is view.weights
+    assert solver._dlt_constants(toy_model, [obs]) is view
+
+
+def test_solves_under_different_regularizers_share_one_views_kept_rows(
+        toy_model, rng, monkeypatch):
+    """The regularizers enter at assembly: every solve of one view assembles
+    from that view's kept rows, whatever its config's gamma, omega_beta and
+    prior, and the rows stay as they were built."""
+    init, obs, _ = _perturbed_solve_inputs(toy_model, rng)
+    view = obs.view_rows()
+    copies = [np.copy(a) for a in view]
+    assembled, real = [], solver.assemble_system
+    monkeypatch.setattr(solver, "assemble_system",
+                        lambda *args: assembled.append(args[4]) or real(*args))
+    for cfg in (solver.SolveConfig(), solver.SolveConfig(gamma=1e-2, max_relinearizations=1),
+                solver.SolveConfig(omega_beta=0.5, beta_prior=rng.normal(size=toy_model.n_shape)),
+                solver.SolveConfig(omega_beta=3.0, gamma=1e-4,
+                                   beta_prior=rng.normal(size=toy_model.n_shape))):
+        solver.solve_single_view(toy_model, init, obs, cfg)
+    assert len(assembled) >= 4 and all(rows is view for rows in assembled)
+    for kept, built in zip(view, copies):
+        _assert_bitwise_equal(kept, built)
 
 
 def test_chol_solve_jitters_a_singular_system_and_names_a_non_spd_one():

@@ -204,6 +204,16 @@ def test_gen_dataset_deterministic_and_streamable(toy_model, tmp_path):
                               ds[1].views[0].anchors_2d)
 
 
+def test_load_dataset_rejects_a_scene_without_views(toy_model, tmp_path):
+    doc = synth.scene_to_json(synth.gen_dataset(toy_model, 1, synth.standard_rig(1),
+                                                synth.NoiseSpec(1.0), seed=0)[0])
+    doc["views"] = []
+    p = tmp_path / "d.jsonl"
+    p.write_text(json.dumps(doc) + "\n")
+    with pytest.raises(ValueError, match="views must hold at least one view"):
+        synth.load_dataset(p)
+
+
 def test_gen_dataset_seed_changes_data(toy_model):
     d1 = synth.gen_dataset(toy_model, 2, synth.standard_rig(1),
                            synth.NoiseSpec(1.0), seed=0)
