@@ -316,7 +316,8 @@ def _ndtr(a):
     erf = _erf(xc, xc * xc)
     erfc = 1.0 - np.abs(erf)
     tail = np.flatnonzero(z >= 1.0)
-    erfc[tail] = _erfc_tail(z[tail])
+    if tail.size:                   # the tail costs its ~20 numpy calls even when empty
+        erfc[tail] = _erfc_tail(z[tail])
     half = 0.5 * erfc
     y = np.where(x > 0, 1.0 - half, half)
     np.copyto(y, 0.5 + 0.5 * erf, where=z < _SQRT1_2)

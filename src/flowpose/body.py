@@ -31,9 +31,18 @@ class QuotaError(ValueError):
 CONVEXITY_TOL = 1e-8
 
 
+def _read_only_fields(value):
+    """Set each field of the frozen dataclass `value` to a read-only copy of
+    its array: a caller's own array stays writable, and none can change it."""
+    for f in fields(value):
+        a = np.array(getattr(value, f.name))
+        a.flags.writeable = False
+        object.__setattr__(value, f.name, a)
+
+
 @dataclass(frozen=True)
 class BodyModelDef:
-    """Immutable model definition.
+    """Immutable model definition, holding read-only copies of its arrays.
 
     template        (N,3) mean vertices, meters
     shape_basis     (S,3N) linear shape displacements
@@ -49,6 +58,9 @@ class BodyModelDef:
     blend_weights: np.ndarray
     parents: np.ndarray
     anchor_indices: np.ndarray
+
+    def __post_init__(self):
+        _read_only_fields(self)     # so that the cached lever table cannot go stale
 
     @property
     def n_vertices(self):
@@ -407,7 +419,6 @@ def make_toy_model(n_per_joint=12, n_shape=4, seed=20240214) -> BodyModelDef:
     shoulders[arm_mask, 0] = 0.05 * (verts[arm_mask, 0] - joints[1][0])
     basis[3] = shoulders.reshape(-1)
 
-    model = BodyModelDef(verts, basis, regr, w, _TOY_PARENTS.copy(),
-                         np.arange(0))
+    model = BodyModelDef(verts, basis, regr, w, _TOY_PARENTS, np.arange(0))
     anchors = select_anchors(model, per_segment_min=4, total=48)
-    return BodyModelDef(verts, basis, regr, w, _TOY_PARENTS.copy(), anchors)
+    return BodyModelDef(verts, basis, regr, w, _TOY_PARENTS, anchors)

@@ -14,7 +14,8 @@ import numpy as np
 from .body import BodyModelDef, _chain_positions, _world_rotations, rest_joints
 from .checks import check_fields
 from .rotation import as_matrices, exp_matrices
-from .solver import SolveConfig, SolverFailure, reproject, solve, solve_multi_view
+from .solver import (SolveConfig, SolverFailure, check_anchor_counts, reproject, solve,
+                     solve_multi_view)
 
 
 # solver settings of evaluate's refinements and of the multi-view experiment
@@ -111,7 +112,8 @@ def evaluate(flow, encode, model: BodyModelDef, dataset, n_samples=100,
     A draw whose refinement raises SolverFailure is scored unrefined, as
     without the solver, and counted in summary["solver_failures"].
     Raises ValueError unless n_samples is an integer of at least 0, views
-    one of at least 1 that every scene has, and the dataset is not empty.
+    one of at least 1 that every scene has, the dataset is not empty and
+    every view it reads has the model's anchor count.
     """
     check_fields({"n_samples": n_samples}, int)
     check_fields({"views": views}, int, least=1)
@@ -119,6 +121,8 @@ def evaluate(flow, encode, model: BodyModelDef, dataset, n_samples=100,
         raise ValueError("dataset must hold at least one scene")
     if not all(views <= len(rec.views) for rec in dataset):
         raise ValueError(f"views must be between 1 and each scene's view count, got {views}")
+    for i, rec in enumerate(dataset):
+        check_anchor_counts(model, rec.views[:views if use_solver else 1], i)
     rng = np.random.default_rng(rng_seed)
     per = {k: [] for k in ["mpjpe_mode", "mpjpe_min", "pa_mpjpe_mode",
                            "pa_mpjpe_min", "abs_mpjpe_mode", "kp2d_mode"]}

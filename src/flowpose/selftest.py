@@ -7,6 +7,8 @@ is seeded, so the report is byte-reproducible.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from . import autodiff as ag
@@ -139,8 +141,8 @@ def _suite_solver(rng):
         obs = solver.Observation(np.zeros((len(m.anchor_indices), 2)),
                                  np.ones(len(m.anchor_indices)),
                                  np.ones(len(m.anchor_indices)), kk)
-        obs.anchors_2d = solver.reproject(
-            m, solver._world_rotations(m, as_matrices(pose)), beta, t, obs)
+        obs = dataclasses.replace(obs, anchors_2d=solver.reproject(
+            m, solver._world_rotations(m, as_matrices(pose)), beta, t, obs))
         res = solver.solve_single_view(m, pose, obs, solver.SolveConfig())
         checks.append((f"exact_recovery_{i}",
                        np.linalg.norm(res.translation - t) < 1e-6

@@ -6,10 +6,11 @@ cross-product rows, each joint's world rotation is corrected by
 I + [delta]x about the current estimate, and the resulting linear
 system is solved by Cholesky (LAPACK potrf/potrs) on the normal
 equations, optionally relinearizing; each step applies exp(delta) to all
-joints at once.  Each view's weighted DLT rows are built once and kept on
-its `Observation` until one of its arrays changes, so the many solves of
-one view's draws share them (`Observation.view_rows`; `_dlt_constants`
-stacks a solve's views; `assemble_system` adds its config's regularizers).
+joints at once.  An `Observation` is a read-only value: its weighted DLT
+rows are built at its first solve and shared by the many solves of its
+draws (`Observation.view_rows`; `_dlt_constants` stacks a solve's views;
+`assemble_system` adds its config's regularizers).  A changed view is a
+new `Observation`, made with `dataclasses.replace`.
 A solve poses the anchor table c + sum_k R_k L_k of `body.pose_anchors`
 once per state: the residual after a step and the next linearization
 share it.  `solve` stacks every view's rows from one initial pose in the
@@ -29,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ag
-from .body import _world_rotations, pose_anchors
+from .body import _read_only_fields, _world_rotations, pose_anchors
 from .checks import check_array, check_fields, check_numbers
 from .rotation import as_matrices, exp_matrices, rotation_mean
 
@@ -50,7 +51,7 @@ WEIGHT_FLOOR = 1e-6
 JITTER = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class Observation:
     """One calibrated view of the anchor set.
 
@@ -60,9 +61,10 @@ class Observation:
     intrinsics: 3x4; extrinsics_r/t: world-to-camera rigid transform
     (identity / zero for a single uncalibrated view).
 
-    The view's weighted DLT rows (`view_rows`) are built once and kept,
-    read-only, until one of these six arrays changes: an in-place edit or
-    a reassignment of a field rebuilds them at the next solve.
+    A read-only value: it checks its six arrays once and holds read-only
+    copies of them, so its weighted DLT rows (`view_rows`) are built once
+    and serve every solve.  A changed view is a new Observation, made with
+    `dataclasses.replace`, which runs every check again.
     """
 
     anchors_2d: np.ndarray
@@ -73,30 +75,26 @@ class Observation:
     extrinsics_t: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        self.anchors_2d = check_array("anchors_2d", self.anchors_2d, (None, 2))
+        set_field = functools.partial(object.__setattr__, self)
+        set_field("anchors_2d", check_array("anchors_2d", self.anchors_2d, (None, 2)))
         n = len(self.anchors_2d)
         if self.aux_weight is None:
-            self.aux_weight = np.ones(n)
+            set_field("aux_weight", np.ones(n))
         for name, shape in (("laplace_scale", (n,)), ("aux_weight", (n,)), ("intrinsics", (3, 4)),
                             ("extrinsics_r", (3, 3)), ("extrinsics_t", (3,))):
-            setattr(self, name, check_array(name, getattr(self, name), shape))
+            set_field(name, check_array(name, getattr(self, name), shape))
         if not np.allclose(self.intrinsics[2], [0.0, 0.0, 1.0, 0.0]):
             raise ValueError("intrinsics row 3 must be (0,0,1,0)")
         if (self.laplace_scale <= 0).any():
             raise ValueError("laplace_scale must be positive")
         if (self.aux_weight < 0).any():
             raise ValueError("aux_weight must be nonnegative")
+        _read_only_fields(self)
 
+    @functools.cached_property
     def view_rows(self) -> _ViewRows:
-        """This view's kept, weighted DLT rows, reused while the shape,
-        dtype and bytes of its six arrays are those they were built from."""
-        key = [(a.shape, a.dtype, a.tobytes()) for a in map(np.asarray, (
-            self.anchors_2d, self.laplace_scale, self.aux_weight, self.intrinsics,
-            self.extrinsics_r, self.extrinsics_t))]
-        kept = self.__dict__.get("_kept_view_rows")
-        if kept is None or kept[0] != key:
-            kept = self._kept_view_rows = key, _view_rows(self)
-        return kept[1]
+        """This view's weighted DLT rows, built at the first solve."""
+        return _view_rows(self)
 
 
 @dataclass
@@ -175,17 +173,23 @@ def _view_rows(obs) -> _ViewRows:
     return view
 
 
+def check_anchor_counts(model, views, scene=None):
+    """ValueError naming the first of `views` (with its index in `scene`,
+    when given) whose anchor count is not the model's."""
+    n_a = len(model.anchor_indices)
+    for j, obs in enumerate(views):
+        if len(obs.anchors_2d) != n_a:
+            where = "a view" if scene is None else f"scene {scene} view {j}"
+            raise ValueError(f"{where} has {len(obs.anchors_2d)} anchors, the model {n_a}")
+
+
 def _dlt_constants(model, observations) -> _ViewRows:
     """What a solve holds fixed: its views' kept DLT rows (`Observation.view_rows`,
     built once per view), one view's own or several stacked, weights per view."""
     if not observations:
         raise ValueError("need at least one observation")
-    n_a = len(model.anchor_indices)
-    views = []
-    for obs in observations:
-        if len(obs.anchors_2d) != n_a:
-            raise ValueError(f"a view has {len(obs.anchors_2d)} anchors, the model {n_a}")
-        views.append(obs.view_rows())
+    check_anchor_counts(model, observations)
+    views = [obs.view_rows for obs in observations]
     if len(views) == 1:
         return views[0]
     *cols, weights, weight_sums = zip(*views)

@@ -24,7 +24,7 @@ from .distributions import ProjectedIsoGaussian, pig_sample_batch
 from .flow import FlowConfig, FlowModel, joint_context_rows
 from .nets import Adam, GradientDescent, ParamStore, mlp_apply, mlp_init
 from .rotation import Rotation, as_matrices, matrix_to_quats, quat_multiply, quat_to_matrices
-from .solver import laplacian_nll
+from .solver import check_anchor_counts, laplacian_nll
 from .synth import context_feature_dim, normalized_pixels
 
 
@@ -154,6 +154,8 @@ def train(model: BodyModelDef, dataset, cfg: TrainConfig):
     """
     if not len(dataset):
         raise ValueError("dataset must hold at least one scene")
+    for i, rec in enumerate(dataset):
+        check_anchor_counts(model, rec.views[:1], i)        # training reads view 0
     rng = np.random.default_rng(cfg.seed)
     n_s = len(model.anchor_indices)
     feat_dim = context_feature_dim(n_s)

@@ -5,6 +5,7 @@ bypassing capture) and asserts the same condition, so the gate reads as a
 checklist in any pytest run.  Tolerances and budgets are stated inline.
 """
 
+import dataclasses
 import json
 import sys
 import time
@@ -210,8 +211,8 @@ def test_criterion_6_solver_exactness():
         t = np.array([0.0, 0.0, 3.0]) + rng.uniform(-0.2, 0.2, 3)
         obs = solver.Observation(np.zeros((n_anchor, 2)), np.ones(n_anchor),
                                  np.ones(n_anchor), k_mat)
-        obs.anchors_2d = solver.reproject(
-            model, solver._world_rotations(model, as_matrices(pose)), beta, t, obs)
+        obs = dataclasses.replace(obs, anchors_2d=solver.reproject(
+            model, solver._world_rotations(model, as_matrices(pose)), beta, t, obs))
         r = solver.solve_single_view(model, pose, obs,
                                      solver.SolveConfig(max_relinearizations=0))
         t_err.append(np.linalg.norm(r.translation - t))

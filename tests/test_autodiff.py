@@ -153,6 +153,19 @@ def test_normal_cdf_keeps_the_shape(rng):
         assert got.shape == a.shape and np.array_equal(got, ndtr(a))
 
 
+def test_normal_cdf_forms_the_erfc_tail_only_for_rows_in_it(rng, monkeypatch):
+    # |a| < sqrt(2) puts every row below |x| = 1, where erf alone serves
+    from scipy.special import ndtr
+    calls, real = [], ag._erfc_tail
+    monkeypatch.setattr(ag, "_erfc_tail", lambda z: calls.append(len(z)) or real(z))
+    below = rng.uniform(-1.41, 1.41, 128)
+    for a in (below, np.zeros(0), np.zeros((0, 3))):
+        assert np.array_equal(ag.normal_cdf(a), ndtr(a))
+    assert calls == []
+    mixed = np.concatenate([below, [-3.0, 2.0]])
+    assert np.array_equal(ag.normal_cdf(mixed), ndtr(mixed)) and calls == [2]
+
+
 def test_normal_cdf_grad(rng):
     x = ag.leaf(rng.normal(scale=2.0, size=(3, 4)))
     assert ag.finite_diff_check(lambda: ag.reduce_sum(ag.normal_cdf(x)), [x]) < 1e-6

@@ -100,6 +100,25 @@ def test_anchor_levers_follow_the_anchor_set(toy_model, rng):
             table[0] = 0.0
 
 
+def test_a_model_holds_read_only_copies_of_its_arrays(toy_model, rng):
+    # no write can leave the cached lever table behind the arrays: it raises
+    given = {f.name: getattr(toy_model, f.name).copy() for f in dataclasses.fields(toy_model)}
+    model = body.BodyModelDef(**given)
+    world = exp_matrices(rng.normal(size=(model.n_joints, 3)))
+    posed = body.pose_anchors(model, world, np.eye(1 + model.n_shape))
+    for name, a in given.items():
+        held = getattr(model, name)
+        np.testing.assert_array_equal(held, a)
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] += 1
+        a[0] += 1                           # the caller's own array stays writable
+        assert not np.array_equal(held, a), name
+    np.testing.assert_array_equal(body.pose_anchors(model, world, np.eye(1 + model.n_shape)),
+                                  posed)
+    np.testing.assert_allclose(posed[0], body.pose_points(model, world, model.template)[
+        model.anchor_indices], rtol=0, atol=1e-12)
+
+
 def test_posing_batches_over_leading_axes(toy_model, rng):
     world = body._world_rotations(
         toy_model, as_matrices([axis_angle_exp(rng.normal(scale=0.4, size=3))

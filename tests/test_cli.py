@@ -552,6 +552,27 @@ def test_train_on_a_scene_without_views_exit_1(workspace, tmp_path, capsys):
     assert not (tmp_path / "checkpoint.json").exists()
 
 
+@pytest.mark.parametrize("command, keys", [
+    ("train", {"train": {"phase1_epochs": 1, "phase2_epochs": 0}}),
+    ("eval", {"checkpoint": "checkpoint.json", "n_samples": 2}),
+    ("eval", {"checkpoint": "checkpoint.json", "n_samples": 2, "use_solver": True})])
+def test_a_view_short_of_an_anchor_exits_1_naming_it(workspace, tmp_path, capsys, command,
+                                                      keys):
+    lines = (workspace / "dataset.jsonl").read_text().splitlines()
+    scene = json.loads(lines[3])
+    for key in ("anchors", "gt_anchors", "scale", "aux"):
+        scene["views"][0][key] = scene["views"][0][key][:-1]
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("\n".join([*lines[:3], json.dumps(scene), *lines[4:]]) + "\n")
+    keys = {k: str(workspace / v) if k == "checkpoint" else v for k, v in keys.items()}
+    cfg = _write(tmp_path / "c.json", {"model": str(workspace / "model.json"),
+                                       "dataset": str(dataset), **keys})
+    capsys.readouterr()
+    assert _run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: scene 3 view 0 has 47 anchors, the model 48\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_toy_fit_without_modes_exit_1_naming_the_bound(tmp_path, capsys):
     out = tmp_path / "out"
     capsys.readouterr()

@@ -12,6 +12,7 @@ import sys
 import flowpose.cli, flowpose.metrics, flowpose.training
 print("scipy" in sys.modules)
 
+import dataclasses
 import numpy as np
 from flowpose import body, solver
 from flowpose.rotation import Rotation, as_matrices
@@ -20,8 +21,9 @@ pose = [Rotation.identity()] * model.n_joints
 n = len(model.anchor_indices)
 obs = solver.Observation(np.zeros((n, 2)), np.ones(n), np.ones(n),
                          [[800.0, 0, 320, 0], [0, 800.0, 240, 0], [0, 0, 1, 0]])
-obs.anchors_2d = solver.reproject(model, solver._world_rotations(model, as_matrices(pose)),
-                                  np.zeros(model.n_shape), [0.0, 0.0, 3.0], obs)
+obs = dataclasses.replace(obs, anchors_2d=solver.reproject(
+    model, solver._world_rotations(model, as_matrices(pose)), np.zeros(model.n_shape),
+    [0.0, 0.0, 3.0], obs))
 solver.solve_single_view(model, pose, obs, solver.SolveConfig())
 print("scipy.linalg.lapack" in sys.modules)
 """

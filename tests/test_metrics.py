@@ -251,14 +251,17 @@ def test_evaluate_rejects_a_bad_count(trained_model, kwargs, name):
 
 
 def test_evaluate_builds_each_view_rows_once(trained_model, monkeypatch):
-    # every refinement of a scene's draws solves against the same view, so
-    # its DLT rows are built once per view, not once per draw
+    # every refinement of a scene's draws solves against the same views, so
+    # their DLT rows are built once per view, not once per draw
     model, _, flow, encode = trained_model
-    scenes = synth.gen_dataset(model, 2, synth.standard_rig(1), synth.NoiseSpec(1.0), seed=21)
     built, real = [], solver._view_rows
     monkeypatch.setattr(solver, "_view_rows", lambda obs: built.append(obs) or real(obs))
-    metrics.evaluate(flow, encode, model, scenes, n_samples=4, use_solver=True)
-    assert [id(o) for o in built] == [id(rec.views[0]) for rec in scenes]
+    for views in (1, 2):
+        scenes = synth.gen_dataset(model, 2, synth.standard_rig(views), synth.NoiseSpec(1.0),
+                                   seed=21)
+        built.clear()
+        metrics.evaluate(flow, encode, model, scenes, n_samples=4, use_solver=True, views=views)
+        assert [id(o) for o in built] == [id(v) for rec in scenes for v in rec.views]
 
 
 def test_evaluate_multi_view_hands_solver_the_world_pose(trained_model, monkeypatch):

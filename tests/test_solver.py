@@ -22,8 +22,7 @@ def _exact_obs(model, pose, beta, t, k_mat=K_MAT, extr_r=None, extr_t=None):
                              np.eye(3) if extr_r is None else extr_r,
                              np.zeros(3) if extr_t is None else extr_t)
     world = solver._world_rotations(model, as_matrices(pose))
-    obs.anchors_2d = solver.reproject(model, world, beta, t, obs)
-    return obs
+    return dataclasses.replace(obs, anchors_2d=solver.reproject(model, world, beta, t, obs))
 
 
 def _random_scene(model, rng, pose_scale=0.3):
@@ -290,7 +289,9 @@ def test_assemble_adds_regularizers_to_the_normal_equations(toy_model, rng, omeg
              _exact_obs(toy_model, pose, beta, t,
                         extr_r=axis_angle_exp(rng.normal(scale=0.3, size=3)).matrix(),
                         extr_t=rng.normal(scale=0.1, size=3))]
-    views[1].aux_weight[::5] = 0.0
+    aux = np.ones(len(toy_model.anchor_indices))
+    aux[::5] = 0.0
+    views[1] = dataclasses.replace(views[1], aux_weight=aux)
     cfg = solver.SolveConfig(omega_beta=omega_beta, gamma=gamma,
                              beta_prior=rng.normal(size=toy_model.n_shape) if with_prior else None)
     beta_lin = beta + rng.normal(scale=0.1, size=beta.shape)
@@ -363,12 +364,12 @@ def _two_masked_views(model, rng):
                         extr_r=axis_angle_exp(rng.normal(scale=0.3, size=3)).matrix(),
                         extr_t=rng.normal(scale=0.1, size=3))]
     n = len(model.anchor_indices)
-    for v in views:
-        v.anchors_2d += rng.normal(scale=2.0, size=(n, 2))
-        v.laplace_scale = rng.uniform(0.5, 3.0, n)
-    views[0].aux_weight[::5] = 0.0
-    views[1].aux_weight[rng.choice(n, n // 3, replace=False)] = 0.0
-    return pose, beta, t, views
+    views = [dataclasses.replace(v, anchors_2d=v.anchors_2d + rng.normal(scale=2.0, size=(n, 2)),
+                                 laplace_scale=rng.uniform(0.5, 3.0, n)) for v in views]
+    aux = np.ones((2, n))
+    aux[0, ::5] = 0.0
+    aux[1, rng.choice(n, n // 3, replace=False)] = 0.0
+    return pose, beta, t, [dataclasses.replace(v, aux_weight=a) for v, a in zip(views, aux)]
 
 
 @pytest.mark.parametrize("n_views", [1, 2])
@@ -418,28 +419,71 @@ def _assert_same_outcome(got, want):
 
 @pytest.mark.parametrize("edit", ["mask", "move", "scale", "intrinsics", "reassign"])
 def test_a_view_edited_between_solves_solves_as_a_fresh_one(toy_model, rng, edit):
-    """The kept rows of a view follow every change to its arrays: after an
-    in-place edit or a reassigned field, a solve equals that of a newly
-    built Observation holding the same arrays."""
+    """A view changed by `dataclasses.replace` solves as a newly built
+    Observation holding the same arrays; an in-place edit or a reassigned
+    field raises, and leaves the first view and its kept rows as built."""
     init, obs, cfg = _perturbed_solve_inputs(toy_model, rng)
     before = _outcome(toy_model, init, [obs], cfg)
+    kept = [np.copy(a) for a in obs.view_rows]
     n = len(toy_model.anchor_indices)
     bad = rng.choice(n, n // 3, replace=False)
-    if edit == "mask":
-        obs.aux_weight[::5] = 0.0
-    elif edit == "move":
-        obs.anchors_2d[bad] += 500.0
-    elif edit == "scale":
-        obs.laplace_scale[bad] *= 4.0
-    elif edit == "intrinsics":
-        obs.intrinsics[0, 2] += 3.0
-    else:
-        obs.anchors_2d = obs.anchors_2d + rng.normal(scale=3.0, size=(n, 2))
-    fresh = solver.Observation(*(getattr(obs, f.name).copy() for f in dataclasses.fields(obs)))
-    got = _outcome(toy_model, init, [obs], cfg)
+    name, index, change = {
+        "mask": ("aux_weight", np.s_[::5], lambda a: 0.0 * a),
+        "move": ("anchors_2d", bad, lambda a: a + 500.0),
+        "scale": ("laplace_scale", bad, lambda a: a * 4.0),
+        "intrinsics": ("intrinsics", (0, 2), lambda a: a + 3.0),
+        "reassign": ("anchors_2d", np.s_[:], lambda a: a + rng.normal(scale=3.0, size=(n, 2))),
+    }[edit]
+    value = getattr(obs, name).copy()
+    value[index] = change(value[index])
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(obs, name)[index] = value[index]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obs, name, value)
+    for a, built in zip(obs.view_rows, kept, strict=True):
+        _assert_bitwise_equal(a, built)
+    _assert_same_outcome(_outcome(toy_model, init, [obs], cfg), before)
+    edited = dataclasses.replace(obs, **{name: value})
+    fresh = solver.Observation(*(getattr(edited, f.name).copy()
+                                 for f in dataclasses.fields(edited)))
+    got = _outcome(toy_model, init, [edited], cfg)
     _assert_same_outcome(got, _outcome(toy_model, init, [fresh], cfg))
     assert not isinstance(got, str)
     assert not np.array_equal(got.per_anchor_residuals, before.per_anchor_residuals)
+
+
+def test_an_observation_holds_read_only_copies_of_its_arrays():
+    args = {"anchors_2d": np.zeros((5, 2)), "laplace_scale": np.ones(5),
+            "aux_weight": np.ones(5), "intrinsics": K_MAT.copy(),
+            "extrinsics_r": np.eye(3), "extrinsics_t": np.zeros(3)}
+    obs = solver.Observation(**args)
+    for name, given in args.items():
+        held = getattr(obs, name)
+        _assert_bitwise_equal(held, given)
+        with pytest.raises(ValueError, match="read-only"):
+            held.flat[0] = 7.0
+        given.flat[0] = 7.0                 # the caller's own array stays writable
+        assert held.flat[0] != 7.0, name
+    default = solver.Observation(np.zeros((2, 2)), np.ones(2), None, K_MAT)
+    with pytest.raises(ValueError, match="read-only"):
+        default.aux_weight[0] = 0.0
+
+
+@pytest.mark.parametrize("name, index, bad, message", [
+    ("aux_weight", 3, -1.0, "aux_weight must be nonnegative"),
+    ("anchors_2d", (2, 1), np.nan, "anchors_2d must be finite"),
+    ("laplace_scale", 0, 0.0, "laplace_scale must be positive"),
+    ("intrinsics", (2, 0), 0.5, "intrinsics row 3 must be")])
+def test_a_bad_value_enters_a_view_only_through_its_checks(toy_model, rng, name, index, bad,
+                                                           message):
+    # an in-place write cannot slip it past them, and `replace` runs them all
+    _, obs, _ = _perturbed_solve_inputs(toy_model, rng)
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(obs, name)[index] = bad
+    value = getattr(obs, name).copy()
+    value[index] = bad
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(obs, **{name: value})
 
 
 def test_a_two_view_solve_after_a_one_view_solve_builds_only_the_second_view(
@@ -456,8 +500,8 @@ def test_a_two_view_solve_after_a_one_view_solve_builds_only_the_second_view(
 
 def test_kept_rows_are_read_only(toy_model, rng):
     _, obs, _ = _perturbed_solve_inputs(toy_model, rng)
-    view = obs.view_rows()
-    assert obs.view_rows() is view
+    view = obs.view_rows
+    assert obs.view_rows is view
     for name in ("anchor", "m", "m_cross", "const", "weights"):
         kept = getattr(view, name)
         assert not kept.flags.writeable, name
@@ -472,7 +516,7 @@ def test_solves_under_different_regularizers_share_one_views_kept_rows(
     from that view's kept rows, whatever its config's gamma, omega_beta and
     prior, and the rows stay as they were built."""
     init, obs, _ = _perturbed_solve_inputs(toy_model, rng)
-    view = obs.view_rows()
+    view = obs.view_rows
     copies = [np.copy(a) for a in view]
     assembled, real = [], solver.assemble_system
     monkeypatch.setattr(solver, "assemble_system",
@@ -511,8 +555,10 @@ def test_occluded_anchors_ignored(toy_model, rng):
     # corrupt a third of the anchors but mask them via aux weights
     n = len(toy_model.anchor_indices)
     bad = rng.choice(n, n // 3, replace=False)
-    obs.anchors_2d[bad] += 500.0
-    obs.aux_weight[bad] = 0.0
+    anchors, aux = obs.anchors_2d.copy(), np.ones(n)
+    anchors[bad] += 500.0
+    aux[bad] = 0.0
+    obs = dataclasses.replace(obs, anchors_2d=anchors, aux_weight=aux)
     res = solver.solve_single_view(toy_model, pose, obs, solver.SolveConfig())
     assert np.linalg.norm(res.translation - t) < 1e-6
 
@@ -520,8 +566,9 @@ def test_occluded_anchors_ignored(toy_model, rng):
 def test_underdetermined_raises(toy_model, rng):
     pose, beta, t = _random_scene(toy_model, rng)
     obs = _exact_obs(toy_model, pose, beta, t)
-    obs.aux_weight[:] = 0.0
-    obs.aux_weight[:3] = 1.0  # 6 rows for 3K+S+3 unknowns
+    aux = np.zeros(len(toy_model.anchor_indices))
+    aux[:3] = 1.0  # 6 rows for 3K+S+3 unknowns
+    obs = dataclasses.replace(obs, aux_weight=aux)
     with pytest.raises(solver.UnderdeterminedError):
         solver.solve_single_view(toy_model, pose, obs, solver.SolveConfig())
 
@@ -811,13 +858,13 @@ def test_solve_raises_or_returns_finite_fields(toy_model, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
     pose, beta, t = _random_scene(toy_model, rng)
     obs = _exact_obs(toy_model, pose, beta, t)
-    obs.anchors_2d += rng.normal(scale=data.draw(st.floats(0.0, 50.0)), size=(n, 2))
-    obs.laplace_scale = np.array(data.draw(floats(1e-3, 1e3, n)))
+    anchors = obs.anchors_2d + rng.normal(scale=data.draw(st.floats(0.0, 50.0)), size=(n, 2))
+    scale = np.array(data.draw(floats(1e-3, 1e3, n)))
     # most anchors keep weight 1; the rest get a drawn weight, 0 among them
     aux = np.ones(n)
     for a in data.draw(st.lists(st.integers(0, n - 1), max_size=n)):
         aux[a] = data.draw(st.floats(0.0, 1e6) | st.sampled_from([0.0, 1e-300]))
-    obs.aux_weight = aux
+    obs = dataclasses.replace(obs, anchors_2d=anchors, laplace_scale=scale, aux_weight=aux)
     with np.errstate(invalid="ignore"):          # exp of an infinite rotation vector is NaN
         pose_init = exp_matrices(_spoiled(data, np.array(data.draw(floats(-4.0, 4.0, 3 * k)))
                                           .reshape(k, 3)))

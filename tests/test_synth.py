@@ -59,8 +59,8 @@ def test_make_scene_behind_camera_raises(toy_model):
 
 def _make_scene_placeholder_reference(model, rig, noise, seed):
     """`make_scene` as it was written before it posed the anchors once per
-    scene: each view reprojects through a placeholder Observation whose
-    fields are overwritten afterwards."""
+    scene: each view reprojects through a placeholder Observation, then
+    replaces its anchors, scales and weights."""
     rng = np.random.default_rng(seed)
     state = synth.sample_state(model, rig, rng)
     world = _world_rotations(model, as_matrices(state.pose))
@@ -75,10 +75,8 @@ def _make_scene_placeholder_reference(model, rig, noise, seed):
         aux = np.ones(n_s)
         if noise.occlusion_prob > 0:
             aux[rng.random(n_s) < noise.occlusion_prob] = 0.0
-        obs.anchors_2d = noisy
-        obs.laplace_scale = np.full(n_s, max(noise.pixel_scale, 1e-3))
-        obs.aux_weight = aux
-        views.append(obs)
+        views.append(dataclasses.replace(obs, anchors_2d=noisy, aux_weight=aux,
+                                         laplace_scale=np.full(n_s, max(noise.pixel_scale, 1e-3))))
         gts.append(clean)
     return synth.SceneRecord(state, views, gts, synth.context_features(views[0]), int(seed))
 

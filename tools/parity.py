@@ -19,9 +19,10 @@ commands, each in a fresh interpreter with one BLAS thread
   scene, and from a per-view pose_init;
 * toy-fit: 60 steps;
 * selftest;
-* three rejected inputs, whose stderr and exit code are compared: a solve
-  whose pose_init lacks a joint, a sample from a NaN context, and gen-data
-  on a rig with an infinite translation bound.
+* four rejected inputs, whose stderr and exit code are compared: a solve
+  whose pose_init lacks a joint, a sample from a NaN context, gen-data
+  on a rig with an infinite translation bound, and a train on a dataset
+  one of whose views holds one anchor fewer than the model.
 
 Every command runs from its own
 run directory with relative paths, so no output names a location.  The
@@ -83,6 +84,18 @@ def _train(epochs, **extra):
             "train": {"phase1_epochs": epochs[0], "phase2_epochs": epochs[1], **extra}}
 
 
+def _short_view(run):
+    """A train config on the one-view dataset with scene 3's view cut to all
+    but its last anchor; the cut dataset goes with the configs."""
+    lines = (run / "one_view/dataset.jsonl").read_text().splitlines()
+    scene = json.loads(lines[3])
+    for key in ("anchors", "gt_anchors", "scale", "aux"):
+        scene["views"][0][key] = scene["views"][0][key][:-1]
+    lines[3] = json.dumps(scene)
+    (run / CONFIGS / "short_view.jsonl").write_text("\n".join(lines) + "\n")
+    return {**_train((1, 1)), "dataset": f"{CONFIGS}/short_view.jsonl"}
+
+
 def _eval(**extra):
     return {"model": MODEL, "dataset": "one_view/dataset.jsonl",
             "checkpoint": "sgd/checkpoint.json", **extra}
@@ -118,6 +131,7 @@ FULL = [
                              "rig": {"cameras": [{"fx": 800, "fy": 800, "cx": 320, "cy": 240}],
                                      "translation_lo": [0, 0, 2],
                                      "translation_hi": [0, 0, float("inf")]}}, 0),
+    ("bad_view", "train", _short_view, 0),
 ]
 # the reduced set of the tier-1 test (tests/test_parity.py)
 QUICK = [
